@@ -65,6 +65,8 @@ class WeightedDiscreteDist:
         masses = np.asarray(masses, dtype=float)
         if atoms.shape != masses.shape or atoms.ndim != 1:
             raise ValueError("atoms and masses must be equal-length vectors")
+        if not np.all(np.isfinite(masses)):
+            raise ValueError("masses must be finite")
         if np.any(masses < 0):
             raise ValueError("masses must be nonnegative")
         total = masses.sum()
@@ -73,7 +75,6 @@ class WeightedDiscreteDist:
         # renormalize; guards accumulated rounding in long weight sums
         self.atoms = atoms
         self.masses = masses / total
-        assert abs(self.masses.sum() - 1.0) <= 1e-9
 
     @classmethod
     def from_weights(cls, atoms, weights):
@@ -118,35 +119,25 @@ def weighted_quantile(dist: WeightedDiscreteDist, level: float) -> float:
 
 def wcp_threshold_nuc(scores, e_cal, e_target, t, p_t, alpha) -> float:
     """Score threshold of weighted conformal prediction under
-    unconfoundedness.
-
-    Calibration weights are p(T=t) / arm-probability(x_i); the +inf
-    sentinel carries the target weight.  Returns the (1 - alpha) weighted
-    quantile (possibly +inf).
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empty calibration set")
-    e_cal = np.asarray(e_cal, dtype=float)
-    arm_cal = e_cal if t == 1 else 1.0 - e_cal
-    arm_tgt = e_target if t == 1 else 1.0 - e_target
-    w_cal = p_t / arm_cal
-    w_tgt = p_t / arm_tgt
-    atoms = np.append(scores, np.inf)
-    weights = np.append(w_cal, w_tgt)
-    dist = WeightedDiscreteDist.from_weights(atoms, weights)
-    return weighted_quantile(dist, 1.0 - alpha)
+    unconfoundedness at one target: `wcp_threshold_nuc_batch` for a batch
+    of one."""
+    return float(wcp_threshold_nuc_batch(scores, e_cal, [e_target], t, p_t,
+                                         alpha)[0])
 
 
 def wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha):
     """Unconfoundedness thresholds for an array of target propensities.
 
-    Vectorized equivalent of `wcp_threshold_nuc`: one sorted cumulative
-    pass over the calibration weights, then a search per target.
+    Calibration weights are p(T=t) / arm-probability(x_i); the +inf
+    sentinel carries the target weight.  Each threshold is the (1 - alpha)
+    weighted quantile (possibly +inf): one sorted cumulative pass over the
+    calibration weights, then a search per target.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("empty calibration set")
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError("alpha must lie in [0, 1]")
     e_cal = np.asarray(e_cal, dtype=float)
     e_target = np.atleast_1d(np.asarray(e_target, dtype=float))
     arm_cal = e_cal if t == 1 else 1.0 - e_cal

@@ -2,9 +2,11 @@
 
 The quantile maximization over box-bounded conformal weights has a corner
 optimum: weights at the largest scores sit at their upper bounds, the rest
-at their lower bounds.  The greedy pass flips weights from the top score
-(the +inf sentinel) downward until the normalized flipped tail strictly
-exceeds alpha; the threshold is the score at the last flip.
+at their lower bounds.  The greedy flips weights from the top score (the
++inf sentinel) downward until the normalized flipped tail strictly exceeds
+alpha; the threshold is the score at the last flip.  The flip condition is
+monotone in the position, so the stop is found by one binary search over
+prefix sums of the sorted bounds instead of a loop.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import (
+    _NORM_TOL,
     PredictiveInterval,
     cqr_score_interval,
     mean_score_interval,
@@ -52,11 +55,29 @@ class GreedyResult:
         return not np.isfinite(self.threshold)
 
 
+def _flip_index(lo_c, hi_c, hi_target, alpha):
+    """Greedy stop positions over n calibration atoms plus the sentinel.
+
+    With pre_lo[j] = sum lo_c[:j] and suf_hi[j] = sum hi_c[j:], flipping
+    from position j up (sentinel mass h) leaves a tail above alpha exactly
+    when a * pre_lo[j] - (1 - a) * suf_hi[j] < (1 - a) * h.  The left side
+    is nondecreasing in j (rounding is monotone), so the largest such j is
+    one `searchsorted` away; 0 when there is none.  a = alpha + _NORM_TOL
+    decides exact ties the way `weighted_quantile` does.
+    """
+    a = alpha + _NORM_TOL
+    pre_lo = np.concatenate([[0.0], np.cumsum(lo_c)])
+    suf_hi = np.concatenate([np.cumsum(hi_c[::-1])[::-1], [0.0]])
+    key = a * pre_lo - (1.0 - a) * suf_hi
+    j = np.searchsorted(key, (1.0 - a) * np.asarray(hi_target), side="left")
+    return np.maximum(j - 1, 0)
+
+
 def greedy_max_quantile(scores, lo, hi, alpha) -> GreedyResult:
     """Maximize the (1 - alpha) weighted quantile over box weights.
 
     `scores` must be ascending with a +inf sentinel last; `lo`/`hi` are
-    aligned weight bounds.  Work is O(m) for m flips, O(n) worst case.
+    aligned weight bounds.  Work is O(m) for m scores.
     """
     scores = np.asarray(scores, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -71,23 +92,11 @@ def greedy_max_quantile(scores, lo, hi, alpha) -> GreedyResult:
     if np.any(np.diff(scores[:-1]) < 0):
         raise ValueError("scores must be sorted ascending")
 
-    total = lo.sum()
-    tail = 0.0
-    k = m  # 1-based flip position, moving downward
-    iterations = 0
-    while k >= 1:
-        i = k - 1
-        total += hi[i] - lo[i]
-        tail += hi[i]
-        iterations += 1
-        if tail > alpha * total:
-            break
-        k -= 1
-    k = max(k, 1)
+    k = int(_flip_index(lo[:-1], hi[:-1], hi[-1], alpha))
     weights = lo.copy()
-    weights[k - 1:] = hi[k - 1:]
-    return GreedyResult(threshold=float(scores[k - 1]), flip_index=k - 1,
-                        weights=weights, iterations=iterations)
+    weights[k:] = hi[k:]
+    return GreedyResult(threshold=float(scores[k]), flip_index=k,
+                        weights=weights, iterations=m - k)
 
 
 def greedy_threshold_batch(scores_sorted, lo_c, hi_c, hi_target, alpha):
@@ -95,25 +104,14 @@ def greedy_threshold_batch(scores_sorted, lo_c, hi_c, hi_target, alpha):
 
     `scores_sorted` are the n ascending calibration scores (no sentinel);
     `lo_c`/`hi_c` the aligned calibration weight bounds; `hi_target` the
-    per-target sentinel upper bounds.  Equivalent to running
-    `greedy_max_quantile` once per target, vectorized over targets.
+    per-target sentinel upper bounds.  Equal to `greedy_max_quantile` per
+    target; work is O(n + m log n) for m targets.
     """
     scores_sorted = np.asarray(scores_sorted, dtype=float)
-    lo_c = np.asarray(lo_c, dtype=float)
-    hi_c = np.asarray(hi_c, dtype=float)
     hi_target = np.atleast_1d(np.asarray(hi_target, dtype=float))
-    n = scores_sorted.shape[0]
-    # flip position j = 0..n over the n+1 atoms (sentinel at j = n)
-    pre_lo = np.concatenate([[0.0], np.cumsum(lo_c)])          # sum lo[:j]
-    suf_hi = np.concatenate([np.cumsum(hi_c[::-1])[::-1], [0.0]])  # sum hi[j:]
-    tail = suf_hi[:, None] + hi_target[None, :]
-    total = pre_lo[:, None] + tail
-    cond = tail > alpha * total
-    rev = cond[::-1]
-    first = rev.argmax(axis=0)
-    j_star = np.where(rev.any(axis=0), n - first, 0)
-    ext = np.append(scores_sorted, np.inf)
-    return ext[j_star]
+    j_star = _flip_index(np.asarray(lo_c, dtype=float),
+                         np.asarray(hi_c, dtype=float), hi_target, alpha)
+    return np.append(scores_sorted, np.inf)[j_star]
 
 
 def csa_threshold(scores, e_cal, e_target, spec: SensitivitySpec, p_t) -> GreedyResult:

@@ -3,8 +3,9 @@
 Adds researcher-chosen moment constraints to the worst-case quantile
 optimization, which can only shrink the feasible weight set and hence the
 interval.  Each probe of the binary search solves a linear-fractional
-program (maximize normalized tail mass) through the Charnes-Cooper change
-of variables and the embedded simplex solver.
+program (maximize normalized tail mass): exactly by Dinkelbach's method
+for a single positive balance constraint, otherwise as one LP through the
+Charnes-Cooper change of variables.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import (
+    _NORM_TOL,
     PredictiveInterval,
     cqr_score_interval,
     mean_score_interval,
@@ -63,7 +65,6 @@ class FractionalProgram:
     hi: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    tol: float = 1e-8
     slack_rel: float = 1e-6
 
     def __post_init__(self):
@@ -71,8 +72,6 @@ class FractionalProgram:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError("need lo <= hi per variable")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
         if not (0 <= self.tail_index < lo.shape[0]):
             raise ValueError("tail_index out of range")
         object.__setattr__(self, "lo", lo)
@@ -98,62 +97,73 @@ def balance_rhs(treatment, e_hat, g_values, t) -> float:
 
 
 def solve_fractional(fp: FractionalProgram) -> FractionalResult:
-    """Exact solve of the linear-fractional program via Charnes-Cooper.
-
-    Variables (u, s) with u = s*w, s = 1 / sum(w): maximize the linear
-    tail sum of u subject to sum(u) = 1, the scaled box, and the scaled
-    (slack-relaxed) equalities; one LP, no convergence loop.
-    """
+    """Exact solve of the linear-fractional program via Charnes-Cooper:
+    one LP, no convergence loop."""
     n = fp.lo.shape[0]
-    c = np.zeros(n + 1)
-    c[fp.tail_index:n] = 1.0
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, :n] = 1.0
-    b_eq = np.array([1.0])
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(n + 1)  # lo_i * s - u_i <= 0
-        row[i] = -1.0
-        row[n] = fp.lo[i]
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(n + 1)  # u_i - hi_i * s <= 0
-        row[i] = 1.0
-        row[n] = -fp.hi[i]
-        rows.append(row)
-        rhs.append(0.0)
-    if fp.A_eq is not None:
+    if fp.A_eq is None:
+        A, b = np.zeros((0, n)), np.zeros(0)
+    else:
         A = np.atleast_2d(np.asarray(fp.A_eq, dtype=float))
-        b = np.asarray(fp.b_eq, dtype=float)
-        for k in range(A.shape[0]):
-            if A.shape[1] != n:
-                raise ValueError("constraint length != number of variables")
-            delta = fp.slack_rel * abs(b[k])
-            row = np.zeros(n + 1)  # a.u - (b + delta) s <= 0
-            row[:n] = A[k]
-            row[n] = -(b[k] + delta)
-            rows.append(row)
-            rhs.append(0.0)
-            row = np.zeros(n + 1)  # -a.u + (b - delta) s <= 0
-            row[:n] = -A[k]
-            row[n] = b[k] - delta
-            rows.append(row)
-            rhs.append(0.0)
-    res = solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                   A_eq=A_eq, b_eq=b_eq, maximize=True, tol=fp.tol)
-    if not res.optimal:
-        return FractionalResult(feasible=False)
-    u = res.x[:n]
-    s = res.x[n]
-    if s <= 0:
-        return FractionalResult(feasible=False)
-    return FractionalResult(feasible=True, value=float(res.value),
-                            weights=u / s)
+        b = np.atleast_1d(np.asarray(fp.b_eq, dtype=float))
+        if A.shape[1] != n:
+            raise ValueError("constraint length != number of variables")
+    return _charnes_cooper(fp.tail_index, 0.0, fp.lo, fp.hi, A, b,
+                           fp.slack_rel)
 
 
-def cssa_threshold(scores, lo, hi, constraints, alpha, slack_rel=1e-6,
-                   tol=1e-8) -> float:
+def _charnes_cooper(tail_index, h, lo, hi, A, b, slack_rel) -> FractionalResult:
+    """Maximize (sum_{i >= tail_index} w_i + h) / (sum_i w_i + h) over
+    lo <= w <= hi and |A w - b| <= slack_rel * |b| row by row, as one LP.
+
+    Variables (u, s) with s = 1 / (sum(w) + h) and u = s * w: maximize the
+    tail sum of u plus h * s subject to sum(u) + h * s = 1, the scaled box
+    lo * s <= u <= hi * s and the scaled balance rows.  `h` is a constant
+    mass in the numerator and the denominator, e.g. the sentinel at its
+    upper bound; 0 when every weight is a variable.
+    """
+    n = lo.shape[0]
+    eye = np.eye(n)
+    delta = slack_rel * np.abs(b)
+    A_ub = np.vstack([np.column_stack([-eye, lo]),     # lo * s - u <= 0
+                      np.column_stack([eye, -hi]),     # u - hi * s <= 0
+                      np.column_stack([A, -(b + delta)]),
+                      np.column_stack([-A, b - delta])])
+    c = np.zeros(n + 1)
+    c[tail_index:n] = 1.0
+    c[n] = h
+    res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
+                   A_eq=np.append(np.ones(n), h)[None, :], b_eq=[1.0],
+                   maximize=True)
+    if not res.optimal or res.x[n] <= 0:
+        return FractionalResult(feasible=False)
+    return FractionalResult(feasible=True, value=res.value,
+                            weights=res.x[:n] / res.x[n])
+
+
+def _stack_constraints(constraints, n):
+    """Coefficient matrix and right-hand sides of balance constraints over
+    n calibration units."""
+    if any(con.coefficients.shape[0] != n for con in constraints):
+        raise ValueError("constraint coefficients must cover the "
+                         "calibration units")
+    return (np.array([con.coefficients for con in constraints]),
+            np.array([con.rhs for con in constraints], dtype=float))
+
+
+def _probe(j, h, lo, hi, A, b, slack_rel) -> FractionalResult:
+    """Max normalized tail mass from 1-based position j over the
+    calibration box and balance rows, with the sentinel weight folded in
+    as the constant h (its optimum is always the upper bound).  A single
+    all-positive constraint has an exact direct solution; any other set
+    is solved as an LP."""
+    if A.shape[0] == 1 and np.all(A[0] > 0.0):
+        return FractionalResult(*_probe_single_constraint(
+            j, h, lo, hi, A[0], b[0], slack_rel))
+    return _charnes_cooper(j - 1, h, lo, hi, A, b, slack_rel)
+
+
+def cssa_threshold(scores, lo, hi, constraints, alpha,
+                   slack_rel=1e-6) -> float:
     """Constrained worst-case score threshold (possibly +inf).
 
     `scores` are ascending with the +inf sentinel last; `lo`/`hi` aligned;
@@ -170,30 +180,13 @@ def cssa_threshold(scores, lo, hi, constraints, alpha, slack_rel=1e-6,
     constraints = list(constraints)
     if not constraints:
         return greedy.threshold
-    m = scores.shape[0]
-    A = np.zeros((len(constraints), m))
-    b = np.zeros(len(constraints))
-    for k, con in enumerate(constraints):
-        if con.coefficients.shape[0] != m - 1:
-            raise ValueError("constraint coefficients must cover the "
-                             "calibration units")
-        A[k, :m - 1] = con.coefficients
-        b[k] = con.rhs
+    A, b = _stack_constraints(constraints, scores.shape[0] - 1)
+    level = alpha + _NORM_TOL  # decides exact ties as the greedy does
 
     probe_log = []
-    # with a single all-positive constraint the probe has an exact
-    # direct solution; otherwise fall back to the general LP route
-    fast = len(constraints) == 1 and np.all(A[0, :m - 1] > 0.0)
 
     def probe(j):  # j is 1-based; alpha_hat_j = max normalized tail mass
-        if fast:
-            feasible, value = _probe_single_constraint(
-                j, hi[-1], lo[:-1], hi[:-1], A[0, :m - 1], b[0], slack_rel)
-            res = FractionalResult(feasible=feasible, value=value)
-        else:
-            fp = FractionalProgram(tail_index=j - 1, lo=lo, hi=hi, A_eq=A,
-                                   b_eq=b, tol=tol, slack_rel=slack_rel)
-            res = solve_fractional(fp)
+        res = _probe(j, hi[-1], lo[:-1], hi[:-1], A, b, slack_rel)
         if res.feasible:
             probe_log.append((j, res.value))
         return res
@@ -204,7 +197,7 @@ def cssa_threshold(scores, lo, hi, constraints, alpha, slack_rel=1e-6,
         warnings.warn("balancing constraints infeasible; falling back to "
                       "the unconstrained threshold")
         return greedy.threshold
-    if first.value > alpha:
+    if first.value > level:
         return greedy.threshold
     left, right = 1, k_hat  # alpha_hat_1 = 1 > alpha; alpha_hat_right <= alpha
     while right - left > 1:
@@ -214,14 +207,15 @@ def cssa_threshold(scores, lo, hi, constraints, alpha, slack_rel=1e-6,
             warnings.warn("balancing constraints infeasible; falling back to "
                           "the unconstrained threshold")
             return greedy.threshold
-        if res.value > alpha:
+        if res.value > level:
             left = mid
         else:
             right = mid
     # probe values must be nonincreasing in the index
     probe_log.sort()
     vals = [v for _, v in probe_log]
-    assert all(a >= b_ - 1e-9 for a, b_ in zip(vals, vals[1:]))
+    if any(a < b_ - 1e-9 for a, b_ in zip(vals, vals[1:])):
+        raise RuntimeError("probe values increase with the tail position")
     return float(scores[left - 1])
 
 
@@ -289,48 +283,8 @@ def _probe_single_constraint(j, h, lo, hi, a, b, slack_rel, max_iter=100):
     return True, lam
 
 
-def _probe_with_target_mass(j, h, lo, hi, A, b, alpha, slack_rel, tol):
-    """Max normalized tail mass from 1-based position j when the sentinel
-    weight is folded in as the constant h (its optimum is always the upper
-    bound, so it needs no variable of its own).  Returns (feasible, value).
-    """
-    n = lo.shape[0]
-    c = np.zeros(n + 1)
-    if j - 1 < n:
-        c[j - 1:n] = 1.0
-    c[n] = h  # sentinel contribution, scaled by s
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, :n] = 1.0
-    A_eq[0, n] = h
-    rows = []
-    for i in range(n):
-        row = np.zeros(n + 1)  # lo_i * s - u_i <= 0
-        row[i] = -1.0
-        row[n] = lo[i]
-        rows.append(row)
-        row = np.zeros(n + 1)  # u_i - hi_i * s <= 0
-        row[i] = 1.0
-        row[n] = -hi[i]
-        rows.append(row)
-    for k in range(A.shape[0]):
-        delta = slack_rel * abs(b[k])
-        row = np.zeros(n + 1)
-        row[:n] = A[k]
-        row[n] = -(b[k] + delta)
-        rows.append(row)
-        row = np.zeros(n + 1)
-        row[:n] = -A[k]
-        row[n] = b[k] - delta
-        rows.append(row)
-    res = solve_lp(c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)),
-                   A_eq=A_eq, b_eq=np.array([1.0]), maximize=True, tol=tol)
-    if not res.optimal or res.x[n] <= 0:
-        return False, None
-    return True, float(res.value)
-
-
 def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
-                         slack_rel=1e-6, tol=1e-8):
+                         slack_rel=1e-6):
     """Constrained thresholds for many targets over one calibration set.
 
     `scores`/`lo_c`/`hi_c` cover the n calibration units (unsorted);
@@ -352,39 +306,25 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
     constraints = list(constraints)
     if not constraints:
         return greedy_threshold_batch(v, lo, hi, hi_target, alpha)
-    A = np.zeros((len(constraints), n))
-    b = np.zeros(len(constraints))
-    for k, con in enumerate(constraints):
-        if con.coefficients.shape[0] != n:
-            raise ValueError("constraint coefficients must cover the "
-                             "calibration units")
-        A[k] = con.coefficients[order]
-        b[k] = con.rhs
+    A, b = _stack_constraints(constraints, n)
+    A = A[:, order]
+    level = alpha + _NORM_TOL  # decides exact ties as the greedy does
 
     ext = np.append(v, np.inf)
     out = np.empty(hi_target.shape[0])
     t_order = np.argsort(hi_target, kind="stable")
-    fast = A.shape[0] == 1 and np.all(A[0] > 0.0)
-
-    def probe(j, h):
-        if fast:
-            return _probe_single_constraint(j, h, lo, hi, A[0], b[0],
-                                            slack_rel)
-        return _probe_with_target_mass(j, h, lo, hi, A, b, alpha,
-                                       slack_rel, tol)
-
     j = 1  # largest position seen so far with tail fraction > alpha
     fell_back = False
     for ti in t_order:
         h = hi_target[ti]
         while j < n + 1:
-            feasible, value = probe(j + 1, h)
-            if not feasible:
+            res = _probe(j + 1, h, lo, hi, A, b, slack_rel)
+            if not res.feasible:
                 warnings.warn("balancing constraints infeasible; falling "
                               "back to the unconstrained thresholds")
                 fell_back = True
                 break
-            if value > alpha:
+            if res.value > level:
                 j += 1
             else:
                 break
@@ -403,8 +343,8 @@ def _propensity_constraint(g_cal, n_arm, rhs) -> BalanceConstraint:
 
 def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
                   spec: SensitivitySpec, p_t, full_x, full_t, score="mean",
-                  q_hat=None, g_kind="propensity", slack_rel=1e-6,
-                  tol=1e-8) -> PredictiveInterval:
+                  q_hat=None, g_kind="propensity",
+                  slack_rel=1e-6) -> PredictiveInterval:
     """Sharpened worst-case interval for Y(t) at one target point.
 
     `full_x`/`full_t` hold the calibration fold with both arms, used for
@@ -450,7 +390,7 @@ def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
         constraints.append(_propensity_constraint(gc[order], n_arm, rhs))
 
     q = cssa_threshold(v, lo, hi, constraints, spec.alpha,
-                       slack_rel=slack_rel, tol=tol)
+                       slack_rel=slack_rel)
     if score == "mean":
         return mean_score_interval(float(mu_hat.predict(x_target)[0]), q)
     qlo, qhi = q_hat.predict(x_target)

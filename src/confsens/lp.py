@@ -1,8 +1,8 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Linear programs through SciPy's HiGHS solver.
 
-Problem sizes here are small (at most calibration size + 2 variables and a
-few balancing rows), so a dense tableau is adequate and keeps the solver
-dependency-free and deterministic.
+A thin adapter over `scipy.optimize.linprog(method="highs")` (Huangfu &
+Hall 2018) that keeps the package's small result type: a status string,
+and the solution and objective value only when the status is optimal.
 """
 
 from __future__ import annotations
@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 __all__ = ["LpResult", "solve_lp"]
 
-_STATUS_OPTIMAL = "optimal"
-_STATUS_INFEASIBLE = "infeasible"
-_STATUS_UNBOUNDED = "unbounded"
+# linprog status codes that describe the program, not a solver failure
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass(frozen=True)
@@ -26,114 +26,19 @@ class LpResult:
 
     @property
     def optimal(self) -> bool:
-        return self.status == _STATUS_OPTIMAL
+        return self.status == "optimal"
 
 
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
-
-
-def _simplex(tableau, basis, cost, tol, max_iter):
-    """Minimize cost over the tableau in place; cost is a full-length row."""
-    m = tableau.shape[0]
-    # reduced cost row relative to current basis
-    z = cost.copy().astype(float)
-    for r in range(m):
-        if z[basis[r]] != 0.0:
-            z -= z[basis[r]] * tableau[r]
-    for _ in range(max_iter):
-        neg = np.flatnonzero(z[:-1] < -tol)  # Bland: smallest improving index
-        if neg.size == 0:
-            return _STATUS_OPTIMAL, z
-        entering = int(neg[0])
-        ratios = np.full(m, np.inf)
-        col = tableau[:, entering]
-        rhs = tableau[:, -1]
-        pos = col > tol
-        ratios[pos] = rhs[pos] / col[pos]
-        best = ratios.min()
-        if not np.isfinite(best):
-            return _STATUS_UNBOUNDED, z
-        tied = np.flatnonzero(ratios <= best + 1e-12)
-        row = int(tied[np.argmin(basis[tied])])  # Bland: smallest basis index
-        _pivot(tableau, basis, row, entering)
-        if z[entering] != 0.0:
-            z -= z[entering] * tableau[row]
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=False,
-             tol=1e-8, max_iter=100_000) -> LpResult:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+             maximize=False) -> LpResult:
     """Solve min (or max) c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    rows = []
-    rhs = []
-    n_slack = 0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.asarray(b_ub, dtype=float)
-        n_slack = A_ub.shape[0]
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.asarray(b_eq, dtype=float)
-    n_ub = 0 if A_ub is None else A_ub.shape[0]
-    n_eq = 0 if A_eq is None else A_eq.shape[0]
-    m = n_ub + n_eq
-    if m == 0:
+    if A_ub is None and A_eq is None:
         raise ValueError("no constraints")
-    total = n + n_slack + m  # structural + slack + artificial
-    T = np.zeros((m, total + 1))
-    for i in range(n_ub):
-        T[i, :n] = A_ub[i]
-        T[i, n + i] = 1.0
-        T[i, -1] = b_ub[i]
-    for i in range(n_eq):
-        T[n_ub + i, :n] = A_eq[i]
-        T[n_ub + i, -1] = b_eq[i]
-    # nonnegative right-hand sides for phase 1
-    neg = T[:, -1] < 0
-    T[neg] *= -1.0
-    art = n + n_slack
-    for i in range(m):
-        T[i, art + i] = 1.0
-    basis = np.arange(art, art + m)
-
-    obj = np.asarray(-c if maximize else c, dtype=float)
-
-    # phase 1: drive artificial variables out
-    phase1 = np.zeros(total + 1)
-    phase1[art:art + m] = 1.0
-    status, z1 = _simplex(T, basis, phase1, tol, max_iter)
-    if status != _STATUS_OPTIMAL:
-        return LpResult(_STATUS_INFEASIBLE, None, None)
-    infeas = -z1[-1]  # phase-1 objective value
-    if infeas > 1e-7:
-        return LpResult(_STATUS_INFEASIBLE, None, None)
-    # pivot lingering artificials out of the basis where possible
-    for r in range(m):
-        if basis[r] >= art:
-            for j in range(art):
-                if abs(T[r, j]) > tol:
-                    _pivot(T, basis, r, j)
-                    break
-    # forbid artificials from re-entering
-    T[:, art:art + m] = 0.0
-
-    cost2 = np.zeros(total + 1)
-    cost2[:n] = obj
-    status, z2 = _simplex(T, basis, cost2, tol, max_iter)
-    if status != _STATUS_OPTIMAL:
-        return LpResult(_STATUS_UNBOUNDED, None, None)
-    x = np.zeros(total)
-    for r in range(m):
-        if basis[r] < total:
-            x[basis[r]] = T[r, -1]
-    value = float(obj @ x[:n])
-    if maximize:
-        value = -value
-    return LpResult(_STATUS_OPTIMAL, x[:n], value)
+    res = linprog(-c if maximize else c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                  b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status not in _STATUS:
+        raise RuntimeError(f"LP solve failed: {res.message}")
+    if res.status != 0:
+        return LpResult(_STATUS[res.status], None, None)
+    return LpResult("optimal", res.x, float(c @ res.x))

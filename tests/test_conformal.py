@@ -123,6 +123,11 @@ class TestWcpNuc:
             single = [wcp_threshold_nuc(scores, e_cal, et, 1, 0.4, alpha)
                       for et in e_t]
             assert np.array_equal(batch, np.array(single))
+            # reference: the weighted quantile with the sentinel atom
+            ref = [weighted_quantile(WeightedDiscreteDist(
+                np.append(scores, np.inf), 0.4 / np.append(e_cal, et)),
+                1.0 - alpha) for et in e_t]
+            assert np.array_equal(batch, np.array(ref))
 
     def test_empty_calibration_error(self):
         with pytest.raises(ValueError):
@@ -172,3 +177,8 @@ class TestWeightedDiscreteDist:
     def test_rejects_zero_total(self):
         with pytest.raises(ValueError):
             WeightedDiscreteDist([1.0], [0.0])
+
+    def test_rejects_nonfinite_mass(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                WeightedDiscreteDist([1.0, 2.0], [1.0, bad])

@@ -6,6 +6,7 @@ import pytest
 from confsens.conformal import (
     WeightedDiscreteDist,
     wcp_interval_nuc,
+    wcp_threshold_nuc,
     weighted_quantile,
 )
 from confsens.csa import (
@@ -129,6 +130,14 @@ class TestThreshold:
         single = [csa_threshold(scores, e_cal, et, spec, 0.4).threshold
                   for et in e_t]
         assert np.array_equal(batch, np.array(single))
+        # equal weights at gamma = 1 put the tail fraction exactly at alpha
+        # at one flip position; every route must return the conformal rank
+        for n, alpha, want in ((9, 0.1, 8.0), (5, 0.5, 2.0)):
+            scores, e = np.arange(float(n)), np.full(n, 0.5)
+            spec = SensitivitySpec(gamma=1.0, alpha=alpha, t=1)
+            assert csa_threshold_batch(scores, e, [0.5], spec, 0.4)[0] == want
+            assert csa_threshold(scores, e, 0.5, spec, 0.4).threshold == want
+            assert wcp_threshold_nuc(scores, e, 0.5, 1, 0.4, alpha) == want
 
     def test_batch_greedy_matches_scalar_greedy(self):
         rng = np.random.default_rng(4)

@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from confsens import cssa
 from confsens.cssa import (
     BalanceConstraint,
     FractionalProgram,
+    FractionalResult,
+    _charnes_cooper,
     _max_linear_box_interval,
     _probe_single_constraint,
-    _probe_with_target_mass,
     balance_rhs,
     cssa_interval,
     cssa_threshold,
@@ -157,12 +159,11 @@ class TestBreakpointWalk:
             h = rng.uniform(0.2, 1.0)
             j = int(rng.integers(1, n + 2))
             ok1, v1 = _probe_single_constraint(j, h, lo, hi, a, b, 1e-6)
-            ok2, v2 = _probe_with_target_mass(j, h, lo, hi,
-                                              a.reshape(1, -1),
-                                              np.array([b]), 0.2, 1e-6, 1e-8)
-            assert ok1 == ok2
+            lp = _charnes_cooper(j - 1, h, lo, hi, a.reshape(1, -1),
+                                 np.array([b]), 1e-6)
+            assert ok1 == lp.feasible
             if ok1:
-                assert v1 == pytest.approx(v2, abs=1e-7)
+                assert v1 == pytest.approx(lp.value, abs=1e-7)
 
 
 class TestThreshold:
@@ -212,6 +213,15 @@ class TestThreshold:
         v, lo, hi, g, _ = self._instance()
         con = BalanceConstraint(coefficients=g[:-2], rhs=1.0)
         with pytest.raises(ValueError):
+            cssa_threshold(v, lo, hi, [con], 0.2)
+
+    def test_increasing_probe_values_raise(self, monkeypatch):
+        v, lo, hi, g, _ = self._instance()
+        con = BalanceConstraint(coefficients=g, rhs=1.0)
+        # tail fractions that grow with the position break the search
+        monkeypatch.setattr(cssa, "_probe", lambda j, *args: FractionalResult(
+            feasible=True, value=0.001 * j))
+        with pytest.raises(RuntimeError, match="probe"):
             cssa_threshold(v, lo, hi, [con], 0.2)
 
 

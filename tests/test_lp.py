@@ -100,7 +100,7 @@ class TestKnownInstances:
         assert res.status == "unbounded"
 
     def test_degenerate_no_cycle(self):
-        # classic cycling-prone instance; Bland's rule must terminate
+        # classic instance on which a naive simplex cycles
         res = solve_lp([-0.75, 150, -0.02, 6],
                        A_ub=[[0.25, -60, -0.04, 9],
                              [0.5, -90, -0.02, 3],

@@ -1,0 +1,111 @@
+"""Property tests of the threshold engine's invariants over generated inputs.
+
+Derandomized with no example database, so every run checks the same
+examples.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from confsens.conformal import wcp_threshold_nuc_batch
+from confsens.csa import (
+    csa_threshold_batch,
+    greedy_max_quantile,
+    greedy_threshold_batch,
+)
+from confsens.cssa import BalanceConstraint, cssa_threshold_batch
+from confsens.msm import SensitivitySpec, weight_bounds_same_arm
+
+ETA = SensitivitySpec(gamma=1.0, alpha=0.1, t=1).eta
+GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
+
+_settings = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150)
+
+# coarse grids force ties in scores and exact ties in the weight sums
+scores_st = st.one_of(
+    st.lists(st.integers(0, 5).map(float), min_size=1, max_size=30),
+    st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1,
+             max_size=30))
+# propensities: free, on a coarse grid, or exactly at the clip floor
+prop_st = st.one_of(st.floats(ETA, 1.0 - ETA),
+                    st.sampled_from([ETA, 1.0 - ETA, 0.25, 0.5]))
+alpha_st = st.one_of(st.floats(0.01, 0.99),
+                     st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]))
+
+
+@st.composite
+def instances(draw):
+    """Calibration scores and propensities, target propensities, p_t,
+    alpha and the arm; the calibration propensities may all be equal."""
+    scores = np.array(draw(scores_st))
+    n = scores.shape[0]
+    if draw(st.booleans()):
+        e_cal = np.full(n, draw(prop_st))
+    else:
+        e_cal = np.array(draw(st.lists(prop_st, min_size=n, max_size=n)))
+    e_target = np.array(draw(st.lists(prop_st, min_size=1, max_size=8)))
+    p_t = draw(st.sampled_from([0.2, 0.4, 0.5]) | st.floats(0.05, 0.95))
+    t = draw(st.sampled_from([0, 1]))
+    return scores, e_cal, e_target, p_t, draw(alpha_st), t
+
+
+@_settings
+@given(instances())
+def test_gamma_one_is_unconfounded_baseline(inst):
+    scores, e_cal, e_target, p_t, alpha, t = inst
+    spec = SensitivitySpec(gamma=1.0, alpha=alpha, t=t)
+    got = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
+    want = wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha)
+    assert np.array_equal(got, want)
+
+
+@_settings
+@given(st.data())
+def test_scalar_greedy_equals_batch(data):
+    v = np.sort(np.array(data.draw(scores_st)))
+    n = v.shape[0]
+    bound = st.floats(0.05, 3.0)
+    lo = np.array(data.draw(st.lists(bound, min_size=n, max_size=n)))
+    hi = lo + np.array(data.draw(st.lists(st.floats(0.0, 2.0) | st.just(0.0),
+                                          min_size=n, max_size=n)))
+    h = np.array(data.draw(st.lists(bound, min_size=1, max_size=6)))
+    alpha = data.draw(alpha_st)
+    got = greedy_threshold_batch(v, lo, hi, h, alpha)
+    for k, hk in enumerate(h):
+        scalar = greedy_max_quantile(np.append(v, np.inf), np.append(lo, hk),
+                                     np.append(hi, hk), alpha)
+        assert got[k] == scalar.threshold
+
+
+@_settings
+@given(instances())
+def test_csa_threshold_nondecreasing_in_gamma(inst):
+    scores, e_cal, e_target, p_t, alpha, t = inst
+    thr = np.stack([csa_threshold_batch(
+        scores, e_cal, e_target, SensitivitySpec(gamma=g, alpha=alpha, t=t),
+        p_t) for g in GAMMAS])
+    assert np.all(thr[1:] >= thr[:-1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(instances(), st.sampled_from(GAMMAS), st.floats(0.0, 1.0))
+@example((np.arange(7.0), np.full(7, 0.5), np.array([0.5]), 0.2, 0.125, 1),
+         1.0, 0.0)  # an exact tie: the tail fraction at the sentinel is alpha
+def test_cssa_never_exceeds_csa(inst, gamma, where):
+    scores, e_cal, e_target, p_t, alpha, t = inst
+    spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, gamma, t, p_t)
+    _, hi_t = weight_bounds_same_arm(e_target, gamma, t, p_t)
+    # the propensity-balance row with a right-hand side inside its range
+    g = e_cal / e_cal.shape[0]
+    rhs = float(g @ (lo_c + where * (hi_c - lo_c)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an infeasible row falls back to CSA
+        sharp = cssa_threshold_batch(scores, lo_c, hi_c,
+                                     [BalanceConstraint(g, rhs)], alpha, hi_t)
+    plain = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
+    assert np.all(sharp <= plain)
