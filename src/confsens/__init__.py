@@ -5,7 +5,8 @@ The package builds worst-case weighted conformal intervals over a
 marginal sensitivity model: `conformal` holds the unconfounded baseline,
 `csa` the greedy worst-case quantile maximization, `cssa` the sharpened
 variant with covariate-balancing constraints, `ite` the effect-interval
-constructions, `oracle` synthetic ground truth, and `harness` the
+constructions, `oracle` synthetic ground truth, `pipeline` the per-arm
+fits and batch intervals shared by the command line and `harness`, the
 experiment driver.
 """
 
@@ -26,7 +27,6 @@ from .dataset import (
     CsvSchema,
     ObservationalDataset,
     SplitPlan,
-    Unit,
     arm_indices,
     emit_csv,
     ingest_csv,
@@ -50,6 +50,7 @@ from .msm import (
     weight_bounds_same_arm,
 )
 from .oracle import SyntheticDGP, generate, sample_counterfactual, tilt_two_sided
+from .pipeline import FittedArm, fit_arms
 from .predictors import (
     KNNMean,
     KNNQuantile,

@@ -19,30 +19,20 @@ import sys
 
 import numpy as np
 
-from .csa import csa_interval
-from .cssa import cssa_interval
-from .dataset import CsvSchema, arm_indices, emit_csv, ingest_csv, split
+from .dataset import CsvSchema, arm_indices, emit_csv, ingest_csv
 from .harness import ExperimentConfig, run_sweep
-from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
-from .msm import SensitivitySpec, calibrate_gamma, emit_gamma_summary_csv, gamma_summary
+from .ite import nested_ite_bounds, nested_ite_fit
+from .msm import calibrate_gamma, emit_gamma_summary_csv, gamma_summary
 from .oracle import SyntheticDGP, emit_truth_csv, generate
-from .predictors import (
-    fit_mean,
-    fit_propensity,
-    fit_quantile,
-    marginal_treatment_prob,
-)
-
-
-def _schema_for(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    covs = tuple(c for c in header if c not in ("t", "y"))
-    return CsvSchema(covariates=covs)
+from .pipeline import fit_arms
+from .predictors import fit_mean, fit_propensity, marginal_treatment_prob
 
 
 def _load(path):
-    return ingest_csv(path, _schema_for(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    covs = tuple(c for c in header if c not in ("t", "y"))
+    return ingest_csv(path, CsvSchema(covariates=covs))
 
 
 def _cmd_generate(args):
@@ -81,81 +71,37 @@ def _cmd_fit(args):
     print(f"wrote fit report to {args.out}")
 
 
-def _fit_pipeline(ds, t, alpha, seed):
-    plan = split(ds, (0.5, 0.5), seed)
-    prelim = ds.subset(plan.preliminary_idx)
-    cal = ds.subset(plan.calibration_idx)
-    pre_idx = arm_indices(prelim, t)
-    cal_idx = arm_indices(cal, t)
-    mu_hat = fit_mean(prelim.covariates[pre_idx], prelim.outcome[pre_idx])
-    q_hat = fit_quantile(prelim.covariates[pre_idx], prelim.outcome[pre_idx],
-                         (alpha / 2.0, 1.0 - alpha / 2.0))
-    propensity = fit_propensity(prelim.covariates, prelim.treatment)
-    p_t = marginal_treatment_prob(prelim.treatment, t)
-    return (mu_hat, q_hat, propensity, p_t, cal.covariates[cal_idx],
-            cal.outcome[cal_idx], cal)
-
-
 def _cmd_interval(args):
     ds = _load(args.data)
-    targets = _load(args.target) if _has_ty(args.target) else None
-    x_target = (targets.covariates if targets is not None
-                else _covariates_only(args.target))
-    (mu_hat, q_hat, propensity, p_t, cal_x, cal_y,
-     cal) = _fit_pipeline(ds, args.t, args.alpha, args.seed)
-    spec = SensitivitySpec(gamma=args.gamma, alpha=args.alpha, t=args.t)
-    rows = []
-    for i in range(x_target.shape[0]):
-        x = x_target[i]
-        if args.method == "cssa":
-            c = cssa_interval(mu_hat, propensity, cal_x, cal_y, x, spec,
-                              p_t, cal.covariates, cal.treatment,
-                              score=args.score, q_hat=q_hat)
-        else:
-            c = csa_interval(mu_hat, propensity, cal_x, cal_y, x, spec,
-                             p_t, score=args.score, q_hat=q_hat)
-        rows.append((c.lower, c.upper, c.threshold,
-                     int(not c.bounded)))
-    _write_interval_csv(args.out, rows)
-    print(f"wrote {len(rows)} intervals to {args.out}")
+    x_target = _target_covariates(args.target)
+    arm = fit_arms(ds, args.alpha, args.seed)[args.t]
+    lower, upper, threshold = arm.intervals(x_target, args.gamma, args.alpha,
+                                            args.method, args.score)
+    _write_csv(args.out, ["lower", "upper", "threshold", "unbounded"],
+               zip(_cells(lower), _cells(upper),
+                   [format(v, ".17g") for v in threshold],
+                   np.isinf(threshold).astype(int)))
+    print(f"wrote {threshold.shape[0]} intervals to {args.out}")
 
 
 def _cmd_ite(args):
     ds = _load(args.data)
-    x_target = (_load(args.target).covariates if _has_ty(args.target)
-                else _covariates_only(args.target))
+    x_target = _target_covariates(args.target)
     if args.method == "nested":
         model = nested_ite_fit(ds, args.gamma, args.alpha, seed=args.seed)
-        out = nested_ite_predict(model, x_target)
+        lower, upper = nested_ite_bounds(model, x_target)
     else:
-        out = []
-        arm = {}
-        for t in (0, 1):
-            (mu_hat, _q, propensity, p_t, cal_x, cal_y,
-             _cal) = _fit_pipeline(ds, t, args.alpha / 2.0, args.seed)
-            spec = SensitivitySpec(gamma=args.gamma, alpha=args.alpha / 2.0,
-                                   t=t)
-            arm[t] = [csa_interval(mu_hat, propensity, cal_x, cal_y,
-                                   x_target[i], spec, p_t)
-                      for i in range(x_target.shape[0])]
-        split_pair = (args.alpha / 2.0, args.alpha / 2.0)
-        out = [bonferroni_ite(c1, c0, alpha_split=split_pair)
-               for c1, c0 in zip(arm[1], arm[0])]
-    _write_ite_csv(args.out, out, args.gamma, args.alpha)
-    print(f"wrote {len(out)} effect intervals to {args.out}")
-
-
-def _write_ite_csv(path, intervals, gamma, alpha):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lower", "upper", "method", "gamma", "alpha"])
-        for i, c in enumerate(intervals):
-            writer.writerow([
-                i,
-                "" if c.lower is None else format(c.lower, ".17g"),
-                "" if c.upper is None else format(c.upper, ".17g"),
-                c.method, gamma, alpha,
-            ])
+        # Bonferroni: each arm at alpha / 2, then the difference interval
+        half = args.alpha / 2.0
+        (lo0, hi0, _), (lo1, hi1, _) = (
+            arm.intervals(x_target, args.gamma, half, "csa")
+            for arm in fit_arms(ds, half, args.seed))
+        lower, upper = lo1 - hi0, hi1 - lo0
+    _write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
+               ((i, lo, up, args.method, args.gamma, args.alpha)
+                for i, (lo, up) in enumerate(zip(_cells(lower),
+                                                 _cells(upper)))))
+    print(f"wrote {lower.shape[0]} effect intervals to {args.out}")
 
 
 def _cmd_sweep(args):
@@ -203,34 +149,37 @@ def _cmd_calibrate(args):
           f"{len(rows)} covariates to {args.out}")
 
 
-def _has_ty(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    return "t" in header and "y" in header
-
-
-def _covariates_only(path):
+def _target_covariates(path):
+    """Target covariates from a CSV with or without `t`/`y` columns."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        if "t" in header and "y" in header:
+            return _load(path).covariates
+        rows = []
+        for rownum, row in enumerate(reader, start=1):
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"malformed value in data row {rownum}: "
+                                 f"{exc}") from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError(f"non-finite value in data row {rownum}")
     if not rows:
         raise ValueError("no data rows")
-    del header
     return np.array(rows)
 
 
-def _write_interval_csv(path, rows):
+def _cells(values):
+    """CSV cells for interval endpoints: "" on an unbounded side."""
+    return [format(v, ".17g") if np.isfinite(v) else "" for v in values]
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lower", "upper", "threshold", "unbounded"])
-        for lower, upper, threshold, unbounded in rows:
-            writer.writerow([
-                "" if lower is None else format(lower, ".17g"),
-                "" if upper is None else format(upper, ".17g"),
-                threshold if threshold == "" else format(threshold, ".17g"),
-                unbounded,
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def build_parser():

@@ -20,6 +20,8 @@ __all__ = [
     "wcp_threshold_nuc",
     "wcp_threshold_nuc_batch",
     "wcp_interval_nuc",
+    "calibration_scores",
+    "score_band",
     "mean_score_interval",
     "cqr_score_interval",
 ]
@@ -154,12 +156,32 @@ def wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha):
     return ext[idx]
 
 
+def calibration_scores(score, model, x, y):
+    """Nonconformity scores of `model` on (x, y): the absolute residual of
+    a mean predictor for score "mean", the CQR score of a quantile pair
+    for "cqr"."""
+    if score == "mean":
+        return score_abs_residual(model, x, y)
+    if score == "cqr":
+        if model is None:
+            raise ValueError("cqr score requires a quantile predictor")
+        return score_cqr(model, x, y)
+    raise ValueError(f"unknown score kind {score!r}")
+
+
+def score_band(score, model, x):
+    """(lower, upper) predictions of `model` at x that a score threshold Q
+    widens to the interval [lower - Q, upper + Q]: the mean twice for
+    score "mean", the quantile pair for "cqr"."""
+    if score == "mean":
+        mu = model.predict(x)
+        return mu, mu
+    return model.predict(x)
+
+
 def mean_score_interval(mu_target, threshold) -> PredictiveInterval:
     """Assemble [mu - Q, mu + Q] for the absolute-residual score."""
-    if not np.isfinite(threshold):
-        return PredictiveInterval(None, None, np.inf, True, True)
-    return PredictiveInterval(float(mu_target - threshold),
-                              float(mu_target + threshold), float(threshold))
+    return cqr_score_interval(mu_target, mu_target, threshold)
 
 
 def cqr_score_interval(q_lo_target, q_hi_target, threshold) -> PredictiveInterval:
@@ -172,20 +194,13 @@ def cqr_score_interval(q_lo_target, q_hi_target, threshold) -> PredictiveInterva
 
 def wcp_interval_nuc(mu_hat, propensity, cal_x, cal_y, x_target, t, p_t,
                      alpha, score="mean", q_hat=None) -> PredictiveInterval:
-    """Weighted conformal interval for Y(t) assuming unconfoundedness."""
+    """Weighted conformal interval for Y(t) assuming unconfoundedness:
+    `wcp_threshold_nuc_batch` for one target."""
     cal_x = np.asarray(cal_x, dtype=float)
-    e_cal = propensity.predict(cal_x)
     x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
-    e_target = float(propensity.predict(x_target)[0])
-    if score == "mean":
-        scores = score_abs_residual(mu_hat, cal_x, cal_y)
-        q = wcp_threshold_nuc(scores, e_cal, e_target, t, p_t, alpha)
-        return mean_score_interval(float(mu_hat.predict(x_target)[0]), q)
-    elif score == "cqr":
-        if q_hat is None:
-            raise ValueError("cqr score requires a quantile predictor")
-        scores = score_cqr(q_hat, cal_x, cal_y)
-        q = wcp_threshold_nuc(scores, e_cal, e_target, t, p_t, alpha)
-        lo, hi = q_hat.predict(x_target)
-        return cqr_score_interval(float(lo[0]), float(hi[0]), q)
-    raise ValueError(f"unknown score kind {score!r}")
+    model = q_hat if score == "cqr" else mu_hat
+    scores = calibration_scores(score, model, cal_x, cal_y)
+    q = wcp_threshold_nuc_batch(scores, propensity.predict(cal_x),
+                                propensity.predict(x_target), t, p_t, alpha)
+    lo, hi = score_band(score, model, x_target)
+    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])

@@ -18,10 +18,9 @@ import numpy as np
 from .conformal import (
     _NORM_TOL,
     PredictiveInterval,
+    calibration_scores,
     cqr_score_interval,
-    mean_score_interval,
-    score_abs_residual,
-    score_cqr,
+    score_band,
 )
 from .msm import SensitivitySpec, weight_bounds_same_arm
 
@@ -147,28 +146,20 @@ def csa_threshold_batch(scores, e_cal, e_target, spec: SensitivitySpec, p_t):
 def csa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
                  spec: SensitivitySpec, p_t, score="mean",
                  q_hat=None) -> PredictiveInterval:
-    """Worst-case predictive interval for Y(t) at one target point.
+    """Worst-case predictive interval for Y(t) at one target point:
+    `csa_threshold_batch` for one target.
 
     The weight bounds are uniform in y, so the threshold is computed once
     and the interval assembled analytically from the fitted predictor.
     """
     cal_x = np.asarray(cal_x, dtype=float)
-    e_cal = propensity.predict(cal_x)
     x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
-    e_target = float(propensity.predict(x_target)[0])
-    if score == "mean":
-        scores = score_abs_residual(mu_hat, cal_x, cal_y)
-        res = csa_threshold(scores, e_cal, e_target, spec, p_t)
-        return mean_score_interval(float(mu_hat.predict(x_target)[0]),
-                                   res.threshold)
-    elif score == "cqr":
-        if q_hat is None:
-            raise ValueError("cqr score requires a quantile predictor")
-        scores = score_cqr(q_hat, cal_x, cal_y)
-        res = csa_threshold(scores, e_cal, e_target, spec, p_t)
-        lo, hi = q_hat.predict(x_target)
-        return cqr_score_interval(float(lo[0]), float(hi[0]), res.threshold)
-    raise ValueError(f"unknown score kind {score!r}")
+    model = q_hat if score == "cqr" else mu_hat
+    scores = calibration_scores(score, model, cal_x, cal_y)
+    q = csa_threshold_batch(scores, propensity.predict(cal_x),
+                            propensity.predict(x_target), spec, p_t)
+    lo, hi = score_band(score, model, x_target)
+    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])
 
 
 def union_interval_check(intervals) -> PredictiveInterval:

@@ -2,7 +2,7 @@
 
 Adds researcher-chosen moment constraints to the worst-case quantile
 optimization, which can only shrink the feasible weight set and hence the
-interval.  Each probe of the binary search solves a linear-fractional
+interval.  Each probe of the position search solves a linear-fractional
 program (maximize normalized tail mass): exactly by Dinkelbach's method
 for a single positive balance constraint, otherwise as one LP through the
 Charnes-Cooper change of variables.
@@ -11,19 +11,18 @@ Charnes-Cooper change of variables.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import (
     _NORM_TOL,
     PredictiveInterval,
+    calibration_scores,
     cqr_score_interval,
-    mean_score_interval,
-    score_abs_residual,
-    score_cqr,
+    score_band,
 )
-from .csa import greedy_max_quantile, greedy_threshold_batch
+from .csa import _flip_index
 from .lp import solve_lp
 from .msm import SensitivitySpec, weight_bounds_same_arm
 
@@ -32,6 +31,7 @@ __all__ = [
     "FractionalProgram",
     "FractionalResult",
     "balance_rhs",
+    "balance_constraints",
     "solve_fractional",
     "cssa_threshold",
     "cssa_threshold_batch",
@@ -140,16 +140,6 @@ def _charnes_cooper(tail_index, h, lo, hi, A, b, slack_rel) -> FractionalResult:
                             weights=res.x[:n] / res.x[n])
 
 
-def _stack_constraints(constraints, n):
-    """Coefficient matrix and right-hand sides of balance constraints over
-    n calibration units."""
-    if any(con.coefficients.shape[0] != n for con in constraints):
-        raise ValueError("constraint coefficients must cover the "
-                         "calibration units")
-    return (np.array([con.coefficients for con in constraints]),
-            np.array([con.rhs for con in constraints], dtype=float))
-
-
 def _probe(j, h, lo, hi, A, b, slack_rel) -> FractionalResult:
     """Max normalized tail mass from 1-based position j over the
     calibration box and balance rows, with the sentinel weight folded in
@@ -164,59 +154,21 @@ def _probe(j, h, lo, hi, A, b, slack_rel) -> FractionalResult:
 
 def cssa_threshold(scores, lo, hi, constraints, alpha,
                    slack_rel=1e-6) -> float:
-    """Constrained worst-case score threshold (possibly +inf).
+    """Constrained worst-case score threshold at one target (possibly
+    +inf): `cssa_threshold_batch` for a batch of one.
 
-    `scores` are ascending with the +inf sentinel last; `lo`/`hi` aligned;
-    each constraint's coefficients cover the calibration positions in the
-    same order (the sentinel weight is unconstrained).  Binary search over
-    score indices, bracketed by the unconstrained greedy optimum; if every
-    probe is infeasible the unconstrained threshold is returned with a
-    warning.
+    `scores` are ascending with the +inf sentinel last; `lo`/`hi` aligned,
+    the sentinel's upper bound being the target's weight; each
+    constraint's coefficients cover the calibration positions in the same
+    order (the sentinel weight is unconstrained).
     """
     scores = np.asarray(scores, dtype=float)
-    lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    greedy = greedy_max_quantile(scores, lo, hi, alpha)
-    constraints = list(constraints)
-    if not constraints:
-        return greedy.threshold
-    A, b = _stack_constraints(constraints, scores.shape[0] - 1)
-    level = alpha + _NORM_TOL  # decides exact ties as the greedy does
-
-    probe_log = []
-
-    def probe(j):  # j is 1-based; alpha_hat_j = max normalized tail mass
-        res = _probe(j, hi[-1], lo[:-1], hi[:-1], A, b, slack_rel)
-        if res.feasible:
-            probe_log.append((j, res.value))
-        return res
-
-    k_hat = greedy.flip_index + 1  # 1-based greedy stop position
-    first = probe(k_hat)
-    if not first.feasible:
-        warnings.warn("balancing constraints infeasible; falling back to "
-                      "the unconstrained threshold")
-        return greedy.threshold
-    if first.value > level:
-        return greedy.threshold
-    left, right = 1, k_hat  # alpha_hat_1 = 1 > alpha; alpha_hat_right <= alpha
-    while right - left > 1:
-        mid = (left + right) // 2
-        res = probe(mid)
-        if not res.feasible:
-            warnings.warn("balancing constraints infeasible; falling back to "
-                          "the unconstrained threshold")
-            return greedy.threshold
-        if res.value > level:
-            left = mid
-        else:
-            right = mid
-    # probe values must be nonincreasing in the index
-    probe_log.sort()
-    vals = [v for _, v in probe_log]
-    if any(a < b_ - 1e-9 for a, b_ in zip(vals, vals[1:])):
-        raise RuntimeError("probe values increase with the tail position")
-    return float(scores[left - 1])
+    if scores.shape[0] < 2 or not np.isinf(scores[-1]):
+        raise ValueError("scores must end with the +inf sentinel")
+    return float(cssa_threshold_batch(scores[:-1], np.asarray(lo)[:-1],
+                                      hi[:-1], constraints, alpha, hi[-1:],
+                                      slack_rel=slack_rel)[0])
 
 
 def _max_linear_box_interval(r, a, lo, hi, lower, upper):
@@ -288,64 +240,126 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
     """Constrained thresholds for many targets over one calibration set.
 
     `scores`/`lo_c`/`hi_c` cover the n calibration units (unsorted);
-    `hi_target` gives each target's sentinel upper bound.  For a fixed
-    flip position the maximal tail fraction is nondecreasing in the
-    sentinel mass, so the optimal position is monotone in `hi_target`:
-    targets are processed in ascending order with a shared advancing
-    pointer, costing O(n_targets + n_cal) fractional solves in total.
-    With a single positive balance constraint each solve uses the exact
+    `hi_target` gives each target's sentinel upper bound.  The optimal
+    flip position never exceeds the unconstrained greedy one, and for a
+    fixed position the maximal tail fraction is nondecreasing in the
+    sentinel mass, so the position is monotone in `hi_target`.  Targets
+    are therefore taken in ascending sentinel mass, each searched between
+    the previous target's position and its own greedy flip (`_search`).
+    With a single positive balance constraint each probe uses the exact
     direct method; otherwise the general LP route is taken.
+
+    When every weight box is a point (gamma = 1) or there are no
+    constraints, the greedy thresholds are returned; if a probe finds the
+    constraints infeasible, they are returned with a warning.
     """
     scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        raise ValueError("empty calibration set")
     hi_target = np.atleast_1d(np.asarray(hi_target, dtype=float))
     order = np.argsort(scores, kind="stable")
-    v = scores[order]
     lo = np.asarray(lo_c, dtype=float)[order]
     hi = np.asarray(hi_c, dtype=float)[order]
-    n = v.shape[0]
+    ext = np.append(scores[order], np.inf)
+    flips = _flip_index(lo, hi, hi_target, alpha) + 1  # 1-based greedy stops
     constraints = list(constraints)
-    if not constraints:
-        return greedy_threshold_batch(v, lo, hi, hi_target, alpha)
-    A, b = _stack_constraints(constraints, n)
-    A = A[:, order]
+    if not constraints or np.array_equal(lo, hi):
+        return ext[flips - 1]
+    if any(con.coefficients.shape != scores.shape for con in constraints):
+        raise ValueError("constraint coefficients must cover the "
+                         "calibration units")
+    A = np.array([con.coefficients[order] for con in constraints])
+    b = np.array([con.rhs for con in constraints], dtype=float)
     level = alpha + _NORM_TOL  # decides exact ties as the greedy does
 
-    ext = np.append(v, np.inf)
     out = np.empty(hi_target.shape[0])
-    t_order = np.argsort(hi_target, kind="stable")
-    j = 1  # largest position seen so far with tail fraction > alpha
-    fell_back = False
-    for ti in t_order:
-        h = hi_target[ti]
-        while j < n + 1:
-            res = _probe(j + 1, h, lo, hi, A, b, slack_rel)
-            if not res.feasible:
-                warnings.warn("balancing constraints infeasible; falling "
-                              "back to the unconstrained thresholds")
-                fell_back = True
-                break
-            if res.value > level:
-                j += 1
-            else:
-                break
-        if fell_back:
-            break
-        out[ti] = ext[j - 1]
-    if fell_back:
-        return greedy_threshold_batch(v, lo, hi, hi_target, alpha)
+    j = 1  # the whole mass lies above position 1, and 1 > alpha
+    try:
+        for ti in np.argsort(hi_target, kind="stable"):
+            j = _search(j, flips[ti], level, lambda k, h=hi_target[ti]:
+                        _probe(k, h, lo, hi, A, b, slack_rel))
+            out[ti] = ext[j - 1]
+    except _Infeasible:
+        warnings.warn("balancing constraints infeasible; falling back to "
+                      "the unconstrained thresholds")
+        return ext[flips - 1]
     return out
 
 
-def _propensity_constraint(g_cal, n_arm, rhs) -> BalanceConstraint:
-    return BalanceConstraint(coefficients=np.asarray(g_cal, dtype=float) / n_arm,
-                             rhs=rhs, label="g")
+class _Infeasible(Exception):
+    """A probe found the balancing constraints infeasible."""
+
+
+def _search(left, right, level, probe):
+    """Largest 1-based position in [left, right] whose maximal tail
+    fraction `probe(j).value` exceeds `level`, given that `left`'s does.
+
+    The likeliest answers are probed first: the earlier target's answer
+    `left` when there is one (left > 1), confirmed by probing just above
+    it, then the greedy flip `right`; bisection finds the rest.  Most
+    targets in a batch cost one probe; a lone target costs a probe of its
+    flip and, if that fails, a bisection of [1, flip].  Raises
+    `_Infeasible` on an infeasible probe and RuntimeError when the probe
+    values increase with the position.
+    """
+    values = {}
+
+    def above(j):
+        if j not in values:
+            res = probe(j)
+            if not res.feasible:
+                raise _Infeasible
+            values[j] = res.value
+        return values[j] > level
+
+    if 1 < left < right:
+        if above(left + 1):
+            left += 1
+        else:
+            right = left + 1
+    if left < right and above(right):
+        left = right
+    while right - left > 1:
+        mid = (left + right) // 2
+        if above(mid):
+            left = mid
+        else:
+            right = mid
+    vals = [values[k] for k in sorted(values)]
+    if any(a < b - 1e-9 for a, b in zip(vals, vals[1:])):
+        raise RuntimeError("probe values increase with the tail position")
+    return left
+
+
+def balance_constraints(g_kind, cal_x, full_x, full_t, e_cal, e_full, t):
+    """Balancing rows over one arm's calibration units, in their order.
+
+    Each row asks that the weighted mean of a balancing function g over
+    the arm's units, sum_i w_i g(X_i) / n_arm, equal the inverse-propensity
+    mean of g over the whole calibration fold `full_x`/`full_t` (see
+    `balance_rhs`).  `g_kind` picks g: the estimated propensity
+    ("propensity", with `e_cal`/`e_full` its values) or every covariate
+    coordinate ("identity").
+    """
+    if g_kind == "propensity":
+        pairs = [(e_full, e_cal)]
+    elif g_kind == "identity":
+        pairs = [(full_x[:, j], cal_x[:, j]) for j in range(full_x.shape[1])]
+    else:
+        raise ValueError(f"unknown balancing function kind {g_kind!r}")
+    n_arm = cal_x.shape[0]
+    return [BalanceConstraint(coefficients=g_cal / n_arm,
+                              rhs=balance_rhs(full_t, e_full, g_full, t),
+                              label="g")
+            for g_full, g_cal in pairs]
 
 
 def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
                   spec: SensitivitySpec, p_t, full_x, full_t, score="mean",
                   q_hat=None, g_kind="propensity",
                   slack_rel=1e-6) -> PredictiveInterval:
-    """Sharpened worst-case interval for Y(t) at one target point.
+    """Sharpened worst-case interval for Y(t) at one target point:
+    `cssa_threshold_batch` for one target.
 
     `full_x`/`full_t` hold the calibration fold with both arms, used for
     the inverse-propensity balance targets.  `g_kind` picks the balancing
@@ -353,45 +367,17 @@ def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
     coordinates.
     """
     cal_x = np.asarray(cal_x, dtype=float)
-    e_cal = propensity.predict(cal_x)
-    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
-    e_target = float(propensity.predict(x_target)[0])
-    if score == "mean":
-        scores = score_abs_residual(mu_hat, cal_x, cal_y)
-    elif score == "cqr":
-        if q_hat is None:
-            raise ValueError("cqr score requires a quantile predictor")
-        scores = score_cqr(q_hat, cal_x, cal_y)
-    else:
-        raise ValueError(f"unknown score kind {score!r}")
-
-    order = np.argsort(scores, kind="stable")
-    lo_c, hi_c = weight_bounds_same_arm(e_cal[order], spec.gamma, spec.t, p_t)
-    lo_t, hi_t = weight_bounds_same_arm(np.array([e_target]), spec.gamma,
-                                        spec.t, p_t)
-    v = np.append(scores[order], np.inf)
-    lo = np.append(lo_c, lo_t)
-    hi = np.append(hi_c, hi_t)
-
     full_x = np.asarray(full_x, dtype=float)
-    e_full = propensity.predict(full_x)
-    if g_kind == "propensity":
-        g_full = [e_full]
-        g_cal = [e_cal]
-    elif g_kind == "identity":
-        g_full = [full_x[:, j] for j in range(full_x.shape[1])]
-        g_cal = [cal_x[:, j] for j in range(cal_x.shape[1])]
-    else:
-        raise ValueError(f"unknown balancing function kind {g_kind!r}")
-    n_arm = cal_x.shape[0]
-    constraints = []
-    for gf, gc in zip(g_full, g_cal):
-        rhs = balance_rhs(full_t, e_full, gf, spec.t)
-        constraints.append(_propensity_constraint(gc[order], n_arm, rhs))
-
-    q = cssa_threshold(v, lo, hi, constraints, spec.alpha,
-                       slack_rel=slack_rel)
-    if score == "mean":
-        return mean_score_interval(float(mu_hat.predict(x_target)[0]), q)
-    qlo, qhi = q_hat.predict(x_target)
-    return cqr_score_interval(float(qlo[0]), float(qhi[0]), q)
+    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
+    model = q_hat if score == "cqr" else mu_hat
+    scores = calibration_scores(score, model, cal_x, cal_y)
+    e_cal = propensity.predict(cal_x)
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
+    _, hi_t = weight_bounds_same_arm(propensity.predict(x_target),
+                                     spec.gamma, spec.t, p_t)
+    constraints = balance_constraints(g_kind, cal_x, full_x, full_t, e_cal,
+                                      propensity.predict(full_x), spec.t)
+    q = cssa_threshold_batch(scores, lo_c, hi_c, constraints, spec.alpha,
+                             hi_t, slack_rel=slack_rel)
+    lo, hi = score_band(score, model, x_target)
+    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Unit",
     "ObservationalDataset",
     "SplitPlan",
     "CsvSchema",
@@ -22,13 +21,6 @@ __all__ = [
     "split",
     "arm_indices",
 ]
-
-
-@dataclass(frozen=True)
-class Unit:
-    covariates: tuple
-    treatment: int
-    outcome: float
 
 
 class ObservationalDataset:
@@ -82,13 +74,6 @@ class ObservationalDataset:
     @property
     def covariate_dim(self):
         return self._x.shape[1]
-
-    @property
-    def rows(self):
-        return [
-            Unit(tuple(self._x[i]), int(self._t[i]), float(self._y[i]))
-            for i in range(self.n)
-        ]
 
     def subset(self, idx):
         """New dataset holding the given rows, order preserved."""

@@ -18,19 +18,9 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .conformal import score_abs_residual, score_cqr, wcp_threshold_nuc_batch
-from .csa import csa_threshold_batch
-from .cssa import BalanceConstraint, balance_rhs, cssa_threshold_batch
-from .dataset import arm_indices, split
-from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
-from .msm import SensitivitySpec, weight_bounds_same_arm
+from .ite import nested_ite_bounds, nested_ite_fit
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
-from .predictors import (
-    fit_mean,
-    fit_propensity,
-    fit_quantile,
-    marginal_treatment_prob,
-)
+from .pipeline import fit_arms
 
 __all__ = [
     "METHODS",
@@ -51,6 +41,11 @@ METHODS = ("csa-m", "csa-q", "cssa-m", "ite-nuc", "bonferroni", "nested")
 
 _PAPER_SIZES = (3000, 10000, 100)
 
+# (solver, score) of each per-arm method; bonferroni spends alpha / 2 per arm
+_ARM_METHODS = {"csa-m": ("csa", "mean"), "csa-q": ("csa", "cqr"),
+                "cssa-m": ("cssa", "mean"), "ite-nuc": ("nuc", "mean"),
+                "bonferroni": ("csa", "mean")}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,10 +64,12 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not self.methods or not self.gammas:
+            raise ValueError("methods and gammas must not be empty")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
-        if any(g < 1.0 for g in self.gammas):
+        if any(not g >= 1.0 for g in self.gammas):  # also rejects NaN
             raise ValueError("gamma grid entries must be >= 1")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
@@ -136,45 +133,10 @@ class _TrialState:
         self.x_target = target_ds.covariates
         self.truth_rng = np.random.default_rng(s_truth)
         self.nested_seed = s_nested
-
-        plan = split(self.train, (0.5, 0.5), self.seed)
-        self.prelim = self.train.subset(plan.preliminary_idx)
-        self.cal = self.train.subset(plan.calibration_idx)
-        self.propensity = fit_propensity(self.prelim.covariates,
-                                         self.prelim.treatment)
-        self.e_target = self.propensity.predict(self.x_target)
-        self.e_cal_full = self.propensity.predict(self.cal.covariates)
-        self.alpha = cfg.alpha
-        self._arm = {}
-        self._nested = {}
-
-    def arm(self, t):
-        """Per-arm fits, calibration scores and propensities (cached)."""
-        if t in self._arm:
-            return self._arm[t]
-        pre_idx = arm_indices(self.prelim, t)
-        cal_idx = arm_indices(self.cal, t)
-        mu_hat = fit_mean(self.prelim.covariates[pre_idx],
-                          self.prelim.outcome[pre_idx], scale="relevance")
-        levels = (self.alpha / 2.0, 1.0 - self.alpha / 2.0)
-        q_hat = fit_quantile(self.prelim.covariates[pre_idx],
-                             self.prelim.outcome[pre_idx], levels,
+        self.arms = fit_arms(self.train, cfg.alpha, self.seed,
                              scale="relevance")
-        cal_x = self.cal.covariates[cal_idx]
-        cal_y = self.cal.outcome[cal_idx]
-        state = {
-            "p_t": marginal_treatment_prob(self.prelim.treatment, t),
-            "mu_hat": mu_hat,
-            "q_hat": q_hat,
-            "e_cal": self.e_cal_full[cal_idx],
-            "scores_mean": score_abs_residual(mu_hat, cal_x, cal_y),
-            "scores_cqr": score_cqr(q_hat, cal_x, cal_y),
-            "mu_target": mu_hat.predict(self.x_target),
-            "q_target": q_hat.predict(self.x_target),
-            "cal_idx": cal_idx,
-        }
-        self._arm[t] = state
-        return state
+        self.alpha = cfg.alpha
+        self._nested = {}
 
     def nested_model(self, gamma):
         if gamma not in self._nested:
@@ -192,67 +154,23 @@ class _TrialState:
         return y1 - y0
 
 
-def _arm_interval(state: _TrialState, t, gamma, alpha, method):
-    """(lower, upper) arrays over targets for one per-arm method."""
-    arm = state.arm(t)
-    spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
-    if method == "csa-q":
-        scores = arm["scores_cqr"]
-    else:
-        scores = arm["scores_mean"]
-    if method == "ite-nuc":
-        thr = wcp_threshold_nuc_batch(scores, arm["e_cal"], state.e_target,
-                                      t, arm["p_t"], alpha)
-    elif method in ("csa-m", "csa-q"):
-        thr = csa_threshold_batch(scores, arm["e_cal"], state.e_target,
-                                  spec, arm["p_t"])
-    elif method == "cssa-m":
-        if gamma == 1.0:  # weight boxes collapse; constraints are inert
-            thr = csa_threshold_batch(scores, arm["e_cal"], state.e_target,
-                                      spec, arm["p_t"])
-        else:
-            lo_c, hi_c = weight_bounds_same_arm(arm["e_cal"], gamma, t,
-                                                arm["p_t"])
-            _, hi_t = weight_bounds_same_arm(state.e_target, gamma, t,
-                                             arm["p_t"])
-            rhs = balance_rhs(state.cal.treatment, state.e_cal_full,
-                              state.e_cal_full, t)
-            con = BalanceConstraint(
-                coefficients=arm["e_cal"] / arm["e_cal"].shape[0], rhs=rhs)
-            thr = cssa_threshold_batch(scores, lo_c, hi_c, [con], alpha,
-                                       hi_t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "csa-q":
-        q_lo, q_hi = arm["q_target"]
-        return q_lo - thr, q_hi + thr
-    mu = arm["mu_target"]
-    return mu - thr, mu + thr
-
-
 def _ite_interval(state: _TrialState, gamma, alpha, method):
-    if method in ("csa-m", "csa-q", "cssa-m", "ite-nuc"):
-        lo1, hi1 = _arm_interval(state, 1, gamma, alpha, method)
-        if not state.dgp.two_arm:
-            return lo1, hi1
-        lo0, hi0 = _arm_interval(state, 0, gamma, alpha, method)
-        # difference of potential-outcome intervals, one per target
-        return lo1 - hi0, hi1 - lo0
-    if method == "bonferroni":
-        lo1, hi1 = _arm_interval(state, 1, gamma, alpha / 2.0, "csa-m")
-        lo0, hi0 = _arm_interval(state, 0, gamma, alpha / 2.0, "csa-m")
-        return lo1 - hi0, hi1 - lo0
+    """(lower, upper) arrays over the targets.  A per-arm method gives the
+    interval for Y(1), or the difference of the two arms' intervals when
+    the outcome has two arms; bonferroni always takes the difference."""
     if method == "nested":
-        model = state.nested_model(gamma)
-        out = nested_ite_predict(model, state.x_target)
-        lower = np.array([np.nan if c.lower_unbounded else c.lower
-                          for c in out])
-        upper = np.array([np.nan if c.upper_unbounded else c.upper
-                          for c in out])
-        lower[~np.isfinite(lower)] = -np.inf
-        upper[~np.isfinite(upper)] = np.inf
-        return lower, upper
-    raise ValueError(f"unknown method {method!r}")
+        return nested_ite_bounds(state.nested_model(gamma), state.x_target)
+    solver, score = _ARM_METHODS[method]
+    if method == "bonferroni":
+        alpha = alpha / 2.0
+    lo1, hi1, _ = state.arms[1].intervals(state.x_target, gamma, alpha,
+                                          solver, score)
+    if method != "bonferroni" and not state.dgp.two_arm:
+        return lo1, hi1
+    lo0, hi0, _ = state.arms[0].intervals(state.x_target, gamma, alpha,
+                                          solver, score)
+    # difference of potential-outcome intervals, one per target
+    return lo1 - hi0, hi1 - lo0
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, keep_targets=False):

@@ -25,6 +25,7 @@ __all__ = [
     "KNNSingleQuantile",
     "NestedIteModel",
     "nested_ite_fit",
+    "nested_ite_bounds",
     "nested_ite_predict",
 ]
 
@@ -179,14 +180,21 @@ def nested_ite_fit(ds: ObservationalDataset, gamma, alpha, seed=0, k=None,
                           n_val=ds_val.n, n_unbounded=n_unbounded)
 
 
-def nested_ite_predict(model: NestedIteModel, x) -> list[IteInterval]:
-    """Effect intervals at query points; crossed endpoints are swapped."""
+def nested_ite_bounds(model: NestedIteModel, x):
+    """Effect-interval (lower, upper) float arrays at query points, -inf /
+    +inf on unbounded sides; crossed endpoints are swapped."""
     lo = np.atleast_1d(model.lo_model.predict(x))
     hi = np.atleast_1d(model.hi_model.predict(x))
     swap = lo > hi
     lo[swap], hi[swap] = hi[swap], lo[swap].copy()
+    return lo, hi
+
+
+def nested_ite_predict(model: NestedIteModel, x) -> list[IteInterval]:
+    """Effect intervals at query points: `nested_ite_bounds` as
+    `IteInterval` records."""
     out = []
-    for a, b in zip(lo, hi):
+    for a, b in zip(*nested_ite_bounds(model, x)):
         lo_unb = not np.isfinite(a)
         hi_unb = not np.isfinite(b)
         out.append(IteInterval(None if lo_unb else float(a),

@@ -35,7 +35,7 @@ class SensitivitySpec:
     eta: float = 0.01
 
     def __post_init__(self):
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:  # also rejects NaN
             raise ValueError("gamma must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
@@ -81,7 +81,7 @@ def weight_bounds_same_arm(e_hat, gamma, t, p_t):
     with odds = ((1 - e)/e)^(2t-1).  The bounds are uniform in y.
     """
     e_hat = _check_e(e_hat)
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise ValueError("gamma must be >= 1")
     odds = ((1.0 - e_hat) / e_hat) ** (2 * t - 1)
     w_lo = (1.0 + odds / gamma) * p_t
@@ -93,7 +93,7 @@ def weight_bounds_cross_arm(e_hat, gamma, t):
     """Bounds when training on arm 1-t and predicting Y(t) of the opposite
     group: [odds/gamma, gamma*odds] with odds = (e/(1-e))^(2t-1)."""
     e_hat = _check_e(e_hat)
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise ValueError("gamma must be >= 1")
     odds = (e_hat / (1.0 - e_hat)) ** (2 * t - 1)
     return odds / gamma, gamma * odds

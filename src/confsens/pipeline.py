@@ -1,0 +1,124 @@
+"""One fitted pipeline per treatment arm, shared by the command line and
+the experiment harness.
+
+`fit_arms` splits the data once and fits one propensity model; each arm
+keeps its models and the scores, propensities and balance constraint of
+its calibration units, fitting the quantile model only for a "cqr" score.
+`FittedArm.intervals` then solves all targets in one batch call: only the
+sentinel weight belongs to a target.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+import numpy as np
+
+from .conformal import calibration_scores, score_band, wcp_threshold_nuc_batch
+from .csa import csa_threshold_batch
+from .cssa import balance_constraints, cssa_threshold_batch
+from .dataset import arm_indices, split
+from .msm import SensitivitySpec, weight_bounds_same_arm
+from .predictors import fit_mean, fit_propensity, fit_quantile, marginal_treatment_prob
+
+__all__ = ["FittedArm", "fit_arms"]
+
+
+class _Fold:
+    """The split and propensity model both arms share, and the predictions
+    made at the latest targets, so each model predicts a target set once."""
+
+    def __init__(self, ds, seed):
+        plan = split(ds, (0.5, 0.5), seed)
+        self.prelim = ds.subset(plan.preliminary_idx)
+        self.cal = ds.subset(plan.calibration_idx)
+        self.propensity = fit_propensity(self.prelim.covariates,
+                                         self.prelim.treatment)
+        self.e_cal = self.propensity.predict(self.cal.covariates)
+        self._x_target = None
+
+    def at(self, x_target):
+        """Prediction cache for `x_target`, emptied when the targets change."""
+        if self._x_target is None or not np.array_equal(self._x_target,
+                                                        x_target):
+            self._x_target = x_target.copy()
+            self._cache = {"e": self.propensity.predict(x_target)}
+        return self._cache
+
+
+class FittedArm:
+    """Arm t of a fold.  `alpha` sets the quantile model's levels
+    (alpha / 2, 1 - alpha / 2); `scale` is the k-NN metric scaling."""
+
+    def __init__(self, fold: _Fold, t, alpha, scale=None):
+        self.fold, self.t, self.alpha, self.scale = fold, t, alpha, scale
+        pre_idx = arm_indices(fold.prelim, t)
+        cal_idx = arm_indices(fold.cal, t)
+        self.pre_x = fold.prelim.covariates[pre_idx]
+        self.pre_y = fold.prelim.outcome[pre_idx]
+        self.cal_x = fold.cal.covariates[cal_idx]
+        self.cal_y = fold.cal.outcome[cal_idx]
+        self.e_cal = fold.e_cal[cal_idx]
+        self.p_t = marginal_treatment_prob(fold.prelim.treatment, t)
+        self._scores = {}
+
+    @cached_property
+    def mu_hat(self):
+        return fit_mean(self.pre_x, self.pre_y, scale=self.scale)
+
+    @cached_property
+    def q_hat(self):
+        return fit_quantile(self.pre_x, self.pre_y,
+                            (self.alpha / 2.0, 1.0 - self.alpha / 2.0),
+                            scale=self.scale)
+
+    @cached_property
+    def constraints(self):
+        """The propensity-balance row of the sharpened method."""
+        cal = self.fold.cal
+        return balance_constraints("propensity", self.cal_x, cal.covariates,
+                                   cal.treatment, self.e_cal,
+                                   self.fold.e_cal, self.t)
+
+    def intervals(self, x_target, gamma, alpha, method, score="mean"):
+        """Intervals for Y(t) at the rows of `x_target`, in one batch.
+
+        `method` is "nuc" (the unconfounded baseline), "csa" (worst case)
+        or "cssa" (sharpened worst case); `score` is "mean" or "cqr".
+        Returns (lower, upper, threshold) float arrays; unbounded sides
+        are -inf / +inf.
+        """
+        spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=self.t)
+        x_target = np.asarray(x_target, dtype=float)
+        model = self.q_hat if score == "cqr" else self.mu_hat
+        if score not in self._scores:
+            self._scores[score] = calibration_scores(score, model,
+                                                     self.cal_x, self.cal_y)
+        scores = self._scores[score]
+        cache = self.fold.at(x_target)
+        if method == "nuc":
+            thr = wcp_threshold_nuc_batch(scores, self.e_cal, cache["e"],
+                                          self.t, self.p_t, alpha)
+        elif method == "csa":
+            thr = csa_threshold_batch(scores, self.e_cal, cache["e"], spec,
+                                      self.p_t)
+        elif method == "cssa":
+            lo_c, hi_c = weight_bounds_same_arm(self.e_cal, gamma, self.t,
+                                                self.p_t)
+            _, hi_t = weight_bounds_same_arm(cache["e"], gamma, self.t,
+                                             self.p_t)
+            thr = cssa_threshold_batch(scores, lo_c, hi_c, self.constraints,
+                                       alpha, hi_t)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        if (self.t, score) not in cache:
+            cache[self.t, score] = score_band(score, model, x_target)
+        lo, hi = cache[self.t, score]
+        return lo - thr, hi + thr, thr
+
+
+def fit_arms(ds, alpha, seed, scale=None):
+    """(arm 0, arm 1) over one split of `ds` seeded by `seed`; models are
+    fitted on first use."""
+    fold = _Fold(ds, seed)
+    return tuple(FittedArm(fold, t, alpha, scale) for t in (0, 1))

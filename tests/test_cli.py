@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,38 @@ class TestInterval:
         wb = np.loadtxt(b, delimiter=",", skiprows=1)
         assert np.all(wb[:, 1] - wb[:, 0] <= wa[:, 1] - wa[:, 0] + 1e-9)
 
+    def test_cssa_at_gamma_one_is_csa(self, data_csv, target_csv,
+                                      tmp_path):
+        common = ["--data", str(data_csv), "--target", str(target_csv),
+                  "--gamma", "1"]
+        assert _run(["interval", *common, "--method", "csa",
+                     "--out", str(tmp_path / "csa.csv")]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no infeasibility fallback
+            assert _run(["interval", *common, "--method", "cssa",
+                         "--out", str(tmp_path / "cssa.csv")]) == 0
+        assert ((tmp_path / "cssa.csv").read_bytes()
+                == (tmp_path / "csa.csv").read_bytes())
+
+    def test_small_alpha_mean_score(self, data_csv, target_csv, tmp_path):
+        # the mean score needs no quantile model, whose levels
+        # (0.005, 0.995) would need 200 training pairs in the arm
+        out = tmp_path / "iv.csv"
+        assert _run(["interval", "--data", str(data_csv), "--target",
+                     str(target_csv), "--gamma", "2", "--alpha", "0.01",
+                     "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 7
+
+    def test_nonfinite_target_covariate(self, data_csv, tmp_path, capsys):
+        for bad in ("nan", "inf"):
+            target = tmp_path / f"{bad}.csv"
+            target.write_text(f"x1,x2,x3,x4\n0.1,0.2,0.3,0.4\n"
+                              f"0.1,{bad},0.3,0.4\n")
+            assert _run(["interval", "--data", str(data_csv), "--target",
+                         str(target), "--gamma", "2",
+                         "--out", str(tmp_path / "o.csv")]) == 1
+            assert "data row 2" in capsys.readouterr().err
+
     def test_cqr_score_route(self, data_csv, target_csv, tmp_path):
         out = tmp_path / "cqr.csv"
         assert _run(["interval", "--data", str(data_csv), "--target",
@@ -113,6 +146,15 @@ class TestIte:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert all(row[3] == "bonferroni" for row in rows[1:])
+
+    def test_bonferroni_small_alpha(self, data_csv, target_csv, tmp_path):
+        # each arm runs at alpha / 2 = 0.01 and needs no quantile model
+        out = tmp_path / "bon.csv"
+        assert _run(["ite", "--data", str(data_csv), "--target",
+                     str(target_csv), "--gamma", "1.5", "--method",
+                     "bonferroni", "--alpha", "0.02", "--out",
+                     str(out)]) == 0
+        assert out.read_text().count("\n") == 7
 
 
 class TestSweep:
@@ -151,6 +193,15 @@ class TestCalibrate:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", [["interval"],
+                                         ["ite", "--method", "bonferroni"]])
+    def test_nan_gamma_exit_code(self, command, data_csv, target_csv,
+                                 tmp_path, capsys):
+        assert _run([*command, "--data", str(data_csv), "--target",
+                     str(target_csv), "--gamma", "nan",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert "gamma" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert _run(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.json")]) == 1

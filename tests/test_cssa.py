@@ -227,28 +227,36 @@ class TestThreshold:
 
 class TestThresholdBatch:
     def test_matches_scalar(self):
+        # per target, the threshold sits at the largest position whose
+        # maximal tail fraction exceeds alpha: scan every position (one
+        # row takes the direct route, two rows the LP)
+        for n_rows in (1, 2):
+            self._check_against_scan(n_rows)
+
+    def _check_against_scan(self, n_rows):
         rng = np.random.default_rng(4)
         n = 25
         scores = rng.normal(size=n)
         e = rng.uniform(0.25, 0.5, size=n)
         lo_c, hi_c = weight_bounds_same_arm(e, 2.0, 1, 0.4)
-        g = rng.uniform(0.25, 0.5, size=n)
-        mid = float(g @ ((lo_c + hi_c) / 2))
-        con = BalanceConstraint(coefficients=g, rhs=mid)
+        g = rng.uniform(0.25, 0.5, size=(n_rows, n))
+        mid = g @ ((lo_c + hi_c) / 2)
+        cons = [BalanceConstraint(coefficients=gr, rhs=float(m))
+                for gr, m in zip(g, mid)]
         e_t = rng.uniform(0.25, 0.5, size=8)
         _, hi_t = weight_bounds_same_arm(e_t, 2.0, 1, 0.4)
-        batch = cssa_threshold_batch(scores, lo_c, hi_c, [con], 0.2, hi_t)
+        batch = cssa_threshold_batch(scores, lo_c, hi_c, cons, 0.2, hi_t)
         order = np.argsort(scores, kind="stable")
         v = np.append(scores[order], np.inf)
-        for jt, et in enumerate(e_t):
-            lo_s, hi_s = weight_bounds_same_arm(np.array([et]), 2.0, 1, 0.4)
-            single = cssa_threshold(v,
-                                    np.append(lo_c[order], lo_s),
-                                    np.append(hi_c[order], hi_s),
-                                    [BalanceConstraint(
-                                        coefficients=g[order], rhs=mid)],
-                                    0.2)
-            assert batch[jt] == pytest.approx(single, abs=0)
+        for jt, h in enumerate(hi_t):
+            probes = [cssa._probe(j, h, lo_c[order], hi_c[order],
+                                  g[:, order], mid, 1e-6)
+                      for j in range(1, n + 2)]
+            assert all(p.feasible for p in probes)
+            above = [j for j, p in enumerate(probes, start=1)
+                     if p.value > 0.2 + 1e-12]
+            assert above == list(range(1, len(above) + 1))
+            assert batch[jt] == v[above[-1] - 1]
 
     def test_empty_constraints_delegates_to_greedy(self):
         rng = np.random.default_rng(5)

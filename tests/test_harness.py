@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from confsens.harness import (
+    METHODS,
     ExperimentConfig,
     beta_coverage_check,
     beta_coverage_trials,
@@ -27,6 +28,17 @@ class TestConfig:
             ExperimentConfig(alpha=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(n_trials=0)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig(gammas=(1.0, float("nan")))
+
+    def test_empty_grids_rejected(self):
+        # an empty grid used to pass here and fail in write_outputs
+        with pytest.raises(ValueError, match="empty"):
+            ExperimentConfig(methods=())
+        with pytest.raises(ValueError, match="empty"):
+            ExperimentConfig(gammas=())
 
     def test_paper_scale_override(self):
         cfg = ExperimentConfig(n_train=10, n_target=10, n_trials=1,
@@ -100,6 +112,30 @@ class TestSweep:
         run_sweep(cfg)
         assert (inner / "summary.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestGoldenSweep:
+    """Summaries pinned from the per-arm pipeline before it was shared
+    with the command line; every method must reproduce them byte for
+    byte."""
+
+    @pytest.mark.parametrize("setting", ["default", "heteroscedastic",
+                                         "two_arm"])
+    def test_summary_matches_golden(self, setting, tmp_path):
+        flags = {"heteroscedastic": setting == "heteroscedastic",
+                 "two_arm": setting == "two_arm"}
+        cfg = ExperimentConfig(methods=METHODS, gammas=(1.0, 2.0), alpha=0.2,
+                               n_train=400, n_target=120, n_trials=1,
+                               base_seed=0, output_dir=str(tmp_path),
+                               **flags)
+        run_sweep(cfg)
+        got = (tmp_path / "summary.csv").read_bytes()
+        with open(os.path.join(GOLDEN, f"golden_sweep_{setting}.csv"),
+                  "rb") as fh:
+            assert got == fh.read()
 
 
 class TestSummarize:

@@ -22,6 +22,14 @@ class TestSensitivitySpec:
         with pytest.raises(ValueError):
             SensitivitySpec(gamma=2.0, alpha=0.2, t=2)
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            SensitivitySpec(gamma=np.nan, alpha=0.2, t=1)
+        for bounds in (lambda e: weight_bounds_same_arm(e, np.nan, 1, 0.5),
+                       lambda e: weight_bounds_cross_arm(e, np.nan, 1)):
+            with pytest.raises(ValueError, match="gamma"):
+                bounds(np.array([0.5]))
+
     def test_lam(self):
         assert SensitivitySpec(gamma=1.0, alpha=0.2, t=1).lam == 0.0
         assert SensitivitySpec(gamma=np.e, alpha=0.2, t=0).lam == pytest.approx(1.0)

@@ -1,4 +1,5 @@
-"""Property tests of the threshold engine's invariants over generated inputs.
+"""Property tests of the threshold engine's invariants, and of the batch
+interval route against the per-target API, over generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -10,14 +11,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confsens.conformal import wcp_threshold_nuc_batch
+from confsens.conformal import wcp_interval_nuc, wcp_threshold_nuc_batch
 from confsens.csa import (
+    csa_interval,
     csa_threshold_batch,
     greedy_max_quantile,
     greedy_threshold_batch,
 )
-from confsens.cssa import BalanceConstraint, cssa_threshold_batch
+from confsens.cssa import BalanceConstraint, cssa_interval, cssa_threshold_batch
 from confsens.msm import SensitivitySpec, weight_bounds_same_arm
+from confsens.oracle import SyntheticDGP, generate
+from confsens.pipeline import fit_arms
 
 ETA = SensitivitySpec(gamma=1.0, alpha=0.1, t=1).eta
 GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
@@ -109,3 +113,43 @@ def test_cssa_never_exceeds_csa(inst, gamma, where):
                                      [BalanceConstraint(g, rhs)], alpha, hi_t)
     plain = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
     assert np.all(sharp <= plain)
+
+
+def _per_target(arm, method, x, gamma, alpha, score):
+    """One target's interval through the public per-target functions."""
+    fold = arm.fold
+    spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=arm.t)
+    common = (arm.mu_hat, fold.propensity, arm.cal_x, arm.cal_y, x)
+    q_hat = arm.q_hat if score == "cqr" else None
+    if method == "nuc":
+        return wcp_interval_nuc(*common, arm.t, arm.p_t, alpha, score=score,
+                                q_hat=q_hat)
+    if method == "csa":
+        return csa_interval(*common, spec, arm.p_t, score=score, q_hat=q_hat)
+    return cssa_interval(*common, spec, arm.p_t, fold.cal.covariates,
+                         fold.cal.treatment, score=score, q_hat=q_hat)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
+       p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
+       gamma=st.sampled_from(GAMMAS), alpha=st.sampled_from([0.2, 0.3]))
+def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
+                                              alpha):
+    dgp = SyntheticDGP(covariate_dim=p)
+    ds, _ = generate(dgp, n, seed=seed)
+    x_target = generate(dgp, m, seed=seed + 1)[0].covariates
+    arm = fit_arms(ds, alpha, seed)[t]
+    for method in ("nuc", "csa", "cssa"):
+        for score in ("mean", "cqr"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # infeasible rows fall back
+                lower, upper, thr = arm.intervals(x_target, gamma, alpha,
+                                                  method, score)
+                single = [_per_target(arm, method, x, gamma, alpha, score)
+                          for x in x_target]
+            assert [c.threshold for c in single] == list(thr)
+            assert [-np.inf if c.lower is None else c.lower
+                    for c in single] == list(lower)
+            assert [np.inf if c.upper is None else c.upper
+                    for c in single] == list(upper)
