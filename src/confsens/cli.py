@@ -110,9 +110,10 @@ def _cmd_sweep(args):
         with open(args.config, encoding="utf-8") as fh:
             cfg_dict = json.load(fh)
     overrides = {
-        "methods": tuple(args.methods.split(",")) if args.methods else None,
+        "methods": (tuple(args.methods.split(","))
+                    if args.methods is not None else None),
         "gammas": (tuple(float(g) for g in args.gammas.split(","))
-                   if args.gammas else None),
+                   if args.gammas is not None else None),
         "alpha": args.alpha,
         "n_train": args.n_train,
         "n_target": args.n_target,

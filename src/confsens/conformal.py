@@ -78,10 +78,6 @@ class WeightedDiscreteDist:
         self.atoms = atoms
         self.masses = masses / total
 
-    @classmethod
-    def from_weights(cls, atoms, weights):
-        return cls(atoms, weights)
-
 
 def score_abs_residual(mu_hat, x, y):
     """Absolute-residual nonconformity score |y - mu_hat(x)|."""

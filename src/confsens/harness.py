@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
 
 from . import __version__
-from .ite import nested_ite_bounds, nested_ite_fit
+from .ite import NestedFold, nested_ite_bounds
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
 from .pipeline import fit_arms
 
@@ -135,15 +136,11 @@ class _TrialState:
         self.nested_seed = s_nested
         self.arms = fit_arms(self.train, cfg.alpha, self.seed,
                              scale="relevance")
-        self.alpha = cfg.alpha
-        self._nested = {}
 
-    def nested_model(self, gamma):
-        if gamma not in self._nested:
-            self._nested[gamma] = nested_ite_fit(
-                self.train, gamma, self.alpha,
-                seed=self.nested_seed)
-        return self._nested[gamma]
+    @cached_property
+    def nested(self):
+        """The nested stage's fold, fit on first use and shared by gammas."""
+        return NestedFold(self.train, self.nested_seed)
 
     def draw_tau(self, gamma):
         """One MSM-consistent potential-outcome draw per target unit."""
@@ -159,7 +156,8 @@ def _ite_interval(state: _TrialState, gamma, alpha, method):
     interval for Y(1), or the difference of the two arms' intervals when
     the outcome has two arms; bonferroni always takes the difference."""
     if method == "nested":
-        return nested_ite_bounds(state.nested_model(gamma), state.x_target)
+        return nested_ite_bounds(state.nested.model(gamma, alpha),
+                                 state.x_target)
     solver, score = _ARM_METHODS[method]
     if method == "bonferroni":
         alpha = alpha / 2.0

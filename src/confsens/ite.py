@@ -17,13 +17,20 @@ from .conformal import PredictiveInterval, score_abs_residual
 from .csa import greedy_threshold_batch
 from .dataset import ObservationalDataset, arm_indices
 from .msm import SensitivitySpec, weight_bounds_cross_arm
-from .predictors import _empirical_quantile, _neighbor_idx, fit_mean, fit_propensity
+from .predictors import (
+    _as_2d,
+    _empirical_quantile,
+    _neighbor_idx,
+    fit_mean,
+    fit_propensity,
+)
 
 __all__ = [
     "IteInterval",
     "bonferroni_ite",
     "KNNSingleQuantile",
     "NestedIteModel",
+    "NestedFold",
     "nested_ite_fit",
     "nested_ite_bounds",
     "nested_ite_predict",
@@ -90,9 +97,7 @@ class KNNSingleQuantile:
         self.k = int(k)
 
     def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        x = _as_2d(x, self.x.shape[1])
         idx = _neighbor_idx(self.x, x, self.k)
         neigh = np.sort(self.y[idx], axis=1)
         return _empirical_quantile(neigh, self.level)
@@ -108,76 +113,81 @@ class NestedIteModel:
     n_unbounded: int
 
 
-def _cross_arm_intervals(ds_fit: ObservationalDataset, val_x, val_t,
-                         spec_arm: SensitivitySpec, k=None):
-    """Worst-case intervals for the counterfactual outcome Y(t) of
-    held-out units observed in arm 1 - t, using cross-group weight bounds.
+# quantile levels of the lower and upper endpoint regressions
+_ENDPOINT_LEVELS = (0.4, 0.6)
 
-    Returns (lower, upper) arrays over the val units in arm 1 - t.
+
+class NestedFold:
+    """The part of the nested construction that gamma does not touch.
+
+    One seeded split halves the data.  The fit half trains one propensity
+    model and, per arm t, a mean model on the first half of its arm-t
+    units; the second half gives the sorted calibration scores.  The val
+    units in arm 1 - t keep their propensities and mean predictions, and
+    `model` turns them into counterfactual intervals for Y(t) through the
+    cross-arm weight bounds at a given gamma.
     """
-    t = spec_arm.t
-    fit_idx = arm_indices(ds_fit, t)
-    if fit_idx.size < 4:
-        raise ValueError(f"too few units in arm {t} for the nested stage")
-    half = fit_idx.size // 2
-    pre, cal = fit_idx[:half], fit_idx[half:]
-    mu_hat = fit_mean(ds_fit.covariates[pre], ds_fit.outcome[pre], k=k)
-    propensity = fit_propensity(ds_fit.covariates, ds_fit.treatment,
-                                eta=spec_arm.eta)
-    cal_x = ds_fit.covariates[cal]
-    cal_y = ds_fit.outcome[cal]
-    scores = score_abs_residual(mu_hat, cal_x, cal_y)
-    order = np.argsort(scores, kind="stable")
-    e_cal = propensity.predict(cal_x)
-    lo_c, hi_c = weight_bounds_cross_arm(e_cal[order], spec_arm.gamma, t)
 
-    mask = val_t == 1 - t
-    x_q = val_x[mask]
-    e_q = propensity.predict(x_q)
-    _, hi_t = weight_bounds_cross_arm(e_q, spec_arm.gamma, t)
-    thresholds = greedy_threshold_batch(scores[order], lo_c, hi_c, hi_t,
-                                        spec_arm.alpha)
-    mu_q = mu_hat.predict(x_q)
-    lower = mu_q - thresholds
-    upper = mu_q + thresholds
-    return mask, lower, upper
+    def __init__(self, ds: ObservationalDataset, seed=0):
+        perm = np.random.default_rng(seed).permutation(ds.n)
+        half = ds.n // 2
+        ds_fit = ds.subset(perm[:half])
+        ds_val = ds.subset(perm[half:])
+        fit_idx = [arm_indices(ds_fit, t) for t in (0, 1)]
+        for t, idx in enumerate(fit_idx):
+            if idx.size < 4:
+                raise ValueError(
+                    f"too few units in arm {t} for the nested stage")
+        self.val_x, self.val_y = ds_val.covariates, ds_val.outcome
+        self.n_val = ds_val.n
+        propensity = fit_propensity(ds_fit.covariates, ds_fit.treatment)
+        # per arm t: sorted calibration scores and their propensities, then
+        # the mask, propensities and mean predictions of val units in 1 - t
+        self._arms = []
+        for t, idx in enumerate(fit_idx):
+            pre, cal = idx[:idx.size // 2], idx[idx.size // 2:]
+            mu_hat = fit_mean(ds_fit.covariates[pre], ds_fit.outcome[pre])
+            cal_x = ds_fit.covariates[cal]
+            scores = score_abs_residual(mu_hat, cal_x, ds_fit.outcome[cal])
+            order = np.argsort(scores, kind="stable")
+            mask = ds_val.treatment == 1 - t
+            x_q = self.val_x[mask]
+            self._arms.append((scores[order],
+                               propensity.predict(cal_x)[order], mask,
+                               propensity.predict(x_q), mu_hat.predict(x_q)))
+
+    def model(self, gamma, alpha) -> NestedIteModel:
+        """Endpoint regressions of the val units' effect intervals: the
+        observed outcome minus the worst-case counterfactual interval."""
+        lower = np.empty(self.n_val)
+        upper = np.empty(self.n_val)
+        for t, (scores, e_cal, mask, e_q, mu_q) in enumerate(self._arms):
+            spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
+            lo_c, hi_c = weight_bounds_cross_arm(e_cal, spec.gamma, t)
+            _, hi_t = weight_bounds_cross_arm(e_q, spec.gamma, t)
+            thresholds = greedy_threshold_batch(scores, lo_c, hi_c, hi_t,
+                                                spec.alpha)
+            cf_lo, cf_hi = mu_q - thresholds, mu_q + thresholds
+            y = self.val_y[mask]
+            if t == 0:  # treated val units: effect = Y - [L0, U0]
+                lower[mask], upper[mask] = y - cf_hi, y - cf_lo
+            else:  # control val units: effect = [L1, U1] - Y
+                lower[mask], upper[mask] = cf_lo - y, cf_hi - y
+        n_unbounded = int(np.sum(~np.isfinite(lower) | ~np.isfinite(upper)))
+        k = int(np.ceil(np.sqrt(self.n_val)))
+        return NestedIteModel(
+            lo_model=KNNSingleQuantile(self.val_x, lower,
+                                       _ENDPOINT_LEVELS[0], k),
+            hi_model=KNNSingleQuantile(self.val_x, upper,
+                                       _ENDPOINT_LEVELS[1], k),
+            n_val=self.n_val, n_unbounded=n_unbounded)
 
 
-def nested_ite_fit(ds: ObservationalDataset, gamma, alpha, seed=0, k=None,
-                   endpoint_levels=(0.4, 0.6), eta=0.01) -> NestedIteModel:
-    """Two-stage fit of effect-interval endpoint regressions.
-
-    The data are split in half: the first part fits nuisances and
-    calibrates counterfactual intervals, the second part receives one
-    effect interval per unit (observed outcome minus the counterfactual
-    interval), and the endpoint regressions smooth those intervals.
-    """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n)
-    half = ds.n // 2
-    ds_fit = ds.subset(perm[:half])
-    ds_val = ds.subset(perm[half:])
-    val_x, val_t, val_y = ds_val.covariates, ds_val.treatment, ds_val.outcome
-
-    lower = np.empty(ds_val.n)
-    upper = np.empty(ds_val.n)
-    # treated val units get an interval for Y(0); effect = Y - [L0, U0]
-    spec0 = SensitivitySpec(gamma=gamma, alpha=alpha, t=0, eta=eta)
-    mask1, l0, u0 = _cross_arm_intervals(ds_fit, val_x, val_t, spec0, k=k)
-    lower[mask1] = val_y[mask1] - u0
-    upper[mask1] = val_y[mask1] - l0
-    # control val units get an interval for Y(1); effect = [L1, U1] - Y
-    spec1 = SensitivitySpec(gamma=gamma, alpha=alpha, t=1, eta=eta)
-    mask0, l1, u1 = _cross_arm_intervals(ds_fit, val_x, val_t, spec1, k=k)
-    lower[mask0] = l1 - val_y[mask0]
-    upper[mask0] = u1 - val_y[mask0]
-
-    n_unbounded = int(np.sum(~np.isfinite(lower) | ~np.isfinite(upper)))
-    k_end = k or int(np.ceil(np.sqrt(ds_val.n)))
-    lo_model = KNNSingleQuantile(val_x, lower, endpoint_levels[0], k_end)
-    hi_model = KNNSingleQuantile(val_x, upper, endpoint_levels[1], k_end)
-    return NestedIteModel(lo_model=lo_model, hi_model=hi_model,
-                          n_val=ds_val.n, n_unbounded=n_unbounded)
+def nested_ite_fit(ds: ObservationalDataset, gamma, alpha,
+                   seed=0) -> NestedIteModel:
+    """Two-stage fit of effect-interval endpoint regressions at one gamma;
+    a sweep over gammas reuses one `NestedFold` instead."""
+    return NestedFold(ds, seed).model(gamma, alpha)
 
 
 def nested_ite_bounds(model: NestedIteModel, x):

@@ -15,7 +15,6 @@ from .predictors import fit_propensity
 
 __all__ = [
     "SensitivitySpec",
-    "WeightBounds",
     "weight_bounds_same_arm",
     "weight_bounds_cross_arm",
     "calibrate_gamma",
@@ -47,24 +46,6 @@ class SensitivitySpec:
     @property
     def lam(self) -> float:
         return math.log(self.gamma)
-
-
-@dataclass(frozen=True)
-class WeightBounds:
-    """Per-unit conformal-weight boxes plus the target unit's box."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    target_lo: float
-    target_hi: float
-
-    def __post_init__(self):
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("lo/hi length mismatch")
-        if np.any(self.lo <= 0) or np.any(self.hi < self.lo):
-            raise ValueError("bounds must satisfy 0 < lo <= hi")
-        if not (0 < self.target_lo <= self.target_hi):
-            raise ValueError("target bounds must satisfy 0 < lo <= hi")
 
 
 def _check_e(e_hat):

@@ -81,7 +81,6 @@ class KNNMean:
         self.x = np.asarray(train_x, dtype=float)
         self.y = np.asarray(train_y, dtype=float)
         self.k = int(k)
-        self.n_pre = self.x.shape[0]
         self.feature_weights = (None if feature_weights is None
                                 else np.asarray(feature_weights, dtype=float))
 
@@ -112,7 +111,6 @@ class KNNQuantile:
         self.y = np.asarray(train_y, dtype=float)
         self.levels = (lo, hi)
         self.k = int(k)
-        self.n_pre = self.x.shape[0]
         self.feature_weights = (None if feature_weights is None
                                 else np.asarray(feature_weights, dtype=float))
 

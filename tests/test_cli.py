@@ -147,6 +147,16 @@ class TestIte:
             rows = list(csv.reader(fh))
         assert all(row[3] == "bonferroni" for row in rows[1:])
 
+    @pytest.mark.parametrize("method", ["nested", "bonferroni"])
+    def test_target_width_mismatch(self, method, data_csv, tmp_path, capsys):
+        target = tmp_path / "narrow.csv"
+        target.write_text("x1\n0.1\n0.2\n")
+        assert _run(["ite", "--data", str(data_csv), "--target", str(target),
+                     "--gamma", "1.5", "--method", method,
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert ("query has 1 covariates, model expects 4"
+                in capsys.readouterr().err)
+
     def test_bonferroni_small_alpha(self, data_csv, target_csv, tmp_path):
         # each arm runs at alpha / 2 = 0.01 and needs no quantile model
         out = tmp_path / "bon.csv"
@@ -178,6 +188,15 @@ class TestSweep:
                      "--n-train", "200", "--n-target", "40",
                      "--n-trials", "1", "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "summary.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--methods", "--gammas"])
+    def test_empty_grid_flag_fails(self, flag, tmp_path, capsys):
+        # an empty flag used to fall back to the default grid
+        assert _run(["sweep", flag, "", "--n-train", "200", "--n-target",
+                     "40", "--n-trials", "1",
+                     "--out-dir", str(tmp_path / "run")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestCalibrate:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from confsens import ite
 from confsens.harness import (
     METHODS,
     ExperimentConfig,
@@ -112,6 +113,23 @@ class TestSweep:
         run_sweep(cfg)
         assert (inner / "summary.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("methods, fits", [(("nested",), 1),
+                                               (("csa-m",), 0)])
+    def test_nested_propensity_fit_once_per_trial(self, methods, fits,
+                                                  monkeypatch):
+        # the nested fold is fit lazily, once, and shared by every gamma
+        calls = []
+        original = ite.fit_propensity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ite, "fit_propensity", counting)
+        run_sweep(_tiny_cfg(methods=methods, gammas=(1.0, 1.5, 2.0),
+                            n_trials=1))
+        assert len(calls) == fits
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data")

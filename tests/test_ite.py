@@ -142,3 +142,10 @@ class TestNested:
         ds = ObservationalDataset(x, t, rng.normal(size=12))
         with pytest.raises(ValueError):
             nested_ite_fit(ds, gamma=1.5, alpha=0.2, seed=0)
+
+    def test_predict_rejects_wrong_width(self):
+        # a query with fewer covariates than the model must not broadcast
+        model = nested_ite_fit(_two_arm_ds(), gamma=1.5, alpha=0.2, seed=0)
+        for x in (np.array([0.5]), np.full((4, 1), 0.5)):
+            with pytest.raises(ValueError, match="model expects 3"):
+                nested_ite_predict(model, x)

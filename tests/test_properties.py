@@ -1,5 +1,6 @@
-"""Property tests of the threshold engine's invariants, and of the batch
-interval route against the per-target API, over generated inputs.
+"""Property tests of the threshold engine's invariants, of the batch
+interval route against the per-target API, and of the shared nested fold
+against a fresh nested fit, over generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -19,6 +20,7 @@ from confsens.csa import (
     greedy_threshold_batch,
 )
 from confsens.cssa import BalanceConstraint, cssa_interval, cssa_threshold_batch
+from confsens.ite import NestedFold, nested_ite_bounds, nested_ite_fit
 from confsens.msm import SensitivitySpec, weight_bounds_same_arm
 from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
@@ -153,3 +155,23 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
                     for c in single] == list(lower)
             assert [np.inf if c.upper is None else c.upper
                     for c in single] == list(upper)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(120, 260),
+       p=st.integers(3, 5), two_arm=st.booleans(),
+       gammas=st.permutations(GAMMAS), alpha=st.sampled_from([0.1, 0.2, 0.3]))
+def test_nested_fold_equals_fresh_fit(seed, n, p, two_arm, gammas, alpha):
+    dgp = SyntheticDGP(covariate_dim=p, two_arm=two_arm)
+    ds, _ = generate(dgp, n, seed=seed)
+    x_target = generate(dgp, 7, seed=seed + 1)[0].covariates
+    fold = NestedFold(ds, seed)
+    for gamma in gammas:
+        shared = fold.model(gamma, alpha)
+        fresh = nested_ite_fit(ds, gamma, alpha, seed=seed)
+        assert shared.lo_model.y.tobytes() == fresh.lo_model.y.tobytes()
+        assert shared.hi_model.y.tobytes() == fresh.hi_model.y.tobytes()
+        assert shared.n_unbounded == fresh.n_unbounded
+        for a, b in zip(nested_ite_bounds(shared, x_target),
+                        nested_ite_bounds(fresh, x_target)):
+            assert a.tobytes() == b.tobytes()
