@@ -12,16 +12,9 @@ split and are typically shorter.
 
 import numpy as np
 
-from confsens.csa import csa_interval
-from confsens.dataset import arm_indices, split
 from confsens.ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
-from confsens.msm import SensitivitySpec
 from confsens.oracle import SyntheticDGP, generate
-from confsens.predictors import (
-    fit_mean,
-    fit_propensity,
-    marginal_treatment_prob,
-)
+from confsens.pipeline import fit_arms
 
 dgp = SyntheticDGP(covariate_dim=6, two_arm=True)
 ds, truth = generate(dgp, 3000, seed=11)
@@ -34,26 +27,9 @@ x_query = rng.uniform(size=(5, ds.covariate_dim))
 # Route 1: Bonferroni difference of per-arm worst-case intervals, each
 # built at level alpha / 2.
 # ------------------------------------------------------------------
-plan = split(ds, (0.5, 0.5), seed=0)
-prelim = ds.subset(plan.preliminary_idx)
-cal = ds.subset(plan.calibration_idx)
-propensity = fit_propensity(prelim.covariates, prelim.treatment)
-
-per_arm = {}
-for t in (0, 1):
-    pre_idx = arm_indices(prelim, t)
-    cal_idx = arm_indices(cal, t)
-    mu_hat = fit_mean(prelim.covariates[pre_idx], prelim.outcome[pre_idx],
-                      scale="relevance")
-    p_t = marginal_treatment_prob(prelim.treatment, t)
-    spec = SensitivitySpec(gamma=gamma, alpha=alpha / 2.0, t=t)
-    per_arm[t] = [
-        csa_interval(mu_hat, propensity, cal.covariates[cal_idx],
-                     cal.outcome[cal_idx], x_query[i], spec, p_t)
-        for i in range(x_query.shape[0])
-    ]
-bonf = [bonferroni_ite(c1, c0, alpha_split=(alpha / 2.0, alpha / 2.0))
-        for c1, c0 in zip(per_arm[1], per_arm[0])]
+arm0, arm1 = (arm.intervals(x_query, gamma, alpha / 2.0, "csa")
+              for arm in fit_arms(ds, alpha / 2.0, seed=0, scale="relevance"))
+bonf = bonferroni_ite(arm1, arm0)
 
 # ------------------------------------------------------------------
 # Route 2: the nested construction fits endpoint regressions on a
@@ -66,12 +42,12 @@ print(f"nested stage: {model.n_val} validation units, "
 
 print(f"\neffect intervals at gamma={gamma}, alpha={alpha}:")
 print(f"{'point':>5} {'bonferroni':>22} {'nested':>22}")
-for i, (b, m) in enumerate(zip(bonf, nested)):
-    fb = f"[{b.lower:6.2f}, {b.upper:6.2f}] w={b.width:5.2f}"
-    fn = f"[{m.lower:6.2f}, {m.upper:6.2f}] w={m.width:5.2f}"
+widths_b = bonf[1] - bonf[0]
+widths_n = nested[1] - nested[0]
+for i in range(x_query.shape[0]):
+    fb = f"[{bonf[0][i]:6.2f}, {bonf[1][i]:6.2f}] w={widths_b[i]:5.2f}"
+    fn = f"[{nested[0][i]:6.2f}, {nested[1][i]:6.2f}] w={widths_n[i]:5.2f}"
     print(f"{i:>5} {fb:>22} {fn:>22}")
 
-widths_b = np.array([b.width for b in bonf])
-widths_n = np.array([m.width for m in nested])
 print(f"\nmean width: bonferroni {widths_b.mean():.2f} vs "
       f"nested {widths_n.mean():.2f}")

@@ -40,7 +40,7 @@ from .harness import (
     run_sweep,
     shrinkage_sharpness,
 )
-from .ite import IteInterval, bonferroni_ite, nested_ite_fit, nested_ite_predict
+from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
 from .msm import (
     SensitivitySpec,
     calibrate_gamma,

@@ -19,20 +19,19 @@ import sys
 
 import numpy as np
 
-from .dataset import CsvSchema, arm_indices, emit_csv, ingest_csv
+from .dataset import (
+    _float_columns,
+    _read_rows,
+    arm_indices,
+    emit_csv,
+    ingest_csv,
+)
 from .harness import ExperimentConfig, run_sweep
-from .ite import nested_ite_bounds, nested_ite_fit
+from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
 from .msm import calibrate_gamma, emit_gamma_summary_csv, gamma_summary
 from .oracle import SyntheticDGP, emit_truth_csv, generate
 from .pipeline import fit_arms
 from .predictors import fit_mean, fit_propensity, marginal_treatment_prob
-
-
-def _load(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    covs = tuple(c for c in header if c not in ("t", "y"))
-    return ingest_csv(path, CsvSchema(covariates=covs))
 
 
 def _cmd_generate(args):
@@ -47,7 +46,7 @@ def _cmd_generate(args):
 
 
 def _cmd_fit(args):
-    ds = _load(args.data)
+    ds = ingest_csv(args.data)
     propensity = fit_propensity(ds.covariates, ds.treatment)
     report = {
         "n": ds.n,
@@ -72,7 +71,7 @@ def _cmd_fit(args):
 
 
 def _cmd_interval(args):
-    ds = _load(args.data)
+    ds = ingest_csv(args.data)
     x_target = _target_covariates(args.target)
     arm = fit_arms(ds, args.alpha, args.seed)[args.t]
     lower, upper, threshold = arm.intervals(x_target, args.gamma, args.alpha,
@@ -85,18 +84,17 @@ def _cmd_interval(args):
 
 
 def _cmd_ite(args):
-    ds = _load(args.data)
+    ds = ingest_csv(args.data)
     x_target = _target_covariates(args.target)
     if args.method == "nested":
         model = nested_ite_fit(ds, args.gamma, args.alpha, seed=args.seed)
-        lower, upper = nested_ite_bounds(model, x_target)
+        lower, upper = nested_ite_predict(model, x_target)
     else:
         # Bonferroni: each arm at alpha / 2, then the difference interval
         half = args.alpha / 2.0
-        (lo0, hi0, _), (lo1, hi1, _) = (
-            arm.intervals(x_target, args.gamma, half, "csa")
-            for arm in fit_arms(ds, half, args.seed))
-        lower, upper = lo1 - hi0, hi1 - lo0
+        arm0, arm1 = (arm.intervals(x_target, args.gamma, half, "csa")
+                      for arm in fit_arms(ds, half, args.seed))
+        lower, upper = bonferroni_ite(arm1, arm0)
     _write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
                ((i, lo, up, args.method, args.gamma, args.alpha)
                 for i, (lo, up) in enumerate(zip(_cells(lower),
@@ -142,7 +140,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_calibrate(args):
-    ds = _load(args.data)
+    ds = ingest_csv(args.data)
     matrix = calibrate_gamma(ds)
     rows = gamma_summary(matrix, names=ds.names)
     emit_gamma_summary_csv(rows, args.out)
@@ -151,24 +149,12 @@ def _cmd_calibrate(args):
 
 
 def _target_covariates(path):
-    """Target covariates from a CSV with or without `t`/`y` columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if "t" in header and "y" in header:
-            return _load(path).covariates
-        rows = []
-        for rownum, row in enumerate(reader, start=1):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"malformed value in data row {rownum}: "
-                                 f"{exc}") from None
-            if not np.all(np.isfinite(rows[-1])):
-                raise ValueError(f"non-finite value in data row {rownum}")
-    if not rows:
-        raise ValueError("no data rows")
-    return np.array(rows)
+    """Target covariates from a CSV with or without `t`/`y` columns; with
+    them, the file must also be a valid dataset."""
+    header, rows = _read_rows(path)
+    if "t" in header and "y" in header:
+        return ingest_csv(path).covariates
+    return _float_columns(header, rows, header)
 
 
 def _cells(values):
@@ -254,7 +240,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

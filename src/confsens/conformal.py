@@ -22,7 +22,6 @@ __all__ = [
     "wcp_interval_nuc",
     "calibration_scores",
     "score_band",
-    "mean_score_interval",
     "cqr_score_interval",
 ]
 
@@ -175,13 +174,9 @@ def score_band(score, model, x):
     return model.predict(x)
 
 
-def mean_score_interval(mu_target, threshold) -> PredictiveInterval:
-    """Assemble [mu - Q, mu + Q] for the absolute-residual score."""
-    return cqr_score_interval(mu_target, mu_target, threshold)
-
-
 def cqr_score_interval(q_lo_target, q_hi_target, threshold) -> PredictiveInterval:
-    """Assemble [q_lo - Q, q_hi + Q] for the CQR score."""
+    """Assemble [q_lo - Q, q_hi + Q] for the CQR score; the mean score's
+    interval [mu - Q, mu + Q] is the case q_lo = q_hi = mu."""
     if not np.isfinite(threshold):
         return PredictiveInterval(None, None, np.inf, True, True)
     return PredictiveInterval(float(q_lo_target - threshold),

@@ -8,6 +8,8 @@ are rejected rather than imputed.
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,38 +125,74 @@ class SplitPlan:
         return (self.preliminary_idx, self.calibration_idx, self.validation_idx)
 
 
-def ingest_csv(path, schema: CsvSchema) -> ObservationalDataset:
+def _read_rows(path):
+    """Header and non-blank data rows of a UTF-8, header-row CSV, as
+    strings, in one `csv.reader` pass."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file: no header row")
+        return header, [row for row in reader if row]
+
+
+def _float_columns(header, rows, columns, binary=None):
+    """The named columns of `_read_rows` output as one (rows, columns)
+    float array; other columns stay unparsed.  Every row must have the
+    header's cell count and finite values, and the `binary` column only
+    0 or 1.  One conversion covers all rows; only when a check fails does
+    a row-by-row pass name the first offending 1-based data row."""
+    position = {name: i for i, name in enumerate(header)}
+    missing = set(columns) - set(position)
+    if missing:
+        raise ValueError(f"missing columns: {sorted(missing)}")
+    if not rows:
+        raise ValueError("no data rows")
+    idx = [position[c] for c in columns]
+    b = None if binary is None else columns.index(binary)
+    if all(len(row) == len(header) for row in rows):
+        pick = operator.itemgetter(*idx)
+        try:
+            values = np.array([pick(row) for row in rows],
+                              dtype=float).reshape(len(rows), len(idx))
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all() and (
+                b is None or np.isin(values[:, b], (0.0, 1.0)).all()):
+            return values
+    parsed = []
+    for rownum, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"data row {rownum} has {len(row)} cells, "
+                             f"the header has {len(header)}")
+        try:
+            parsed.append([float(row[i]) for i in idx])
+        except ValueError as exc:
+            raise ValueError(f"malformed value in data row {rownum}: "
+                             f"{exc}") from None
+        if b is not None and parsed[-1][b] not in (0.0, 1.0):
+            raise ValueError(f"non-binary treatment {parsed[-1][b]!r} in "
+                             f"data row {rownum}")
+        if not all(math.isfinite(v) for v in parsed[-1]):
+            raise ValueError(f"non-finite value in data row {rownum}")
+    return np.array(parsed)
+
+
+def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationalDataset:
     """Read a UTF-8, header-row CSV into a dataset.
 
-    Columns are selected by name.  Malformed rows raise ValueError naming
-    the offending 1-based data row.
+    Columns are selected by name; with no schema, every column other than
+    `t` and `y` is a covariate.  Malformed or ragged rows raise ValueError
+    naming the first offending 1-based data row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError("empty file: no header row")
-        needed = set(schema.covariates) | {schema.treatment, schema.outcome}
-        missing = needed - set(reader.fieldnames)
-        if missing:
-            raise ValueError(f"missing columns: {sorted(missing)}")
-        xs, ts, ys = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            try:
-                xrow = [float(row[c]) for c in schema.covariates]
-                t = float(row[schema.treatment])
-                y = float(row[schema.outcome])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"malformed value in data row {rownum}: {exc}") from None
-            if t not in (0.0, 1.0):
-                raise ValueError(f"non-binary treatment {t!r} in data row {rownum}")
-            if not all(np.isfinite(v) for v in xrow) or not np.isfinite(y):
-                raise ValueError(f"non-finite value in data row {rownum}")
-            xs.append(xrow)
-            ts.append(t)
-            ys.append(y)
-    if not xs:
-        raise ValueError("no data rows")
-    return ObservationalDataset(np.array(xs), np.array(ts), np.array(ys),
+    header, rows = _read_rows(path)
+    if schema is None:
+        schema = CsvSchema(covariates=tuple(c for c in header
+                                            if c not in ("t", "y")))
+    columns = schema.covariates + (schema.treatment, schema.outcome)
+    values = _float_columns(header, rows, columns, binary=schema.treatment)
+    return ObservationalDataset(np.ascontiguousarray(values[:, :-2]),
+                                values[:, -2], values[:, -1],
                                 names=schema.covariates)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .ite import NestedFold, nested_ite_bounds
+from .ite import NestedFold, bonferroni_ite, nested_ite_predict
+from .msm import check_gamma
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
 from .pipeline import fit_arms
 
@@ -70,8 +71,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
-        if any(not g >= 1.0 for g in self.gammas):  # also rejects NaN
-            raise ValueError("gamma grid entries must be >= 1")
+        for g in self.gammas:
+            check_gamma(g)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not (0.0 < self.alpha < 1.0):
@@ -156,19 +157,18 @@ def _ite_interval(state: _TrialState, gamma, alpha, method):
     interval for Y(1), or the difference of the two arms' intervals when
     the outcome has two arms; bonferroni always takes the difference."""
     if method == "nested":
-        return nested_ite_bounds(state.nested.model(gamma, alpha),
-                                 state.x_target)
+        return nested_ite_predict(state.nested.model(gamma, alpha),
+                                  state.x_target)
     solver, score = _ARM_METHODS[method]
     if method == "bonferroni":
         alpha = alpha / 2.0
-    lo1, hi1, _ = state.arms[1].intervals(state.x_target, gamma, alpha,
-                                          solver, score)
+    arm1 = state.arms[1].intervals(state.x_target, gamma, alpha, solver,
+                                   score)
     if method != "bonferroni" and not state.dgp.two_arm:
-        return lo1, hi1
-    lo0, hi0, _ = state.arms[0].intervals(state.x_target, gamma, alpha,
-                                          solver, score)
-    # difference of potential-outcome intervals, one per target
-    return lo1 - hi0, hi1 - lo0
+        return arm1[:2]
+    arm0 = state.arms[0].intervals(state.x_target, gamma, alpha, solver,
+                                   score)
+    return bonferroni_ite(arm1, arm0)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, keep_targets=False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictiveInterval, score_abs_residual
+from .conformal import score_abs_residual
 from .csa import greedy_threshold_batch
 from .dataset import ObservationalDataset, arm_indices
 from .msm import SensitivitySpec, weight_bounds_cross_arm
@@ -26,62 +26,25 @@ from .predictors import (
 )
 
 __all__ = [
-    "IteInterval",
     "bonferroni_ite",
     "KNNSingleQuantile",
     "NestedIteModel",
     "NestedFold",
     "nested_ite_fit",
-    "nested_ite_bounds",
     "nested_ite_predict",
 ]
 
 
-@dataclass(frozen=True)
-class IteInterval:
-    """Interval for tau = Y(1) - Y(0); unbounded sides carry None.
-
-    `alpha_split` records the per-arm error budgets (alpha0, alpha1) for
-    the difference construction; the budgets must sum to the overall
-    miscoverage level.
-    """
-
-    lower: float | None
-    upper: float | None
-    lower_unbounded: bool = False
-    upper_unbounded: bool = False
-    method: str = ""
-    alpha_split: tuple | None = None
-
-    @property
-    def bounded(self) -> bool:
-        return not (self.lower_unbounded or self.upper_unbounded)
-
-    @property
-    def width(self) -> float:
-        if not self.bounded:
-            return np.inf
-        return self.upper - self.lower
-
-    def contains(self, tau) -> bool:
-        lo_ok = self.lower_unbounded or tau >= self.lower
-        hi_ok = self.upper_unbounded or tau <= self.upper
-        return bool(lo_ok and hi_ok)
-
-
-def bonferroni_ite(c1: PredictiveInterval, c0: PredictiveInterval,
-                   alpha_split=None) -> IteInterval:
+def bonferroni_ite(arm1, arm0):
     """Difference interval [L1 - U0, U1 - L0] from per-arm intervals.
 
-    Valid at level 1 - (alpha1 + alpha0) when the inputs hold at their own
-    levels; callers typically build each arm at alpha / 2.
+    `arm1` and `arm0` are the (lower, upper, ...) tuples that
+    `FittedArm.intervals` returns; the result is a (lower, upper) pair of
+    float arrays, -inf / +inf on unbounded sides.  Valid at level
+    1 - (alpha1 + alpha0) when the inputs hold at their own levels;
+    callers typically build each arm at alpha / 2.
     """
-    lower_unbounded = c1.lower_unbounded or c0.upper_unbounded
-    upper_unbounded = c1.upper_unbounded or c0.lower_unbounded
-    lower = None if lower_unbounded else c1.lower - c0.upper
-    upper = None if upper_unbounded else c1.upper - c0.lower
-    return IteInterval(lower, upper, lower_unbounded, upper_unbounded,
-                       method="bonferroni", alpha_split=alpha_split)
+    return arm1[0] - arm0[1], arm1[1] - arm0[0]
 
 
 class KNNSingleQuantile:
@@ -190,7 +153,7 @@ def nested_ite_fit(ds: ObservationalDataset, gamma, alpha,
     return NestedFold(ds, seed).model(gamma, alpha)
 
 
-def nested_ite_bounds(model: NestedIteModel, x):
+def nested_ite_predict(model: NestedIteModel, x):
     """Effect-interval (lower, upper) float arrays at query points, -inf /
     +inf on unbounded sides; crossed endpoints are swapped."""
     lo = np.atleast_1d(model.lo_model.predict(x))
@@ -198,16 +161,3 @@ def nested_ite_bounds(model: NestedIteModel, x):
     swap = lo > hi
     lo[swap], hi[swap] = hi[swap], lo[swap].copy()
     return lo, hi
-
-
-def nested_ite_predict(model: NestedIteModel, x) -> list[IteInterval]:
-    """Effect intervals at query points: `nested_ite_bounds` as
-    `IteInterval` records."""
-    out = []
-    for a, b in zip(*nested_ite_bounds(model, x)):
-        lo_unb = not np.isfinite(a)
-        hi_unb = not np.isfinite(b)
-        out.append(IteInterval(None if lo_unb else float(a),
-                               None if hi_unb else float(b),
-                               lo_unb, hi_unb, method="nested"))
-    return out

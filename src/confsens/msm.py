@@ -24,6 +24,13 @@ __all__ = [
 ]
 
 
+def check_gamma(gamma):
+    """Raise ValueError unless gamma is a finite number >= 1 (NaN and inf
+    are rejected: an infinite gamma bounds no weight)."""
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ValueError(f"gamma must be a finite number >= 1, got {gamma}")
+
+
 @dataclass(frozen=True)
 class SensitivitySpec:
     """Confounding strength gamma >= 1, miscoverage alpha, arm, overlap floor."""
@@ -34,8 +41,7 @@ class SensitivitySpec:
     eta: float = 0.01
 
     def __post_init__(self):
-        if not self.gamma >= 1.0:  # also rejects NaN
-            raise ValueError("gamma must be >= 1")
+        check_gamma(self.gamma)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.t not in (0, 1):
@@ -62,8 +68,7 @@ def weight_bounds_same_arm(e_hat, gamma, t, p_t):
     with odds = ((1 - e)/e)^(2t-1).  The bounds are uniform in y.
     """
     e_hat = _check_e(e_hat)
-    if not gamma >= 1.0:
-        raise ValueError("gamma must be >= 1")
+    check_gamma(gamma)
     odds = ((1.0 - e_hat) / e_hat) ** (2 * t - 1)
     w_lo = (1.0 + odds / gamma) * p_t
     w_hi = (1.0 + gamma * odds) * p_t
@@ -74,8 +79,7 @@ def weight_bounds_cross_arm(e_hat, gamma, t):
     """Bounds when training on arm 1-t and predicting Y(t) of the opposite
     group: [odds/gamma, gamma*odds] with odds = (e/(1-e))^(2t-1)."""
     e_hat = _check_e(e_hat)
-    if not gamma >= 1.0:
-        raise ValueError("gamma must be >= 1")
+    check_gamma(gamma)
     odds = (e_hat / (1.0 - e_hat)) ** (2 * t - 1)
     return odds / gamma, gamma * odds
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .dataset import ObservationalDataset
+from .msm import check_gamma
 
 __all__ = [
     "SyntheticDGP",
@@ -45,6 +46,14 @@ class SyntheticDGP:
     heteroscedastic: bool = False
     two_arm: bool = False  # nonzero control-arm mean surface
     seed: int = 0
+
+    def __post_init__(self):
+        # the mean surfaces read covariates 1 and 2, the control arm's also 3
+        need = 3 if self.two_arm else 2
+        if self.covariate_dim < need:
+            raise ValueError(f"covariate_dim must be >= {need}"
+                             f"{' with two_arm' if self.two_arm else ''}, "
+                             f"got {self.covariate_dim}")
 
     def propensity(self, x):
         x = np.atleast_2d(x)
@@ -123,8 +132,7 @@ def tilt_two_sided(gamma, sample_bank=None, mean=None, sigma=None) -> TiltSpec:
     Cut points come either from the analytic normal proposal (mean, sigma)
     or from empirical quantiles of a bank of proposal draws.
     """
-    if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
+    check_gamma(gamma)
     tau = 1.0 / (2.0 * (gamma + 1.0))
     if sample_bank is not None:
         bank = np.asarray(sample_bank, dtype=float)

@@ -12,6 +12,11 @@ def _run(args):
     return main(args)
 
 
+def _assert_one_error_line(capsys, text="error:"):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and text in err[0]
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "data.csv"
@@ -220,6 +225,44 @@ class TestErrors:
                      str(target_csv), "--gamma", "nan",
                      "--out", str(tmp_path / "o.csv")]) == 1
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["interval"],
+                                         ["ite", "--method", "nested"],
+                                         ["ite", "--method", "bonferroni"]])
+    def test_infinite_gamma_exit_code(self, command, data_csv, target_csv,
+                                      tmp_path, capsys):
+        # used to exit 0 with every row unbounded
+        assert _run([*command, "--data", str(data_csv), "--target",
+                     str(target_csv), "--gamma", "inf",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        _assert_one_error_line(capsys, "gamma")
+
+    @pytest.mark.parametrize("gammas", ["1,inf", "1e6"])
+    def test_sweep_gamma_exit_code(self, gammas, tmp_path, capsys):
+        # inf is refused up front; at 1e6 the oracle's rejection sampler
+        # runs out of rounds and raises RuntimeError
+        assert _run(["sweep", "--methods", "ite-nuc", "--gammas", gammas,
+                     "--n-train", "200", "--n-target", "40", "--n-trials",
+                     "1", "--out-dir", str(tmp_path / "run")]) == 1
+        _assert_one_error_line(capsys)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags", [["--dim", "1"], ["--dim", "0"],
+                                       ["--dim", "2", "--two-arm"]])
+    def test_too_few_covariates_exit_code(self, flags, tmp_path, capsys):
+        # used to end in an IndexError traceback
+        assert _run(["generate", "--n", "10", *flags,
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        _assert_one_error_line(capsys, "covariate_dim")
+
+    def test_ragged_target_row(self, data_csv, tmp_path, capsys):
+        # a short row used to surface numpy's "inhomogeneous shape" text
+        target = tmp_path / "ragged.csv"
+        target.write_text("x1,x2,x3,x4\n0.1,0.2,0.3,0.4\n0.1,0.2,0.3\n")
+        assert _run(["interval", "--data", str(data_csv), "--target",
+                     str(target), "--gamma", "2",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        _assert_one_error_line(capsys, "data row 2 has 3 cells")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert _run(["fit", "--data", str(tmp_path / "nope.csv"),

@@ -5,7 +5,6 @@ from confsens.conformal import (
     PredictiveInterval,
     WeightedDiscreteDist,
     cqr_score_interval,
-    mean_score_interval,
     score_abs_residual,
     score_cqr,
     wcp_threshold_nuc,
@@ -136,7 +135,7 @@ class TestWcpNuc:
 
 class TestIntervalAssembly:
     def test_mean_interval(self):
-        c = mean_score_interval(0.0, 2.0)
+        c = cqr_score_interval(0.0, 0.0, 2.0)
         assert (c.lower, c.upper) == (-2.0, 2.0)
 
     def test_cqr_interval(self):
@@ -144,7 +143,7 @@ class TestIntervalAssembly:
         assert (c.lower, c.upper) == (-1.5, 1.5)
 
     def test_unbounded_flagged(self):
-        c = mean_score_interval(0.0, np.inf)
+        c = cqr_score_interval(0.0, 0.0, np.inf)
         assert not c.bounded and c.lower is None and c.upper is None
         assert c.width == np.inf
         assert c.contains(1e9)
@@ -153,7 +152,7 @@ class TestIntervalAssembly:
         rng = np.random.default_rng(3)
         for _ in range(50):
             mu, thr = rng.normal(), rng.uniform(0.1, 2.0)
-            c = mean_score_interval(mu, thr)
+            c = cqr_score_interval(mu, mu, thr)
             y = rng.normal(scale=2.0)
             assert c.contains(y) == (abs(y - mu) <= thr)
             qlo, qhi = sorted(rng.normal(size=2))

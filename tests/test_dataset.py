@@ -64,6 +64,39 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="data row 2"):
             ingest_csv(path, CsvSchema(covariates=("x1",)))
 
+    def test_first_of_two_bad_rows_named(self, tmp_path):
+        # row 2 is non-finite, row 3 malformed: the earlier row is reported
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,t,y\n0.5,1,1.0\n0.5,1,nan\n0.5,1,oops\n")
+        with pytest.raises(ValueError, match="non-finite value in data row 2"):
+            ingest_csv(path, CsvSchema(covariates=("x1",)))
+        path.write_text("x1,t,y\n0.5,1,1.0\n0.5,1,oops\n0.5,1,nan\n")
+        with pytest.raises(ValueError, match="malformed value in data row 2"):
+            ingest_csv(path, CsvSchema(covariates=("x1",)))
+
+    def test_ragged_row_rejected(self, tmp_path):
+        # a long row used to be accepted silently, a short one reported as
+        # a malformed value
+        path = tmp_path / "bad.csv"
+        for row in ("0.5,1,1.0,9", "0.5,1"):
+            path.write_text(f"x1,t,y\n0.5,1,1.0\n{row}\n")
+            with pytest.raises(ValueError, match="data row 2 has"):
+                ingest_csv(path, CsvSchema(covariates=("x1",)))
+
+    def test_column_outside_schema_unparsed(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,x1,t,y\nunit-a,0.5,1,1.0\nunit-b,0.25,0,2.0\n")
+        ds = ingest_csv(path, CsvSchema(covariates=("x1",)))
+        assert ds.covariates.tolist() == [[0.5], [0.25]]
+        assert ds.treatment.tolist() == [1, 0]
+
+    def test_default_schema_takes_other_columns(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,t,b,y\n0.5,1,2.0,1.0\n")
+        ds = ingest_csv(path)
+        assert ds.names == ("a", "b")
+        assert ds.covariates.tolist() == [[0.5, 2.0]]
+
     def test_non_binary_treatment_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n0.5,0.3,1.0\n")

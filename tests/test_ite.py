@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from confsens.conformal import PredictiveInterval
 from confsens.dataset import ObservationalDataset
 from confsens.ite import (
-    IteInterval,
     KNNSingleQuantile,
     bonferroni_ite,
     nested_ite_fit,
@@ -12,56 +10,39 @@ from confsens.ite import (
 )
 
 
-class TestIteInterval:
-    def test_width_and_contains(self):
-        c = IteInterval(-1.0, 2.0)
-        assert c.width == 3.0
-        assert c.contains(0.0) and c.contains(-1.0) and c.contains(2.0)
-        assert not c.contains(2.1)
-
-    def test_unbounded_sides(self):
-        c = IteInterval(None, 2.0, lower_unbounded=True)
-        assert not c.bounded and c.width == np.inf
-        assert c.contains(-1e9) and not c.contains(3.0)
+def _arm(lower, upper):
+    """Per-arm (lower, upper, threshold) arrays as `FittedArm.intervals`
+    returns them; the threshold is not read."""
+    return (np.atleast_1d(np.asarray(lower, dtype=float)),
+            np.atleast_1d(np.asarray(upper, dtype=float)), None)
 
 
 class TestBonferroni:
     def test_hand_example(self):
-        c1 = PredictiveInterval(1.0, 3.0, 1.0)
-        c0 = PredictiveInterval(-1.0, 0.5, 0.75)
-        d = bonferroni_ite(c1, c0, alpha_split=(0.1, 0.1))
-        assert (d.lower, d.upper) == (0.5, 4.0)
-        assert d.method == "bonferroni"
-        assert d.alpha_split == (0.1, 0.1)
+        lower, upper = bonferroni_ite(_arm(1.0, 3.0), _arm(-1.0, 0.5))
+        assert (lower.tolist(), upper.tolist()) == ([0.5], [4.0])
 
     def test_width_is_sum_of_widths(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            a1, b1 = np.sort(rng.normal(size=2))
-            a0, b0 = np.sort(rng.normal(size=2))
-            d = bonferroni_ite(PredictiveInterval(a1, b1, 1.0),
-                               PredictiveInterval(a0, b0, 1.0))
-            assert d.width == pytest.approx((b1 - a1) + (b0 - a0))
+        a1, b1 = np.sort(rng.normal(size=(2, 20)), axis=0)
+        a0, b0 = np.sort(rng.normal(size=(2, 20)), axis=0)
+        lower, upper = bonferroni_ite(_arm(a1, b1), _arm(a0, b0))
+        assert np.allclose(upper - lower, (b1 - a1) + (b0 - a0))
 
     def test_unbounded_propagates(self):
-        c1 = PredictiveInterval(None, None, np.inf, True, True)
-        c0 = PredictiveInterval(-1.0, 0.5, 0.75)
-        d = bonferroni_ite(c1, c0)
-        assert d.lower_unbounded and d.upper_unbounded
+        lower, upper = bonferroni_ite(_arm(-np.inf, np.inf), _arm(-1.0, 0.5))
+        assert (lower.tolist(), upper.tolist()) == ([-np.inf], [np.inf])
 
     def test_one_sided_unbounded(self):
-        c1 = PredictiveInterval(1.0, 3.0, 1.0)
-        c0 = PredictiveInterval(None, None, np.inf, True, True)
-        d = bonferroni_ite(c1, c0)
-        assert d.lower is None and d.upper is None
+        lower, upper = bonferroni_ite(_arm(1.0, 3.0), _arm(-np.inf, np.inf))
+        assert (lower.tolist(), upper.tolist()) == ([-np.inf], [np.inf])
 
     def test_contains_true_difference(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            y1, y0 = rng.normal(size=2)
-            c1 = PredictiveInterval(y1 - 0.5, y1 + 0.5, 0.5)
-            c0 = PredictiveInterval(y0 - 0.5, y0 + 0.5, 0.5)
-            assert bonferroni_ite(c1, c0).contains(y1 - y0)
+        y1, y0 = rng.normal(size=(2, 50))
+        lower, upper = bonferroni_ite(_arm(y1 - 0.5, y1 + 0.5),
+                                      _arm(y0 - 0.5, y0 + 0.5))
+        assert np.all((lower <= y1 - y0) & (y1 - y0 <= upper))
 
 
 class TestKNNSingleQuantile:
@@ -105,20 +86,16 @@ class TestNested:
         m2 = nested_ite_fit(ds, gamma=1.5, alpha=0.2, seed=3)
         assert m1.n_val == ds.n - ds.n // 2
         xq = np.full((5, 3), 0.5)
-        a = nested_ite_predict(m1, xq)
-        b = nested_ite_predict(m2, xq)
-        for ca, cb in zip(a, b):
-            assert (ca.lower, ca.upper) == (cb.lower, cb.upper)
+        for a, b in zip(nested_ite_predict(m1, xq),
+                        nested_ite_predict(m2, xq)):
+            assert a.shape == (5,) and a.tobytes() == b.tobytes()
 
     def test_predict_ordered_endpoints(self):
         ds = _two_arm_ds(seed=1)
         model = nested_ite_fit(ds, gamma=2.0, alpha=0.25, seed=0)
         rng = np.random.default_rng(2)
-        out = nested_ite_predict(model, rng.uniform(size=(50, 3)))
-        for c in out:
-            assert c.method == "nested"
-            if c.bounded:
-                assert c.lower <= c.upper
+        lower, upper = nested_ite_predict(model, rng.uniform(size=(50, 3)))
+        assert np.all(lower <= upper)
 
     def test_reasonable_coverage_no_confounding(self):
         # with gamma covering the truth (here gamma = 1 suffices: treatment
@@ -131,8 +108,8 @@ class TestNested:
         xq = rng.uniform(size=(n_q, 3))
         tau = (2.0 * xq[:, 0] + rng.normal(size=n_q)) - (
             xq[:, 1] + rng.normal(size=n_q))
-        out = nested_ite_predict(model, xq)
-        cover = np.mean([c.contains(v) for c, v in zip(out, tau)])
+        lower, upper = nested_ite_predict(model, xq)
+        cover = np.mean((lower <= tau) & (tau <= upper))
         assert cover >= 0.7
 
     def test_too_small_arm_error(self):

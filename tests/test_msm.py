@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from confsens.dataset import ObservationalDataset
+from confsens.harness import ExperimentConfig
 from confsens.msm import (
     SensitivitySpec,
     calibrate_gamma,
@@ -11,6 +12,7 @@ from confsens.msm import (
     weight_bounds_cross_arm,
     weight_bounds_same_arm,
 )
+from confsens.oracle import tilt_two_sided
 
 
 class TestSensitivitySpec:
@@ -29,6 +31,19 @@ class TestSensitivitySpec:
                        lambda e: weight_bounds_cross_arm(e, np.nan, 1)):
             with pytest.raises(ValueError, match="gamma"):
                 bounds(np.array([0.5]))
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, -np.inf])
+    def test_nonfinite_gamma_rejected_everywhere(self, gamma):
+        # an infinite gamma bounds no weight: every gamma check refuses it
+        checks = (lambda: SensitivitySpec(gamma=gamma, alpha=0.2, t=1),
+                  lambda: weight_bounds_same_arm(np.array([0.5]), gamma, 1,
+                                                 0.5),
+                  lambda: weight_bounds_cross_arm(np.array([0.5]), gamma, 1),
+                  lambda: ExperimentConfig(gammas=(1.0, gamma)),
+                  lambda: tilt_two_sided(gamma, mean=0.0, sigma=1.0))
+        for check in checks:
+            with pytest.raises(ValueError, match="finite number >= 1"):
+                check()
 
     def test_lam(self):
         assert SensitivitySpec(gamma=1.0, alpha=0.2, t=1).lam == 0.0

@@ -40,6 +40,15 @@ class TestDGP:
         assert dgp.mean_control(x)[0] == pytest.approx(1.0 + extra)
 
 
+    @pytest.mark.parametrize("dim, two_arm", [(1, False), (0, False),
+                                               (2, True)])
+    def test_too_few_covariates_rejected(self, dim, two_arm):
+        # the mean surfaces read covariates 1 and 2, the control arm's 3
+        with pytest.raises(ValueError, match="covariate_dim must be >="):
+            SyntheticDGP(covariate_dim=dim, two_arm=two_arm)
+        SyntheticDGP(covariate_dim=3 if two_arm else 2, two_arm=two_arm)
+
+
 class TestGenerate:
     def test_shapes_and_determinism(self):
         dgp = SyntheticDGP(covariate_dim=6)

@@ -1,6 +1,7 @@
-"""Property tests of the threshold engine's invariants, of the batch
-interval route against the per-target API, and of the shared nested fold
-against a fresh nested fit, over generated inputs.
+"""Property tests of the threshold engine's invariants, of interval
+widths in gamma, of the batch interval route against the per-target API,
+and of the shared nested fold against a fresh nested fit, over generated
+inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -20,8 +21,12 @@ from confsens.csa import (
     greedy_threshold_batch,
 )
 from confsens.cssa import BalanceConstraint, cssa_interval, cssa_threshold_batch
-from confsens.ite import NestedFold, nested_ite_bounds, nested_ite_fit
-from confsens.msm import SensitivitySpec, weight_bounds_same_arm
+from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
+from confsens.msm import (
+    SensitivitySpec,
+    min_miscoverage,
+    weight_bounds_same_arm,
+)
 from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
 
@@ -97,6 +102,23 @@ def test_csa_threshold_nondecreasing_in_gamma(inst):
     assert np.all(thr[1:] >= thr[:-1])
 
 
+@_settings
+@given(instances(), st.sampled_from(GAMMAS),
+       st.floats(1e-6, 0.9, exclude_min=True), st.booleans())
+def test_csa_unbounded_iff_alpha_below_alpha_star(inst, gamma, rel, below):
+    # alpha is drawn outside a relative 1e-6 band around alpha*, where the
+    # greedy's sums and the closed form may round to different sides
+    scores, e_cal, e_target, p_t, _, t = inst
+    for e_t in e_target:
+        a_star = min_miscoverage(e_cal, e_t, gamma, t, p_t)
+        alpha = a_star * (1.0 - rel if below else 1.0 + rel)
+        if not 0.0 < alpha < 1.0:
+            continue
+        spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
+        thr = csa_threshold_batch(scores, e_cal, [e_t], spec, p_t)[0]
+        assert np.isinf(thr) == below
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(instances(), st.sampled_from(GAMMAS), st.floats(0.0, 1.0))
 @example((np.arange(7.0), np.full(7, 0.5), np.array([0.5]), 0.2, 0.125, 1),
@@ -157,6 +179,40 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
                     for c in single] == list(upper)
 
 
+def _assert_nested_in_gamma(intervals):
+    """Each interval holds the one at the previous gamma."""
+    for (lo_a, hi_a, _), (lo_b, hi_b, _) in zip(intervals, intervals[1:]):
+        assert np.all(lo_b <= lo_a) and np.all(hi_b >= hi_a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
+       p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
+       alpha=st.sampled_from([0.2, 0.3]))
+def test_interval_widths_grow_with_gamma(seed, n, p, m, t, alpha):
+    dgp = SyntheticDGP(covariate_dim=p)
+    ds, _ = generate(dgp, n, seed=seed)
+    x_target = generate(dgp, m, seed=seed + 1)[0].covariates
+    arm = fit_arms(ds, alpha, seed)[t]
+    for score in ("mean", "cqr"):
+        nuc = [arm.intervals(x_target, g, alpha, "nuc", score)
+               for g in GAMMAS]
+        assert all(a.tobytes() == b.tobytes()
+                   for other in nuc[1:] for a, b in zip(nuc[0], other))
+        _assert_nested_in_gamma([arm.intervals(x_target, g, alpha, "csa",
+                                               score) for g in GAMMAS])
+        # the fallback to CSA on infeasible balance rows breaks monotonicity,
+        # so only gammas whose call did not warn are compared
+        sharp = []
+        for g in GAMMAS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = arm.intervals(x_target, g, alpha, "cssa", score)
+            if not caught:
+                sharp.append(out)
+        _assert_nested_in_gamma(sharp)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(120, 260),
        p=st.integers(3, 5), two_arm=st.booleans(),
@@ -172,6 +228,6 @@ def test_nested_fold_equals_fresh_fit(seed, n, p, two_arm, gammas, alpha):
         assert shared.lo_model.y.tobytes() == fresh.lo_model.y.tobytes()
         assert shared.hi_model.y.tobytes() == fresh.hi_model.y.tobytes()
         assert shared.n_unbounded == fresh.n_unbounded
-        for a, b in zip(nested_ite_bounds(shared, x_target),
-                        nested_ite_bounds(fresh, x_target)):
+        for a, b in zip(nested_ite_predict(shared, x_target),
+                        nested_ite_predict(fresh, x_target)):
             assert a.tobytes() == b.tobytes()
