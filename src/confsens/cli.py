@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -237,13 +238,20 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; return the exit code.  Errors print as one
+    `error:` line, and each distinct warning (e.g. the CSSA fallback to
+    the unconstrained thresholds) as one `warning:` line on stderr."""
     args = build_parser().parse_args(argv)
-    try:
-        args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    status = 0
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args.func(args)
+        except (ValueError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

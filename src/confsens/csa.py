@@ -31,7 +31,6 @@ __all__ = [
     "csa_threshold",
     "csa_threshold_batch",
     "csa_interval",
-    "union_interval_check",
 ]
 
 
@@ -160,21 +159,3 @@ def csa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
                             propensity.predict(x_target), spec, p_t)
     lo, hi = score_band(score, model, x_target)
     return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])
-
-
-def union_interval_check(intervals) -> PredictiveInterval:
-    """Envelope [min lower, max upper] of fixed-sensitivity-model intervals.
-
-    Test-side realization of the union construction; the worst-case
-    interval must contain this envelope for sampled fixed models.
-    """
-    intervals = list(intervals)
-    if not intervals:
-        raise ValueError("need at least one interval")
-    lower_unbounded = any(c.lower_unbounded for c in intervals)
-    upper_unbounded = any(c.upper_unbounded for c in intervals)
-    lower = None if lower_unbounded else min(c.lower for c in intervals)
-    upper = None if upper_unbounded else max(c.upper for c in intervals)
-    threshold = max(c.threshold for c in intervals)
-    return PredictiveInterval(lower, upper, threshold,
-                              lower_unbounded, upper_unbounded)

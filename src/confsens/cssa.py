@@ -3,9 +3,10 @@
 Adds researcher-chosen moment constraints to the worst-case quantile
 optimization, which can only shrink the feasible weight set and hence the
 interval.  Each probe of the position search solves a linear-fractional
-program (maximize normalized tail mass): exactly by Dinkelbach's method
-for a single positive balance constraint, otherwise as one LP through the
-Charnes-Cooper change of variables.
+program (maximize normalized tail mass).  With a single positive balance
+constraint the optimal weights are one corner-plus-repair vector whatever
+the optimal ratio, so one greedy pass solves it exactly; any other set is
+solved as one LP through the Charnes-Cooper change of variables.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def _probe(j, h, lo, hi, A, b, slack_rel) -> FractionalResult:
     """Max normalized tail mass from 1-based position j over the
     calibration box and balance rows, with the sentinel weight folded in
     as the constant h (its optimum is always the upper bound).  A single
-    all-positive constraint has an exact direct solution; any other set
-    is solved as an LP."""
+    all-positive constraint is solved exactly by one greedy pass
+    (`_probe_single_constraint`); any other set as an LP."""
     if A.shape[0] == 1 and np.all(A[0] > 0.0):
         return FractionalResult(*_probe_single_constraint(
             j, h, lo, hi, A[0], b[0], slack_rel))
@@ -171,68 +172,42 @@ def cssa_threshold(scores, lo, hi, constraints, alpha,
                                       slack_rel=slack_rel)[0])
 
 
-def _max_linear_box_interval(r, a, lo, hi, lower, upper):
-    """Maximize r.w over lo <= w <= hi subject to lower <= a.w <= upper,
-    with a > 0 componentwise.  Exact vertex solution via the breakpoint
-    walk of the single-constraint Lagrangian (at most one fractional
-    coordinate).  Returns (feasible, w).
+def _probe_single_constraint(j, h, lo, hi, a, b, slack_rel):
+    """Max (tail(w) + h)/(sum(w) + h) over the box and one row
+    a.w in [b - delta, b + delta] with a > 0, in one greedy pass.
+
+    At a ratio lam in (0, 1), Dinkelbach's inner objective weighs the tail
+    by 1 - lam > 0 and the rest by -lam < 0.  Its box optimum puts the
+    tail at `hi` and the rest at `lo`; if the row cuts that corner off,
+    Dantzig's knapsack repair lowers the tail weights (or raises the rest)
+    by (1 - lam)/a (or lam/a), i.e. in decreasing a whatever lam.  So the
+    inner maximizer is one vector, the fixed point of Dinkelbach's loop,
+    and at most one weight ends fractional.  A row below the corner is
+    the mirror image on -w (negation is exact).  Returns (feasible, value).
     """
-    w = np.where(r > 0.0, hi, lo)
+    c = np.zeros(lo.shape[0])
+    c[j - 1:] = 1.0
+    tail = c > 0.0
+    w = np.where(tail, hi, lo)
+    lower, upper = b - slack_rel * abs(b), b + slack_rel * abs(b)
     total = float(a @ w)
-    if lower - 1e-12 <= total <= upper + 1e-12:
-        return True, w
-    if total > upper:
-        # flip coordinates currently at hi back toward lo, cheapest
-        # objective loss per unit of a first (largest mu = r/a last)
-        cand = np.flatnonzero(r > 0.0)
-        order = cand[np.argsort(r[cand] / a[cand], kind="stable")]
-        bound = upper
-        for i in order:
-            drop = a[i] * (w[i] - lo[i])
-            if total - drop >= bound:
-                w[i] = lo[i]
-                total -= drop
-            else:
-                w[i] -= (total - bound) / a[i]
-                return True, w
-        return bool(total <= bound + 1e-12), w
-    # total < lower: raise coordinates currently at lo, cheapest loss first
-    cand = np.flatnonzero(r <= 0.0)
-    order = cand[np.argsort(-r[cand] / a[cand], kind="stable")]
-    bound = lower
-    for i in order:
-        gain = a[i] * (hi[i] - w[i])
-        if total + gain <= bound:
-            w[i] = hi[i]
-            total += gain
-        else:
-            w[i] += (bound - total) / a[i]
-            return True, w
-    return bool(total >= bound - 1e-12), w
-
-
-def _probe_single_constraint(j, h, lo, hi, a, b, slack_rel, max_iter=100):
-    """Dinkelbach solve of max (tail(w) + h)/(sum(w) + h) under a box and
-    one interval constraint a.w in [b - delta, b + delta]; exact because
-    each inner maximization is solved exactly."""
-    n = lo.shape[0]
-    c = np.zeros(n)
-    if j - 1 < n:
-        c[j - 1:] = 1.0
-    delta = slack_rel * abs(b)
-    lower, upper = b - delta, b + delta
-    feasible, w = _max_linear_box_interval(c, a, lo, hi, lower, upper)
-    if not feasible:
-        return False, None
-    lam = (float(c @ w) + h) / (float(w.sum()) + h)
-    for _ in range(max_iter):
-        _, w = _max_linear_box_interval(c - lam, a, lo, hi, lower, upper)
-        gap = float((c - lam) @ w) + h * (1.0 - lam)
-        new_lam = (float(c @ w) + h) / (float(w.sum()) + h)
-        if gap <= 1e-12 or new_lam - lam <= 1e-14:
-            return True, new_lam
-        lam = new_lam
-    return True, lam
+    if not lower - 1e-12 <= total <= upper + 1e-12:
+        # row above the corner: lower the tail weights; below: raise the rest
+        s, bound, move = ((1.0, upper, tail) if total > upper
+                          else (-1.0, -lower, ~tail))
+        v, floor = s * w, s * np.where(tail, lo, hi)
+        order = np.flatnonzero(move)[np.argsort(-a[move], kind="stable")]
+        run = np.subtract.accumulate(
+            np.append(s * total, a[order] * (v[order] - floor[order])))
+        short = np.flatnonzero(run[1:] < bound)
+        if short.size == 0 and run[-1] > bound + 1e-12:
+            return False, None
+        k = short[0] if short.size else order.size
+        v[order[:k]] = floor[order[:k]]
+        if short.size:
+            v[order[k]] -= (run[k] - bound) / a[order[k]]
+        w = s * v
+    return True, (float(c @ w) + h) / (float(w.sum()) + h)
 
 
 def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
@@ -246,8 +221,8 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
     sentinel mass, so the position is monotone in `hi_target`.  Targets
     are therefore taken in ascending sentinel mass, each searched between
     the previous target's position and its own greedy flip (`_search`).
-    With a single positive balance constraint each probe uses the exact
-    direct method; otherwise the general LP route is taken.
+    With a single positive balance constraint each probe is one exact
+    greedy pass (no iteration); otherwise the general LP route is taken.
 
     When every weight box is a point (gamma = 1) or there are no
     constraints, the greedy thresholds are returned; if a probe finds the

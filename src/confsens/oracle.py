@@ -26,7 +26,6 @@ __all__ = [
     "tilt_two_sided",
     "sample_counterfactual",
     "sample_counterfactual_batch",
-    "true_ite_sample",
     "sample_target_outcomes",
     "emit_truth_csv",
 ]
@@ -179,7 +178,8 @@ def sample_counterfactual_batch(gamma, mean, sigma, rng) -> np.ndarray:
     out = np.empty(n)
     todo = np.arange(n)
     p_inside = 1.0 / gamma ** 2
-    for _ in range(200):  # acceptance >= 1/gamma per round
+    rounds = 200  # acceptance >= 1/gamma per round
+    for _ in range(rounds):
         draw = mean[todo] + sigma[todo] * rng.standard_normal(todo.size)
         zscore = (draw - mean[todo]) / sigma[todo]
         inside = (zscore >= z) & (zscore <= -z)
@@ -188,34 +188,10 @@ def sample_counterfactual_batch(gamma, mean, sigma, rng) -> np.ndarray:
         todo = todo[~accept]
         if todo.size == 0:
             return out
-    raise RuntimeError("rejection sampling failed; tilt invariants violated")
-
-
-def true_ite_sample(dgp: SyntheticDGP, truth: TruthRecord, index, gamma,
-                    rng) -> float:
-    """One MSM-consistent draw of tau = Y(1) - Y(0) for a target unit.
-
-    The unit's arm is drawn from its true propensity; the factual outcome
-    comes from the observed law, the missing one from the tilted
-    counterfactual law at the given gamma.
-    """
-    i = int(index)
-    e, mu1, mu0, sig = (truth.e[i], truth.mu1[i], truth.mu0[i],
-                        truth.sigma[i])
-    t = int(rng.uniform() < e)
-
-    def draw(mu, counterfactual):
-        if not counterfactual:
-            return mu + sig * rng.standard_normal()
-        tilt = tilt_two_sided(gamma, mean=mu, sigma=sig)
-        return sample_counterfactual(
-            tilt, lambda r, k: mu + sig * r.standard_normal(k), rng)
-
-    y1 = draw(mu1, counterfactual=(t == 0))
-    if not dgp.two_arm:
-        return float(y1)
-    y0 = draw(mu0, counterfactual=(t == 1))
-    return float(y1 - y0)
+    raise RuntimeError(f"rejection sampling at gamma={gamma:g} left "
+                       f"{todo.size} of {n} draws unaccepted after {rounds} "
+                       f"rounds; acceptance per round can be as low as "
+                       f"1/gamma")
 
 
 def sample_target_outcomes(truth: TruthRecord, arm, gamma, rng):

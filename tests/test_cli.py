@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from confsens.cli import main
+from confsens.dataset import ObservationalDataset, emit_csv
 
 
 def _run(args):
@@ -128,6 +129,30 @@ class TestInterval:
                      str(target_csv), "--gamma", "1.5", "--score", "cqr",
                      "--out", str(out)]) == 0
         assert out.read_text().count("\n") >= 2
+
+
+class TestCssaFallback:
+    def test_fallback_prints_one_warning_line(self, tmp_path, capsys):
+        # treatment almost separated by x1: the propensity-balance row is
+        # infeasible for the treated arm, so cssa falls back to csa
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(300, 3))
+        t = (x[:, 0] + 0.05 * rng.normal(size=300) > 0.5).astype(int)
+        y = x[:, 1] + rng.normal(size=300)
+        data = tmp_path / "separated.csv"
+        emit_csv(ObservationalDataset(x, t, y), data)
+        common = ["--data", str(data), "--target", str(data),
+                  "--gamma", "1.5", "--t", "1"]
+        assert _run(["interval", *common, "--method", "csa",
+                     "--out", str(tmp_path / "csa.csv")]) == 0
+        capsys.readouterr()
+        assert _run(["interval", *common, "--method", "cssa",
+                     "--out", str(tmp_path / "cssa.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: balancing constraints infeasible; falling "
+                       "back to the unconstrained thresholds"]
+        assert ((tmp_path / "cssa.csv").read_bytes()
+                == (tmp_path / "csa.csv").read_bytes())
 
 
 class TestIte:

@@ -15,7 +15,6 @@ from confsens.csa import (
     csa_threshold_batch,
     greedy_max_quantile,
     greedy_threshold_batch,
-    union_interval_check,
 )
 from confsens.msm import SensitivitySpec
 from confsens.predictors import fit_mean, fit_propensity
@@ -198,23 +197,6 @@ class TestInterval:
 
 
 class TestUnionCheck:
-    def test_envelope(self):
-        from confsens.conformal import PredictiveInterval
-        a = PredictiveInterval(0.0, 1.0, 1.0)
-        b = PredictiveInterval(-1.0, 0.5, 1.2)
-        env = union_interval_check([a, b])
-        assert (env.lower, env.upper) == (-1.0, 1.0)
-
-    def test_single_interval_identity(self):
-        from confsens.conformal import PredictiveInterval
-        a = PredictiveInterval(0.0, 1.0, 1.0)
-        env = union_interval_check([a])
-        assert (env.lower, env.upper) == (0.0, 1.0)
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            union_interval_check([])
-
     def test_fixed_tilt_intervals_contained(self):
         """Worst-case interval must contain the interval of every fixed
         sensitivity model: here models are described by a piecewise tilt

@@ -9,7 +9,6 @@ from confsens.cssa import (
     FractionalProgram,
     FractionalResult,
     _charnes_cooper,
-    _max_linear_box_interval,
     _probe_single_constraint,
     balance_rhs,
     cssa_interval,
@@ -115,39 +114,6 @@ class TestSolveFractional:
 
 
 class TestBreakpointWalk:
-    def test_matches_lp_randomized(self):
-        rng = np.random.default_rng(2)
-        from confsens.lp import solve_lp
-        for _ in range(200):
-            n = int(rng.integers(2, 8))
-            lo = rng.uniform(0.1, 0.5, size=n)
-            hi = lo + rng.uniform(0.0, 0.5, size=n)
-            a = rng.uniform(0.2, 2.0, size=n)
-            r = rng.normal(size=n)
-            lower = float(a @ lo) + rng.uniform(0, 1) * float(a @ (hi - lo))
-            width = rng.uniform(0.0, 0.2)
-            feasible, w = _max_linear_box_interval(r, a, lo, hi,
-                                                   lower - width,
-                                                   lower + width)
-            # LP in shifted variables y = w - lo >= 0
-            res = solve_lp(
-                r, A_ub=np.vstack([np.eye(n), a, -a]),
-                b_ub=np.concatenate([hi - lo,
-                                     [lower + width - a @ lo],
-                                     [-(lower - width - a @ lo)]]),
-                maximize=True)
-            assert feasible == res.optimal
-            if feasible:
-                assert r @ w == pytest.approx(res.value + r @ lo, abs=1e-8)
-
-    def test_infeasible_interval(self):
-        lo = np.array([0.1, 0.1])
-        hi = np.array([0.2, 0.2])
-        ok, _ = _max_linear_box_interval(np.array([1.0, -1.0]),
-                                         np.array([1.0, 1.0]),
-                                         lo, hi, 10.0, 11.0)
-        assert not ok
-
     def test_single_constraint_probe_matches_lp_probe(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -1,4 +1,5 @@
-"""Property tests of the threshold engine's invariants, of interval
+"""Property tests of the threshold engine's invariants, of the single-row
+CSSA probe against the LP route, of interval
 widths in gamma, of the batch interval route against the per-target API,
 and of the shared nested fold against a fresh nested fit, over generated
 inputs.
@@ -20,7 +21,13 @@ from confsens.csa import (
     greedy_max_quantile,
     greedy_threshold_batch,
 )
-from confsens.cssa import BalanceConstraint, cssa_interval, cssa_threshold_batch
+from confsens.cssa import (
+    BalanceConstraint,
+    _charnes_cooper,
+    _probe,
+    cssa_interval,
+    cssa_threshold_batch,
+)
 from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
 from confsens.msm import (
     SensitivitySpec,
@@ -137,6 +144,48 @@ def test_cssa_never_exceeds_csa(inst, gamma, where):
                                      [BalanceConstraint(g, rhs)], alpha, hi_t)
     plain = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
     assert np.all(sharp <= plain)
+
+
+@st.composite
+def single_row_probes(draw):
+    """A calibration box, one positive balance row, the sentinel mass h
+    and a 1-based position 2..n+1 (the positions the CSSA search probes).
+
+    Entries are free floats or quarters, which tie in a, lo and hi.  The
+    row's right-hand side lies at the start corner (tail at hi, the rest
+    at lo), anywhere between the box's extremes (so above or below the
+    corner), or a margin outside them: infeasible rows stay clear of the
+    boundary, where HiGHS's 1e-7 feasibility tolerance and the probe's
+    1e-12 slack legitimately disagree.
+    """
+    n = draw(st.integers(1, 20))
+    entry = (st.integers(1, 8).map(lambda k: k / 4.0) if draw(st.booleans())
+             else st.floats(0.05, 2.0))
+    lo, width, a = (np.array(draw(st.lists(s, min_size=n, max_size=n)))
+                    for s in (entry, entry | st.just(0.0), entry))
+    hi = lo + width
+    j = draw(st.integers(2, n + 1))
+    corner = float(a @ np.where(np.arange(n) >= j - 1, hi, lo))
+    low, high = float(a @ lo), float(a @ hi)
+    b = draw(st.one_of(
+        st.just(corner),
+        st.floats(0.0, 1.0).map(lambda u: low + u * (high - low)),
+        st.floats(0.2, 0.9).map(lambda u: u * low),
+        st.floats(1.1, 2.0).map(lambda u: u * high)))
+    h = draw(st.floats(0.05, 3.0))
+    slack = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+    return j, h, lo, hi, a[None, :], np.array([b]), slack
+
+
+@_settings
+@given(single_row_probes())
+def test_single_row_probe_equals_lp(probe):
+    got = _probe(*probe)
+    j, *rest = probe
+    want = _charnes_cooper(j - 1, *rest)
+    assert got.feasible == want.feasible
+    if got.feasible:
+        assert abs(got.value - want.value) <= 1e-7
 
 
 def _per_target(arm, method, x, gamma, alpha, score):
