@@ -2,11 +2,15 @@
 
 Adds researcher-chosen moment constraints to the worst-case quantile
 optimization, which can only shrink the feasible weight set and hence the
-interval.  Each probe of the position search solves a linear-fractional
-program (maximize normalized tail mass).  With a single positive balance
-constraint the optimal weights are one corner-plus-repair vector whatever
-the optimal ratio, so one greedy pass solves it exactly; any other set is
-solved as one LP through the Charnes-Cooper change of variables.
+interval.  A target's threshold is the largest position whose maximal
+normalized tail mass exceeds the level.  By Dinkelbach's lemma that test
+needs only the weights maximizing tail - level * total, which do not
+depend on the target's sentinel mass: one target-free probe per position,
+shared by every target of a batch, which bisect their positions in
+lockstep.  With a single positive balance constraint a probe is one
+greedy pass; any other set is one LP.  `solve_fractional` solves the
+fractional program itself as one LP through the Charnes-Cooper change of
+variables.
 """
 
 from __future__ import annotations
@@ -98,8 +102,13 @@ def balance_rhs(treatment, e_hat, g_values, t) -> float:
 
 
 def solve_fractional(fp: FractionalProgram) -> FractionalResult:
-    """Exact solve of the linear-fractional program via Charnes-Cooper:
-    one LP, no convergence loop."""
+    """Exact solve of the linear-fractional program as one LP through the
+    Charnes-Cooper change of variables: no convergence loop.
+
+    Variables (u, s) with s = 1 / sum(w) and u = s * w: maximize the tail
+    sum of u subject to sum(u) = 1, the scaled box lo * s <= u <= hi * s
+    and the scaled balance rows |A u - b s| <= slack_rel * |b| * s.
+    """
     n = fp.lo.shape[0]
     if fp.A_eq is None:
         A, b = np.zeros((0, n)), np.zeros(0)
@@ -108,32 +117,16 @@ def solve_fractional(fp: FractionalProgram) -> FractionalResult:
         b = np.atleast_1d(np.asarray(fp.b_eq, dtype=float))
         if A.shape[1] != n:
             raise ValueError("constraint length != number of variables")
-    return _charnes_cooper(fp.tail_index, 0.0, fp.lo, fp.hi, A, b,
-                           fp.slack_rel)
-
-
-def _charnes_cooper(tail_index, h, lo, hi, A, b, slack_rel) -> FractionalResult:
-    """Maximize (sum_{i >= tail_index} w_i + h) / (sum_i w_i + h) over
-    lo <= w <= hi and |A w - b| <= slack_rel * |b| row by row, as one LP.
-
-    Variables (u, s) with s = 1 / (sum(w) + h) and u = s * w: maximize the
-    tail sum of u plus h * s subject to sum(u) + h * s = 1, the scaled box
-    lo * s <= u <= hi * s and the scaled balance rows.  `h` is a constant
-    mass in the numerator and the denominator, e.g. the sentinel at its
-    upper bound; 0 when every weight is a variable.
-    """
-    n = lo.shape[0]
     eye = np.eye(n)
-    delta = slack_rel * np.abs(b)
-    A_ub = np.vstack([np.column_stack([-eye, lo]),     # lo * s - u <= 0
-                      np.column_stack([eye, -hi]),     # u - hi * s <= 0
+    delta = fp.slack_rel * np.abs(b)
+    A_ub = np.vstack([np.column_stack([-eye, fp.lo]),  # lo * s - u <= 0
+                      np.column_stack([eye, -fp.hi]),  # u - hi * s <= 0
                       np.column_stack([A, -(b + delta)]),
                       np.column_stack([-A, b - delta])])
     c = np.zeros(n + 1)
-    c[tail_index:n] = 1.0
-    c[n] = h
+    c[fp.tail_index:n] = 1.0
     res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
-                   A_eq=np.append(np.ones(n), h)[None, :], b_eq=[1.0],
+                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
                    maximize=True)
     if not res.optimal or res.x[n] <= 0:
         return FractionalResult(feasible=False)
@@ -141,16 +134,57 @@ def _charnes_cooper(tail_index, h, lo, hi, A, b, slack_rel) -> FractionalResult:
                             weights=res.x[:n] / res.x[n])
 
 
-def _probe(j, h, lo, hi, A, b, slack_rel) -> FractionalResult:
-    """Max normalized tail mass from 1-based position j over the
-    calibration box and balance rows, with the sentinel weight folded in
-    as the constant h (its optimum is always the upper bound).  A single
-    all-positive constraint is solved exactly by one greedy pass
-    (`_probe_single_constraint`); any other set as an LP."""
-    if A.shape[0] == 1 and np.all(A[0] > 0.0):
-        return FractionalResult(*_probe_single_constraint(
-            j, h, lo, hi, A[0], b[0], slack_rel))
-    return _charnes_cooper(j - 1, h, lo, hi, A, b, slack_rel)
+def _probe(j, lo, hi, A, b, level, slack_rel):
+    """(tail, total) = (c @ w, w.sum()) for the weights w that maximize
+    c @ w - level * w.sum() over the calibration box and the balance rows
+    |A w - b| <= slack_rel * |b|, with c the indicator of the 1-based
+    positions >= j; None when the rows are infeasible.
+
+    By Dinkelbach's lemma, for any sentinel mass h > 0 some w in the set
+    has (c @ w + h) / (w.sum() + h) > level exactly when this w does, and
+    w does not depend on h: one probe serves every target of a batch.
+
+    A single all-positive row is solved by one greedy pass.  The box
+    optimum puts the tail at `hi` and the rest at `lo`; if the row cuts
+    that corner off, Dantzig's knapsack repair lowers the tail weights (or
+    raises the rest) by (1 - level)/a (or level/a) per unit of the row,
+    i.e. in decreasing a whatever the level, and at most one weight ends
+    fractional.  A row below the corner is the mirror image on -w
+    (negation is exact).  Any other row set is one LP.
+    """
+    c = np.zeros(lo.shape[0])
+    c[j - 1:] = 1.0
+    if A.shape[0] != 1 or not np.all(A[0] > 0.0):
+        eye = np.eye(lo.shape[0])
+        delta = slack_rel * np.abs(b)
+        res = solve_lp(c - level, A_ub=np.vstack([eye, -eye, A, -A]),
+                       b_ub=np.concatenate([hi, -lo, b + delta, delta - b]),
+                       maximize=True)
+        if not res.optimal:
+            return None
+        return float(c @ res.x), float(res.x.sum())
+    a, b = A[0], b[0]
+    tail = c > 0.0
+    w = np.where(tail, hi, lo)
+    lower, upper = b - slack_rel * abs(b), b + slack_rel * abs(b)
+    total = float(a @ w)
+    if not lower - 1e-12 <= total <= upper + 1e-12:
+        # row above the corner: lower the tail weights; below: raise the rest
+        s, bound, move = ((1.0, upper, tail) if total > upper
+                          else (-1.0, -lower, ~tail))
+        v, floor = s * w, s * np.where(tail, lo, hi)
+        order = np.flatnonzero(move)[np.argsort(-a[move], kind="stable")]
+        run = np.subtract.accumulate(
+            np.append(s * total, a[order] * (v[order] - floor[order])))
+        short = np.flatnonzero(run[1:] < bound)
+        if short.size == 0 and run[-1] > bound + 1e-12:
+            return None
+        k = short[0] if short.size else order.size
+        v[order[:k]] = floor[order[:k]]
+        if short.size:
+            v[order[k]] -= (run[k] - bound) / a[order[k]]
+        w = s * v
+    return float(c @ w), float(w.sum())
 
 
 def cssa_threshold(scores, lo, hi, constraints, alpha,
@@ -172,57 +206,19 @@ def cssa_threshold(scores, lo, hi, constraints, alpha,
                                       slack_rel=slack_rel)[0])
 
 
-def _probe_single_constraint(j, h, lo, hi, a, b, slack_rel):
-    """Max (tail(w) + h)/(sum(w) + h) over the box and one row
-    a.w in [b - delta, b + delta] with a > 0, in one greedy pass.
-
-    At a ratio lam in (0, 1), Dinkelbach's inner objective weighs the tail
-    by 1 - lam > 0 and the rest by -lam < 0.  Its box optimum puts the
-    tail at `hi` and the rest at `lo`; if the row cuts that corner off,
-    Dantzig's knapsack repair lowers the tail weights (or raises the rest)
-    by (1 - lam)/a (or lam/a), i.e. in decreasing a whatever lam.  So the
-    inner maximizer is one vector, the fixed point of Dinkelbach's loop,
-    and at most one weight ends fractional.  A row below the corner is
-    the mirror image on -w (negation is exact).  Returns (feasible, value).
-    """
-    c = np.zeros(lo.shape[0])
-    c[j - 1:] = 1.0
-    tail = c > 0.0
-    w = np.where(tail, hi, lo)
-    lower, upper = b - slack_rel * abs(b), b + slack_rel * abs(b)
-    total = float(a @ w)
-    if not lower - 1e-12 <= total <= upper + 1e-12:
-        # row above the corner: lower the tail weights; below: raise the rest
-        s, bound, move = ((1.0, upper, tail) if total > upper
-                          else (-1.0, -lower, ~tail))
-        v, floor = s * w, s * np.where(tail, lo, hi)
-        order = np.flatnonzero(move)[np.argsort(-a[move], kind="stable")]
-        run = np.subtract.accumulate(
-            np.append(s * total, a[order] * (v[order] - floor[order])))
-        short = np.flatnonzero(run[1:] < bound)
-        if short.size == 0 and run[-1] > bound + 1e-12:
-            return False, None
-        k = short[0] if short.size else order.size
-        v[order[:k]] = floor[order[:k]]
-        if short.size:
-            v[order[k]] -= (run[k] - bound) / a[order[k]]
-        w = s * v
-    return True, (float(c @ w) + h) / (float(w.sum()) + h)
-
-
 def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
                          slack_rel=1e-6):
     """Constrained thresholds for many targets over one calibration set.
 
     `scores`/`lo_c`/`hi_c` cover the n calibration units (unsorted);
-    `hi_target` gives each target's sentinel upper bound.  The optimal
-    flip position never exceeds the unconstrained greedy one, and for a
-    fixed position the maximal tail fraction is nondecreasing in the
-    sentinel mass, so the position is monotone in `hi_target`.  Targets
-    are therefore taken in ascending sentinel mass, each searched between
-    the previous target's position and its own greedy flip (`_search`).
-    With a single positive balance constraint each probe is one exact
-    greedy pass (no iteration); otherwise the general LP route is taken.
+    `hi_target` gives each target's sentinel upper bound h.  A target's
+    threshold sits at the largest 1-based position j, never above its
+    unconstrained greedy flip, whose maximal tail fraction
+    (tail + h) / (total + h) exceeds the level; position 1 always does.
+    The probe at j does not depend on the target (`_probe`), so all
+    targets bisect [1, flip] in lockstep and each distinct midpoint is
+    probed once per batch.  Raises RuntimeError when the probed
+    tail - level * total, which cannot grow with j, does.
 
     When every weight box is a point (gamma = 1) or there are no
     constraints, the greedy thresholds are returned; if a probe finds the
@@ -247,63 +243,26 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
     b = np.array([con.rhs for con in constraints], dtype=float)
     level = alpha + _NORM_TOL  # decides exact ties as the greedy does
 
-    out = np.empty(hi_target.shape[0])
-    j = 1  # the whole mass lies above position 1, and 1 > alpha
-    try:
-        for ti in np.argsort(hi_target, kind="stable"):
-            j = _search(j, flips[ti], level, lambda k, h=hi_target[ti]:
-                        _probe(k, h, lo, hi, A, b, slack_rel))
-            out[ti] = ext[j - 1]
-    except _Infeasible:
-        warnings.warn("balancing constraints infeasible; falling back to "
-                      "the unconstrained thresholds")
-        return ext[flips - 1]
-    return out
-
-
-class _Infeasible(Exception):
-    """A probe found the balancing constraints infeasible."""
-
-
-def _search(left, right, level, probe):
-    """Largest 1-based position in [left, right] whose maximal tail
-    fraction `probe(j).value` exceeds `level`, given that `left`'s does.
-
-    The likeliest answers are probed first: the earlier target's answer
-    `left` when there is one (left > 1), confirmed by probing just above
-    it, then the greedy flip `right`; bisection finds the rest.  Most
-    targets in a batch cost one probe; a lone target costs a probe of its
-    flip and, if that fails, a bisection of [1, flip].  Raises
-    `_Infeasible` on an infeasible probe and RuntimeError when the probe
-    values increase with the position.
-    """
-    values = {}
-
-    def above(j):
-        if j not in values:
-            res = probe(j)
-            if not res.feasible:
-                raise _Infeasible
-            values[j] = res.value
-        return values[j] > level
-
-    if 1 < left < right:
-        if above(left + 1):
-            left += 1
-        else:
-            right = left + 1
-    if left < right and above(right):
-        left = right
-    while right - left > 1:
-        mid = (left + right) // 2
-        if above(mid):
-            left = mid
-        else:
-            right = mid
-    vals = [values[k] for k in sorted(values)]
-    if any(a < b - 1e-9 for a, b in zip(vals, vals[1:])):
+    tail, total = np.full((2, ext.shape[0] + 1), np.nan)
+    left, right = np.ones_like(flips), flips.copy()
+    while np.any(left < right):
+        live = np.flatnonzero(left < right)
+        mid = (left[live] + right[live] + 1) // 2
+        for j in np.unique(mid[np.isnan(tail[mid])]):
+            probe = _probe(j, lo, hi, A, b, level, slack_rel)
+            if probe is None:
+                warnings.warn("balancing constraints infeasible; falling "
+                              "back to the unconstrained thresholds")
+                return ext[flips - 1]
+            tail[j], total[j] = probe
+        h = hi_target[live]
+        above = (tail[mid] + h) / (total[mid] + h) > level
+        left[live] = np.where(above, mid, left[live])
+        right[live] = np.where(above, right[live], mid - 1)
+    gap = (tail - level * total)[~np.isnan(tail)]
+    if np.any(np.diff(gap) > 1e-9):
         raise RuntimeError("probe values increase with the tail position")
-    return left
+    return ext[left - 1]
 
 
 def balance_constraints(g_kind, cal_x, full_x, full_t, e_cal, e_full, t):

@@ -300,3 +300,98 @@ class TestErrors:
         assert _run(["fit", "--data", str(bad),
                      "--out", str(tmp_path / "o.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _hostile_datasets():
+    """Small datasets that stress the fits, by name: (x, t, y)."""
+    rng = np.random.default_rng(0)
+    n = 200
+    x = rng.uniform(size=(n, 3))
+    t = (rng.uniform(size=n) < 0.5).astype(int)
+    y = x[:, 1] + rng.normal(size=n)
+    lone = np.zeros(n, dtype=int)
+    lone[0] = 1
+    return {"constant-outcome": (x, t, np.full(n, 2.5)),
+            "identical-rows": (np.tile(x[:1], (n, 1)), t, y),
+            "separated": (x, (x[:, 0] > 0.5).astype(int), y),
+            "one-unit-arm": (x, lone, y),
+            "n8": (x[:8], np.array([0, 1] * 4), y[:8]),
+            "p1": (x[:, :1], t, y)}
+
+
+_HOSTILE_COMMANDS = {
+    "csa": ["interval", "--method", "csa", "--gamma", "1.5"],
+    "cssa": ["interval", "--method", "cssa", "--gamma", "1.5"],
+    "cqr": ["interval", "--method", "csa", "--score", "cqr",
+            "--gamma", "1.5"],
+    "nested": ["ite", "--method", "nested", "--gamma", "1.5"],
+    "bonferroni": ["ite", "--method", "bonferroni", "--gamma", "1.5"],
+    "calibrate": ["calibrate"],
+    "fit": ["fit"],
+}
+
+_PAIRS = "need at least 2 training pairs"
+_CQR_PAIRS = "need at least 11 training pairs"
+_FALLBACK = ("warning: balancing constraints infeasible; falling back to "
+             "the unconstrained thresholds")
+
+# Hand-written outcome of each cell: "ok" (exit 0, nothing on stderr),
+# "fallback" (exit 0, the one CSSA fallback line) or the text of the one
+# `error:` line of exit 1.
+_HOSTILE_MATRIX = {
+    # columns: csa, cssa, cqr, nested, bonferroni, calibrate, fit
+    "constant-outcome": ("ok",) * 7,
+    "identical-rows": ("ok",) * 7,
+    "separated": ("ok", "fallback", "ok", "ok", "ok", "ok", "ok"),
+    "one-unit-arm": (_PAIRS, _PAIRS, _CQR_PAIRS, "too few units in arm 1",
+                     _PAIRS, "ok", _PAIRS),
+    "n8": (_PAIRS, _PAIRS, _CQR_PAIRS, "too few units in arm 0", _PAIRS,
+           "ok", "ok"),
+    "p1": ("ok", "ok", "ok", "ok", "ok", "need at least 2 covariates", "ok"),
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_csvs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    paths = {}
+    for name, (x, t, y) in _hostile_datasets().items():
+        paths[name] = root / f"{name}.csv"
+        emit_csv(ObservationalDataset(x, t, y), paths[name])
+    return paths
+
+
+def _check_output(command, out):
+    """Each row's lower <= upper; an interval's unbounded flag marks
+    exactly the rows with empty endpoint cells."""
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    ends = [row[:2] for row in rows] if command == "interval" \
+        else [row[1:3] for row in rows]
+    for (lower, upper), row in zip(ends, rows):
+        if lower and upper:
+            assert float(lower) <= float(upper)
+        if command == "interval":
+            assert (row[3] == "1") == (lower == "") == (upper == "")
+
+
+@pytest.mark.parametrize("dataset", sorted(_HOSTILE_MATRIX))
+@pytest.mark.parametrize("column", list(_HOSTILE_COMMANDS))
+def test_hostile_input_matrix(dataset, column, hostile_csvs, tmp_path,
+                              capsys):
+    data = str(hostile_csvs[dataset])
+    args = _HOSTILE_COMMANDS[column]
+    target = [] if args[0] in ("calibrate", "fit") else ["--target", data]
+    out = tmp_path / "out"
+    code = _run([*args, "--data", data, *target, "--out", str(out)])
+    expected = _HOSTILE_MATRIX[dataset][list(_HOSTILE_COMMANDS).index(column)]
+    if expected in ("ok", "fallback"):
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([] if expected == "ok" else [_FALLBACK])
+        if args[0] in ("interval", "ite"):
+            _check_output(args[0], out)
+    else:
+        assert code == 1
+        _assert_one_error_line(capsys, expected)

@@ -7,9 +7,6 @@ from confsens import cssa
 from confsens.cssa import (
     BalanceConstraint,
     FractionalProgram,
-    FractionalResult,
-    _charnes_cooper,
-    _probe_single_constraint,
     balance_rhs,
     cssa_interval,
     cssa_threshold,
@@ -23,15 +20,26 @@ from confsens.predictors import fit_mean, fit_propensity
 
 def grid_oracle_fractional(tail_index, lo, hi, resolution=1e-3):
     """Brute-force reference for the unconstrained fractional program:
-    scan each weight over a grid of its box.  Exponential, tiny n only."""
-    n = lo.shape[0]
+    scan each weight over a grid of its box, one value of the first
+    weight at a time.  Exponential, tiny n (>= 2) only."""
     grids = [np.arange(lo[i], hi[i] + resolution / 2, resolution)
-             for i in range(n)]
+             for i in range(lo.shape[0])]
+    mesh = np.meshgrid(*grids[1:], indexing="ij")
+    rest = np.stack([m.ravel() for m in mesh], axis=1)
     best = -np.inf
-    mesh = np.meshgrid(*grids, indexing="ij")
-    w = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = w[:, tail_index:].sum(axis=1) / w.sum(axis=1)
-    return float(vals.max())
+    for first in grids[0]:
+        w = np.column_stack([np.full(rest.shape[0], first), rest])
+        vals = w[:, tail_index:].sum(axis=1) / w.sum(axis=1)
+        best = max(best, float(vals.max()))
+    return best
+
+
+def sentinel_program(j, h, lo, hi, A, b, slack_rel):
+    """A probe's fractional program from 1-based position j, with the
+    sentinel as one more fixed weight (lo = hi = h) that no row covers."""
+    return FractionalProgram(j - 1, np.append(lo, h), np.append(hi, h),
+                             A_eq=np.column_stack([A, np.zeros(len(A))]),
+                             b_eq=b, slack_rel=slack_rel)
 
 
 class TestBalanceRhs:
@@ -124,12 +132,15 @@ class TestBreakpointWalk:
             b = float(a @ ((lo + hi) / 2))
             h = rng.uniform(0.2, 1.0)
             j = int(rng.integers(1, n + 2))
-            ok1, v1 = _probe_single_constraint(j, h, lo, hi, a, b, 1e-6)
-            lp = _charnes_cooper(j - 1, h, lo, hi, a.reshape(1, -1),
-                                 np.array([b]), 1e-6)
-            assert ok1 == lp.feasible
-            if ok1:
-                assert v1 == pytest.approx(lp.value, abs=1e-7)
+            A, rhs = a.reshape(1, -1), np.array([b])
+            got = cssa._probe(j, lo, hi, A, rhs, 0.2, 1e-6)
+            lp = solve_fractional(sentinel_program(j, h, lo, hi, A, rhs,
+                                                   1e-6))
+            assert (got is not None) == lp.feasible
+            if got is not None:
+                tail, total = got
+                assert (tail + h) / (total + h) == pytest.approx(lp.value,
+                                                                 abs=1e-7)
 
 
 class TestThreshold:
@@ -185,8 +196,8 @@ class TestThreshold:
         v, lo, hi, g, _ = self._instance()
         con = BalanceConstraint(coefficients=g, rhs=1.0)
         # tail fractions that grow with the position break the search
-        monkeypatch.setattr(cssa, "_probe", lambda j, *args: FractionalResult(
-            feasible=True, value=0.001 * j))
+        monkeypatch.setattr(cssa, "_probe", lambda j, *args: (0.001 * j,
+                                                              1.0))
         with pytest.raises(RuntimeError, match="probe"):
             cssa_threshold(v, lo, hi, [con], 0.2)
 
@@ -194,8 +205,9 @@ class TestThreshold:
 class TestThresholdBatch:
     def test_matches_scalar(self):
         # per target, the threshold sits at the largest position whose
-        # maximal tail fraction exceeds alpha: scan every position (one
-        # row takes the direct route, two rows the LP)
+        # maximal tail fraction exceeds alpha: scan every position with
+        # the fractional program (one row takes the greedy probe, two
+        # rows the LP)
         for n_rows in (1, 2):
             self._check_against_scan(n_rows)
 
@@ -215,9 +227,9 @@ class TestThresholdBatch:
         order = np.argsort(scores, kind="stable")
         v = np.append(scores[order], np.inf)
         for jt, h in enumerate(hi_t):
-            probes = [cssa._probe(j, h, lo_c[order], hi_c[order],
-                                  g[:, order], mid, 1e-6)
-                      for j in range(1, n + 2)]
+            probes = [solve_fractional(sentinel_program(
+                j, h, lo_c[order], hi_c[order], g[:, order], mid, 1e-6))
+                for j in range(1, n + 2)]
             assert all(p.feasible for p in probes)
             above = [j for j, p in enumerate(probes, start=1)
                      if p.value > 0.2 + 1e-12]

@@ -1,6 +1,6 @@
-"""Property tests of the threshold engine's invariants, of the single-row
-CSSA probe against the LP route, of interval
-widths in gamma, of the batch interval route against the per-target API,
+"""Property tests of the threshold engine's invariants, of the CSSA probe
+against the fractional program solved as one LP, of interval widths in
+gamma, of the batch interval route against the per-target API,
 and of the shared nested fold against a fresh nested fit, over generated
 inputs.
 
@@ -23,10 +23,11 @@ from confsens.csa import (
 )
 from confsens.cssa import (
     BalanceConstraint,
-    _charnes_cooper,
+    FractionalProgram,
     _probe,
     cssa_interval,
     cssa_threshold_batch,
+    solve_fractional,
 )
 from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
 from confsens.msm import (
@@ -149,7 +150,9 @@ def test_cssa_never_exceeds_csa(inst, gamma, where):
 @st.composite
 def single_row_probes(draw):
     """A calibration box, one positive balance row, the sentinel mass h
-    and a 1-based position 2..n+1 (the positions the CSSA search probes).
+    and a 1-based position 2..n+1 (the positions the CSSA search probes);
+    in a second case, one more positive row through a weight vector that
+    meets the first, which takes the LP route.
 
     Entries are free floats or quarters, which tie in a, lo and hi.  The
     row's right-hand side lies at the start corner (tail at hi, the rest
@@ -174,18 +177,36 @@ def single_row_probes(draw):
         st.floats(1.1, 2.0).map(lambda u: u * high)))
     h = draw(st.floats(0.05, 3.0))
     slack = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
-    return j, h, lo, hi, a[None, :], np.array([b]), slack
+    A, rhs = a[None, :], np.array([b])
+    if draw(st.booleans()):
+        span = high - low
+        share = min(max((b - low) / span, 0.0), 1.0) if span > 0 else 0.0
+        a2 = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+        A = np.vstack([A, a2])
+        rhs = np.append(rhs, a2 @ (lo + share * width))
+    return j, h, lo, hi, A, rhs, slack
+
+
+def sentinel_program(j, h, lo, hi, A, b, slack_rel):
+    """A probe's fractional program from 1-based position j, with the
+    sentinel as one more fixed weight (lo = hi = h) that no row covers."""
+    return FractionalProgram(j - 1, np.append(lo, h), np.append(hi, h),
+                             A_eq=np.column_stack([A, np.zeros(len(A))]),
+                             b_eq=b, slack_rel=slack_rel)
 
 
 @_settings
 @given(single_row_probes())
 def test_single_row_probe_equals_lp(probe):
-    got = _probe(*probe)
-    j, *rest = probe
-    want = _charnes_cooper(j - 1, *rest)
-    assert got.feasible == want.feasible
-    if got.feasible:
-        assert abs(got.value - want.value) <= 1e-7
+    # at the optimal ratio as the level, the probe's weights attain it
+    j, h, lo, hi, A, b, slack = probe
+    want = solve_fractional(sentinel_program(*probe))
+    got = _probe(j, lo, hi, A, b, want.value if want.feasible else 0.5,
+                 slack)
+    assert (got is not None) == want.feasible
+    if got is not None:
+        tail, total = got
+        assert abs((tail + h) / (total + h) - want.value) <= 1e-7
 
 
 def _per_target(arm, method, x, gamma, alpha, score):
