@@ -222,7 +222,10 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
 
     When every weight box is a point (gamma = 1) or there are no
     constraints, the greedy thresholds are returned; if a probe finds the
-    constraints infeasible, they are returned with a warning.
+    constraints infeasible, they are returned with a warning.  Such a
+    fallback breaks monotonicity in gamma: the CSA thresholds at a gamma
+    whose balance row is infeasible can exceed the sharpened thresholds
+    at a larger gamma.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:

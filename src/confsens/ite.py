@@ -19,8 +19,9 @@ from .dataset import ObservationalDataset, arm_indices
 from .msm import SensitivitySpec, weight_bounds_cross_arm
 from .predictors import (
     _as_2d,
+    _default_k,
     _empirical_quantile,
-    _neighbor_idx,
+    _Search,
     fit_mean,
     fit_propensity,
 )
@@ -58,11 +59,11 @@ class KNNSingleQuantile:
         self.y = np.asarray(train_y, dtype=float)
         self.level = float(level)
         self.k = int(k)
+        self.search = _Search(self.x, self.k)
 
     def predict(self, x):
         x = _as_2d(x, self.x.shape[1])
-        idx = _neighbor_idx(self.x, x, self.k)
-        neigh = np.sort(self.y[idx], axis=1)
+        neigh = np.sort(self.y[self.search(x)], axis=1)
         return _empirical_quantile(neigh, self.level)
 
 
@@ -88,7 +89,8 @@ class NestedFold:
     units; the second half gives the sorted calibration scores.  The val
     units in arm 1 - t keep their propensities and mean predictions, and
     `model` turns them into counterfactual intervals for Y(t) through the
-    cross-arm weight bounds at a given gamma.
+    cross-arm weight bounds at a given gamma.  The endpoint regressions of
+    every gamma share one neighbour search over the val units.
     """
 
     def __init__(self, ds: ObservationalDataset, seed=0):
@@ -103,6 +105,7 @@ class NestedFold:
                     f"too few units in arm {t} for the nested stage")
         self.val_x, self.val_y = ds_val.covariates, ds_val.outcome
         self.n_val = ds_val.n
+        self._search = _Search(self.val_x, _default_k(self.n_val))
         propensity = fit_propensity(ds_fit.covariates, ds_fit.treatment)
         # per arm t: sorted calibration scores and their propensities, then
         # the mask, propensities and mean predictions of val units in 1 - t
@@ -137,13 +140,12 @@ class NestedFold:
             else:  # control val units: effect = [L1, U1] - Y
                 lower[mask], upper[mask] = cf_lo - y, cf_hi - y
         n_unbounded = int(np.sum(~np.isfinite(lower) | ~np.isfinite(upper)))
-        k = int(np.ceil(np.sqrt(self.n_val)))
-        return NestedIteModel(
-            lo_model=KNNSingleQuantile(self.val_x, lower,
-                                       _ENDPOINT_LEVELS[0], k),
-            hi_model=KNNSingleQuantile(self.val_x, upper,
-                                       _ENDPOINT_LEVELS[1], k),
-            n_val=self.n_val, n_unbounded=n_unbounded)
+        lo_model, hi_model = (
+            KNNSingleQuantile(self.val_x, y, level, self._search.k)
+            for y, level in zip((lower, upper), _ENDPOINT_LEVELS))
+        lo_model.search = hi_model.search = self._search
+        return NestedIteModel(lo_model=lo_model, hi_model=hi_model,
+                              n_val=self.n_val, n_unbounded=n_unbounded)
 
 
 def nested_ite_fit(ds: ObservationalDataset, gamma, alpha,

@@ -68,9 +68,12 @@ class FittedArm:
 
     @cached_property
     def q_hat(self):
-        return fit_quantile(self.pre_x, self.pre_y,
-                            (self.alpha / 2.0, 1.0 - self.alpha / 2.0),
-                            scale=self.scale)
+        q_hat = fit_quantile(self.pre_x, self.pre_y,
+                             (self.alpha / 2.0, 1.0 - self.alpha / 2.0),
+                             scale=self.scale)
+        # same training rows, metric weights and k: one search for both
+        q_hat.search = self.mu_hat.search
+        return q_hat
 
     @cached_property
     def constraints(self):

@@ -57,10 +57,60 @@ def _as_2d(x, p):
     return x
 
 
-def _neighbor_idx(train_x, query_x, k):
-    # stable argsort so equidistant neighbors resolve by training index
+# query rows per distance block: bounds the block x train x p temporary
+_BLOCK = 128
+# query sets a search remembers: the calibration rows and the targets
+_MEMO = 2
+
+
+def _block_neighbors(train_x, query_x, k):
     d2 = ((query_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    if 0 < k < d2.shape[1]:
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        # a NaN k-th distance leaves fewer than k comparable rows
+        if not np.isnan(kth).any():
+            # every row below the k-th distance, then the lowest-index
+            # ties at it, stable-sorted by distance
+            below, tie = d2 < kth, d2 == kth
+            room = k - below.sum(axis=1, keepdims=True)
+            keep = below | (tie & (np.cumsum(tie, axis=1) <= room))
+            cols = np.nonzero(keep)[1].reshape(-1, k)
+            order = np.argsort(np.take_along_axis(d2, cols, axis=1),
+                               axis=1, kind="stable")
+            return np.take_along_axis(cols, order, axis=1)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _neighbor_idx(train_x, query_x, k):
+    """The first k columns of a stable argsort of the squared distances
+    (equidistant rows resolve by training index), found `_BLOCK` query
+    rows at a time; zero query rows still give one (empty) block."""
+    return np.concatenate([
+        _block_neighbors(train_x, query_x[start:start + _BLOCK], k)
+        for start in range(0, max(query_x.shape[0], 1), _BLOCK)])
+
+
+class _Search:
+    """Exact k-NN search over one training set under one metric
+    weighting.  It remembers the neighbours of its latest `_MEMO` query
+    sets, compared by value, so models sharing it search a set once."""
+
+    def __init__(self, train_x, k, feature_weights=None):
+        self.weights = feature_weights
+        self.train = (train_x if feature_weights is None
+                      else train_x * feature_weights)
+        self.k = k
+        self._memo = []
+
+    def __call__(self, query_x):
+        for query, idx in self._memo:
+            if np.array_equal(query, query_x):
+                return idx
+        weighted = query_x if self.weights is None else query_x * self.weights
+        idx = _neighbor_idx(self.train, weighted, self.k)
+        idx.flags.writeable = False
+        self._memo = [(query_x.copy(), idx)] + self._memo[:_MEMO - 1]
+        return idx
 
 
 def _empirical_quantile(sorted_vals, tau):
@@ -83,15 +133,11 @@ class KNNMean:
         self.k = int(k)
         self.feature_weights = (None if feature_weights is None
                                 else np.asarray(feature_weights, dtype=float))
+        self.search = _Search(self.x, self.k, self.feature_weights)
 
     def predict(self, x):
         x = _as_2d(x, self.x.shape[1])
-        train = self.x
-        if self.feature_weights is not None:
-            train = train * self.feature_weights
-            x = x * self.feature_weights
-        idx = _neighbor_idx(train, x, self.k)
-        return self.y[idx].mean(axis=1)
+        return self.y[self.search(x)].mean(axis=1)
 
 
 class KNNQuantile:
@@ -113,16 +159,12 @@ class KNNQuantile:
         self.k = int(k)
         self.feature_weights = (None if feature_weights is None
                                 else np.asarray(feature_weights, dtype=float))
+        self.search = _Search(self.x, self.k, self.feature_weights)
 
     def predict(self, x):
         """Return (q_lo, q_hi) arrays for the query points."""
         x = _as_2d(x, self.x.shape[1])
-        train = self.x
-        if self.feature_weights is not None:
-            train = train * self.feature_weights
-            x = x * self.feature_weights
-        idx = _neighbor_idx(train, x, self.k)
-        neigh = np.sort(self.y[idx], axis=1)
+        neigh = np.sort(self.y[self.search(x)], axis=1)
         q_lo = _empirical_quantile(neigh, self.levels[0])
         q_hi = _empirical_quantile(neigh, self.levels[1])
         stacked = np.sort(np.stack([q_lo, q_hi]), axis=0)

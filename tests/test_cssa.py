@@ -209,11 +209,20 @@ class TestThresholdBatch:
         # the fractional program (one row takes the greedy probe, two
         # rows the LP)
         for n_rows in (1, 2):
-            self._check_against_scan(n_rows)
+            self._check_against_scan(n_rows, n=25, alpha=0.2)
 
-    def _check_against_scan(self, n_rows):
+    def test_answers_on_every_position(self):
+        # one target's answer on each position 1..n + 1, so a bisection
+        # that skips a candidate position gets one of them wrong
+        for n_rows in (1, 2):
+            answers = self._check_against_scan(n_rows, n=16, alpha=0.98,
+                                               spread=True)
+            assert answers == set(range(1, 18))
+
+    def _check_against_scan(self, n_rows, n, alpha, spread=False):
+        """Check every target's batch threshold against its scan; return
+        the set of 1-based answer positions."""
         rng = np.random.default_rng(4)
-        n = 25
         scores = rng.normal(size=n)
         e = rng.uniform(0.25, 0.5, size=n)
         lo_c, hi_c = weight_bounds_same_arm(e, 2.0, 1, 0.4)
@@ -221,20 +230,34 @@ class TestThresholdBatch:
         mid = g @ ((lo_c + hi_c) / 2)
         cons = [BalanceConstraint(coefficients=gr, rhs=float(m))
                 for gr, m in zip(g, mid)]
-        e_t = rng.uniform(0.25, 0.5, size=8)
-        _, hi_t = weight_bounds_same_arm(e_t, 2.0, 1, 0.4)
-        batch = cssa_threshold_batch(scores, lo_c, hi_c, cons, 0.2, hi_t)
         order = np.argsort(scores, kind="stable")
+        if spread:
+            # position j passes for sentinels h above (alpha * total - tail)
+            # / (1 - alpha) of its probe; one h between each two cut-offs
+            cuts = np.array([
+                (alpha * total - tail) / (1.0 - alpha)
+                for tail, total in (cssa._probe(
+                    j, lo_c[order], hi_c[order], g[:, order], mid, alpha,
+                    1e-6) for j in range(1, n + 2))])
+            hi_t = (np.maximum(cuts, 0.0)
+                    + np.append(cuts[1:], 2.0 * cuts[-1] + 1.0)) / 2.0
+        else:
+            e_t = rng.uniform(0.25, 0.5, size=8)
+            _, hi_t = weight_bounds_same_arm(e_t, 2.0, 1, 0.4)
+        batch = cssa_threshold_batch(scores, lo_c, hi_c, cons, alpha, hi_t)
         v = np.append(scores[order], np.inf)
+        answers = set()
         for jt, h in enumerate(hi_t):
             probes = [solve_fractional(sentinel_program(
                 j, h, lo_c[order], hi_c[order], g[:, order], mid, 1e-6))
                 for j in range(1, n + 2)]
             assert all(p.feasible for p in probes)
             above = [j for j, p in enumerate(probes, start=1)
-                     if p.value > 0.2 + 1e-12]
+                     if p.value > alpha + 1e-12]
             assert above == list(range(1, len(above) + 1))
             assert batch[jt] == v[above[-1] - 1]
+            answers.add(above[-1])
+        return answers
 
     def test_empty_constraints_delegates_to_greedy(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from confsens import harness, predictors
 from confsens.predictors import (
+    _BLOCK,
+    _MEMO,
+    _neighbor_idx,
     fit_mean,
     fit_propensity,
     fit_quantile,
@@ -36,6 +44,82 @@ class TestKNNMean:
     def test_too_few_pairs_error(self):
         with pytest.raises(ValueError):
             fit_mean(np.array([[0.0]]), np.array([1.0]))
+
+
+class TestNeighborSearch:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=120)
+    @given(n=st.integers(1, 80), p=st.integers(1, 4),
+           m=st.sampled_from([0, 5, _BLOCK, 2 * _BLOCK + 9]),
+           k_over_n=st.integers(-80, 3), quantized=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=40, p=2, m=_BLOCK, k_over_n=-39, quantized=True, seed=0)
+    @example(n=40, p=2, m=5, k_over_n=0, quantized=True, seed=1)
+    @example(n=40, p=2, m=2 * _BLOCK + 9, k_over_n=3, quantized=True, seed=2)
+    @example(n=40, p=2, m=0, k_over_n=-20, quantized=False, seed=3)
+    def test_matches_full_stable_argsort(self, n, p, m, k_over_n, quantized,
+                                         seed):
+        # k runs from 1 through n to n + 3; coordinates on {0, 1, 2} make
+        # ties at the k-th distance common
+        rng = np.random.default_rng(seed)
+        if quantized:
+            x = rng.integers(0, 3, size=(n, p)).astype(float)
+            q = rng.integers(0, 3, size=(m, p)).astype(float)
+        else:
+            x, q = rng.normal(size=(n, p)), rng.normal(size=(m, p))
+        k = max(1, n + k_over_n)
+        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        got = _neighbor_idx(x, q, k)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_predict_memory_is_bounded_in_query_rows(self):
+        rng = np.random.default_rng(10)
+        model = fit_mean(rng.normal(size=(750, 20)), rng.normal(size=750))
+
+        def peak(m):
+            q = rng.normal(size=(m, 20))
+            tracemalloc.start()
+            model.predict(q)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        # the distance blocks, not the query count, set the peak
+        assert peak(16 * _BLOCK) < 1.5 * peak(4 * _BLOCK)
+
+    def test_memo_is_bounded_and_keyed_by_value(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(60, 2)), rng.normal(size=60)
+        model = fit_mean(x, y, scale="relevance")
+        for _ in range(50):
+            model.predict(rng.normal(size=(7, 2)))
+        assert len(model.search._memo) == _MEMO
+        q = rng.normal(size=(9, 2))
+        first = model.predict(q)
+        q[0] = 50.0  # a changed query set is searched again
+        assert np.array_equal(model.predict(q),
+                              fit_mean(x, y, scale="relevance").predict(q))
+        assert not np.array_equal(model.predict(q), first)
+
+    @pytest.mark.parametrize("methods, searches", [
+        (harness.METHODS, 9), (("csa-m", "csa-q", "ite-nuc"), 2)])
+    def test_searches_per_trial(self, monkeypatch, methods, searches):
+        # per arm: its calibration rows and the targets, shared by mu-hat
+        # and q-hat; nested: two per arm fit, then the targets once
+        calls = []
+        search = predictors._neighbor_idx
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return search(*args)
+
+        monkeypatch.setattr(predictors, "_neighbor_idx", counted)
+        cfg = harness.ExperimentConfig(
+            methods=methods, gammas=(1.0, 1.5, 2.0, 3.0, 4.0), n_train=300,
+            n_target=200, n_trials=1)
+        harness.run_trial(cfg, 0)
+        assert len(calls) == searches
 
 
 class TestKNNQuantile:
