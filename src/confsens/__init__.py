@@ -17,8 +17,6 @@ from .conformal import (
     WeightedDiscreteDist,
     score_abs_residual,
     score_cqr,
-    wcp_interval_nuc,
-    wcp_threshold_nuc,
     weighted_quantile,
 )
 from .csa import csa_interval, csa_threshold, greedy_max_quantile

@@ -1,8 +1,10 @@
 """Core conformal machinery.
 
 Nonconformity scores, weighted discrete quantiles with stable tie
-handling, and the baseline weighted conformal interval that is valid
-under unconfoundedness.
+handling, the one weighted-quantile search over box weights that every
+threshold solver shares, and the baseline weighted conformal thresholds
+that are valid under unconfoundedness: the point box of the sensitivity
+model at gamma = 1.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .msm import weight_bounds_same_arm
+
 __all__ = [
     "PredictiveInterval",
     "WeightedDiscreteDist",
     "score_abs_residual",
     "score_cqr",
     "weighted_quantile",
-    "wcp_threshold_nuc",
     "wcp_threshold_nuc_batch",
-    "wcp_interval_nuc",
     "calibration_scores",
     "score_band",
     "cqr_score_interval",
@@ -114,41 +116,45 @@ def weighted_quantile(dist: WeightedDiscreteDist, level: float) -> float:
     return float(g_atoms[hit[0]])
 
 
-def wcp_threshold_nuc(scores, e_cal, e_target, t, p_t, alpha) -> float:
-    """Score threshold of weighted conformal prediction under
-    unconfoundedness at one target: `wcp_threshold_nuc_batch` for a batch
-    of one."""
-    return float(wcp_threshold_nuc_batch(scores, e_cal, [e_target], t, p_t,
-                                         alpha)[0])
+def _flip_index(lo_c, hi_c, hi_target, alpha):
+    """Greedy stop positions over n calibration atoms plus the sentinel:
+    the weighted (1 - alpha) quantile maximized over box weights.
+
+    With pre_lo[j] = sum lo_c[:j] and suf_hi[j] = sum hi_c[j:], flipping
+    from position j up (sentinel mass h) leaves a tail above alpha exactly
+    when a * pre_lo[j] - (1 - a) * suf_hi[j] < (1 - a) * h.  The left side
+    is nondecreasing in j (rounding is monotone), so the largest such j is
+    one `searchsorted` away; 0 when there is none.  a = alpha + _NORM_TOL
+    decides exact ties the way `weighted_quantile` does.  A point box
+    (lo_c = hi_c) gives the plain weighted quantile.
+    """
+    a = alpha + _NORM_TOL
+    pre_lo = np.concatenate([[0.0], np.cumsum(lo_c)])
+    suf_hi = np.concatenate([np.cumsum(hi_c[::-1])[::-1], [0.0]])
+    key = a * pre_lo - (1.0 - a) * suf_hi
+    j = np.searchsorted(key, (1.0 - a) * np.asarray(hi_target), side="left")
+    return np.maximum(j - 1, 0)
 
 
 def wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha):
     """Unconfoundedness thresholds for an array of target propensities.
 
-    Calibration weights are p(T=t) / arm-probability(x_i); the +inf
-    sentinel carries the target weight.  Each threshold is the (1 - alpha)
-    weighted quantile (possibly +inf): one sorted cumulative pass over the
-    calibration weights, then a search per target.
+    The conformal weights p(T=t) / arm-probability(x) are the gamma = 1
+    point box of `weight_bounds_same_arm`; the +inf sentinel carries the
+    target weight.  Each threshold is the (1 - alpha) weighted quantile
+    (possibly +inf), one `_flip_index` search per target.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("empty calibration set")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    e_cal = np.asarray(e_cal, dtype=float)
-    e_target = np.atleast_1d(np.asarray(e_target, dtype=float))
-    arm_cal = e_cal if t == 1 else 1.0 - e_cal
-    arm_tgt = e_target if t == 1 else 1.0 - e_target
-    w_cal = p_t / arm_cal
-    w_tgt = p_t / arm_tgt
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    cum = np.cumsum(w_cal[order])
-    need = (1.0 - alpha) * (cum[-1] + w_tgt)
-    idx = np.searchsorted(cum, need - _NORM_TOL * (cum[-1] + w_tgt),
-                          side="left")
-    ext = np.append(sorted_scores, np.inf)
-    return ext[idx]
+    w, _ = weight_bounds_same_arm(np.asarray(e_cal, dtype=float)[order], 1.0,
+                                  t, p_t)
+    w_target, _ = weight_bounds_same_arm(
+        np.atleast_1d(np.asarray(e_target, dtype=float)), 1.0, t, p_t)
+    return np.append(scores[order], np.inf)[_flip_index(w, w, w_target, alpha)]
 
 
 def calibration_scores(score, model, x, y):
@@ -181,17 +187,3 @@ def cqr_score_interval(q_lo_target, q_hi_target, threshold) -> PredictiveInterva
         return PredictiveInterval(None, None, np.inf, True, True)
     return PredictiveInterval(float(q_lo_target - threshold),
                               float(q_hi_target + threshold), float(threshold))
-
-
-def wcp_interval_nuc(mu_hat, propensity, cal_x, cal_y, x_target, t, p_t,
-                     alpha, score="mean", q_hat=None) -> PredictiveInterval:
-    """Weighted conformal interval for Y(t) assuming unconfoundedness:
-    `wcp_threshold_nuc_batch` for one target."""
-    cal_x = np.asarray(cal_x, dtype=float)
-    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
-    model = q_hat if score == "cqr" else mu_hat
-    scores = calibration_scores(score, model, cal_x, cal_y)
-    q = wcp_threshold_nuc_batch(scores, propensity.predict(cal_x),
-                                propensity.predict(x_target), t, p_t, alpha)
-    lo, hi = score_band(score, model, x_target)
-    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import (
-    _NORM_TOL,
     PredictiveInterval,
+    _flip_index,
     calibration_scores,
     cqr_score_interval,
     score_band,
@@ -51,24 +51,6 @@ class GreedyResult:
     @property
     def unbounded(self) -> bool:
         return not np.isfinite(self.threshold)
-
-
-def _flip_index(lo_c, hi_c, hi_target, alpha):
-    """Greedy stop positions over n calibration atoms plus the sentinel.
-
-    With pre_lo[j] = sum lo_c[:j] and suf_hi[j] = sum hi_c[j:], flipping
-    from position j up (sentinel mass h) leaves a tail above alpha exactly
-    when a * pre_lo[j] - (1 - a) * suf_hi[j] < (1 - a) * h.  The left side
-    is nondecreasing in j (rounding is monotone), so the largest such j is
-    one `searchsorted` away; 0 when there is none.  a = alpha + _NORM_TOL
-    decides exact ties the way `weighted_quantile` does.
-    """
-    a = alpha + _NORM_TOL
-    pre_lo = np.concatenate([[0.0], np.cumsum(lo_c)])
-    suf_hi = np.concatenate([np.cumsum(hi_c[::-1])[::-1], [0.0]])
-    key = a * pre_lo - (1.0 - a) * suf_hi
-    j = np.searchsorted(key, (1.0 - a) * np.asarray(hi_target), side="left")
-    return np.maximum(j - 1, 0)
 
 
 def greedy_max_quantile(scores, lo, hi, alpha) -> GreedyResult:

@@ -23,11 +23,11 @@ import numpy as np
 from .conformal import (
     _NORM_TOL,
     PredictiveInterval,
+    _flip_index,
     calibration_scores,
     cqr_score_interval,
     score_band,
 )
-from .csa import _flip_index
 from .lp import solve_lp
 from .msm import SensitivitySpec, weight_bounds_same_arm
 

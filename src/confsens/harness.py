@@ -20,7 +20,7 @@ from scipy import stats
 
 from . import __version__
 from .ite import NestedFold, bonferroni_ite, nested_ite_predict
-from .msm import check_gamma
+from .msm import check_gamma, weight_bounds_same_arm
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
 from .pipeline import fit_arms
 
@@ -348,13 +348,10 @@ def positivity_summary(lower, upper):
 
 def delta_slack_diagnostic(e_true, e_hat, gamma, t, p_t) -> float:
     """Monte Carlo slack from propensity estimation:
-    (gamma / 2) * p_t * E|1/arm_prob(e_hat) - 1/arm_prob(e_true)| over the
-    arm-t covariate draws supplied."""
+    (gamma / 2) * E|w(e_hat) - w(e_true)| over the arm-t covariate draws
+    supplied, with w = p_t / arm_prob the gamma = 1 conformal weight."""
     if e_true is None:
         raise ValueError("requires oracle truth records")
-    e_true = np.asarray(e_true, dtype=float)
-    e_hat = np.asarray(e_hat, dtype=float)
-    arm_true = e_true if t == 1 else 1.0 - e_true
-    arm_hat = e_hat if t == 1 else 1.0 - e_hat
-    return float(gamma / 2.0 * p_t *
-                 np.mean(np.abs(1.0 / arm_hat - 1.0 / arm_true)))
+    w_true, _ = weight_bounds_same_arm(e_true, 1.0, t, p_t)
+    w_hat, _ = weight_bounds_same_arm(e_hat, 1.0, t, p_t)
+    return float(gamma / 2.0 * np.mean(np.abs(w_hat - w_true)))

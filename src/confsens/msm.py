@@ -33,12 +33,11 @@ def check_gamma(gamma):
 
 @dataclass(frozen=True)
 class SensitivitySpec:
-    """Confounding strength gamma >= 1, miscoverage alpha, arm, overlap floor."""
+    """Confounding strength gamma >= 1, miscoverage alpha and arm t."""
 
     gamma: float
     alpha: float
     t: int
-    eta: float = 0.01
 
     def __post_init__(self):
         check_gamma(self.gamma)
@@ -46,12 +45,6 @@ class SensitivitySpec:
             raise ValueError("alpha must lie in (0, 1)")
         if self.t not in (0, 1):
             raise ValueError("t must be 0 or 1")
-        if not (0.0 < self.eta < 0.5):
-            raise ValueError("eta must lie in (0, 0.5)")
-
-    @property
-    def lam(self) -> float:
-        return math.log(self.gamma)
 
 
 def _check_e(e_hat):
@@ -65,7 +58,9 @@ def weight_bounds_same_arm(e_hat, gamma, t, p_t):
     """Bounds on the conformal weight when training and target share arm t.
 
     w_lo = (1 + (1/gamma) * odds) * p_t, w_hi = (1 + gamma * odds) * p_t
-    with odds = ((1 - e)/e)^(2t-1).  The bounds are uniform in y.
+    with odds = ((1 - e)/e)^(2t-1).  The bounds are uniform in y.  At
+    gamma = 1 both equal the weighted-conformal weight p_t / P(T=t | x) of
+    the unconfounded baseline: the package's only conformal-weight formula.
     """
     e_hat = _check_e(e_hat)
     check_gamma(gamma)

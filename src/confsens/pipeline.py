@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conformal import calibration_scores, score_band, wcp_threshold_nuc_batch
-from .csa import csa_threshold_batch
+from .conformal import calibration_scores, score_band
 from .cssa import balance_constraints, cssa_threshold_batch
 from .dataset import arm_indices, split
 from .msm import SensitivitySpec, weight_bounds_same_arm
@@ -87,11 +86,15 @@ class FittedArm:
         """Intervals for Y(t) at the rows of `x_target`, in one batch.
 
         `method` is "nuc" (the unconfounded baseline), "csa" (worst case)
-        or "cssa" (sharpened worst case); `score` is "mean" or "cqr".
+        or "cssa" (sharpened worst case); `score` is "mean" or "cqr".  All
+        three are one `cssa_threshold_batch` call: "nuc" over the gamma = 1
+        point box, "csa" over the gamma box without balance rows.
         Returns (lower, upper, threshold) float arrays; unbounded sides
         are -inf / +inf.
         """
-        spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=self.t)
+        SensitivitySpec(gamma=gamma, alpha=alpha, t=self.t)  # validates
+        if method not in ("nuc", "csa", "cssa"):
+            raise ValueError(f"unknown method {method!r}")
         x_target = np.asarray(x_target, dtype=float)
         model = self.q_hat if score == "cqr" else self.mu_hat
         if score not in self._scores:
@@ -99,21 +102,11 @@ class FittedArm:
                                                      self.cal_x, self.cal_y)
         scores = self._scores[score]
         cache = self.fold.at(x_target)
-        if method == "nuc":
-            thr = wcp_threshold_nuc_batch(scores, self.e_cal, cache["e"],
-                                          self.t, self.p_t, alpha)
-        elif method == "csa":
-            thr = csa_threshold_batch(scores, self.e_cal, cache["e"], spec,
-                                      self.p_t)
-        elif method == "cssa":
-            lo_c, hi_c = weight_bounds_same_arm(self.e_cal, gamma, self.t,
-                                                self.p_t)
-            _, hi_t = weight_bounds_same_arm(cache["e"], gamma, self.t,
-                                             self.p_t)
-            thr = cssa_threshold_batch(scores, lo_c, hi_c, self.constraints,
-                                       alpha, hi_t)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        g = 1.0 if method == "nuc" else gamma
+        lo_c, hi_c = weight_bounds_same_arm(self.e_cal, g, self.t, self.p_t)
+        _, hi_t = weight_bounds_same_arm(cache["e"], g, self.t, self.p_t)
+        rows = self.constraints if method == "cssa" else ()
+        thr = cssa_threshold_batch(scores, lo_c, hi_c, rows, alpha, hi_t)
         if (self.t, score) not in cache:
             cache[self.t, score] = score_band(score, model, x_target)
         lo, hi = cache[self.t, score]

@@ -395,3 +395,53 @@ def test_hostile_input_matrix(dataset, column, hostile_csvs, tmp_path,
     else:
         assert code == 1
         _assert_one_error_line(capsys, expected)
+
+
+def _tiny_sweep(n_train, methods, *flags):
+    return ["sweep", "--n-train", str(n_train), "--n-target", "5",
+            "--gammas", "1,2", "--methods", methods, *flags]
+
+
+# The `generate` and tiny `sweep` columns: hand-written outcome of each
+# cell, "ok" (exit 0 with output rows, nothing on stderr) or the text of
+# the one `error:` line of exit 1.
+_HOSTILE_RUNS = {
+    "generate-n0": (["generate", "--n", "0"], "n must be >= 1"),
+    "generate-n1": (["generate", "--n", "1", "--dim", "3", "--two-arm"],
+                    "ok"),
+    "sweep-n2": (_tiny_sweep(2, "csa-m", "--n-trials", "1"),
+                 "both treatment values must be present"),
+    "sweep-n8-cqr": (_tiny_sweep(8, "csa-q", "--n-trials", "1"),
+                     _CQR_PAIRS),
+    "sweep-no-trials": (_tiny_sweep(40, "csa-m", "--n-trials", "0"),
+                        "n_trials must be >= 1"),
+    "sweep-alpha-1": (_tiny_sweep(40, "csa-m", "--n-trials", "1",
+                                  "--alpha", "1"),
+                      "alpha must lie in (0, 1)"),
+    "sweep-nested": (_tiny_sweep(40, "nested", "--n-trials", "1"), "ok"),
+    "sweep-cssa-two-arm": (_tiny_sweep(40, "cssa-m", "--n-trials", "1",
+                                       "--two-arm"), "ok"),
+}
+
+
+@pytest.mark.parametrize("cell", list(_HOSTILE_RUNS))
+def test_hostile_generate_and_sweep(cell, tmp_path, capsys):
+    args, expected = _HOSTILE_RUNS[cell]
+    out = tmp_path / "out"
+    code = _run([*args, "--out-dir" if args[0] == "sweep" else "--out",
+                 str(out)])
+    if expected != "ok":
+        assert code == 1
+        _assert_one_error_line(capsys, expected)
+        assert not out.exists()
+        return
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if args[0] == "generate":
+        with open(out, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 2  # header and one unit
+        return
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["gamma"]) for r in rows] == [
+        (args[args.index("--methods") + 1], g) for g in ("1.0", "2.0")]

@@ -7,7 +7,6 @@ from confsens.conformal import (
     cqr_score_interval,
     score_abs_residual,
     score_cqr,
-    wcp_threshold_nuc,
     wcp_threshold_nuc_batch,
     weighted_quantile,
 )
@@ -103,14 +102,16 @@ class TestWcpNuc:
     def test_uniform_weights_order_statistic(self):
         scores = np.arange(1.0, 20.0)  # n = 19
         e = np.full(19, 0.5)
-        thr = wcp_threshold_nuc(scores, e, 0.5, t=1, p_t=0.5, alpha=0.2)
-        assert thr == 16.0  # (1 - alpha)(n + 1) = 16th order statistic
+        thr = wcp_threshold_nuc_batch(scores, e, [0.5], t=1, p_t=0.5,
+                                      alpha=0.2)
+        assert thr[0] == 16.0  # (1 - alpha)(n + 1) = 16th order statistic
 
     def test_alpha_zero_like_level_unbounded(self):
         scores = np.arange(1.0, 5.0)
         e = np.full(4, 0.5)
-        thr = wcp_threshold_nuc(scores, e, 0.5, t=1, p_t=0.5, alpha=1e-9)
-        assert thr == np.inf
+        thr = wcp_threshold_nuc_batch(scores, e, [0.5], t=1, p_t=0.5,
+                                      alpha=1e-9)
+        assert thr[0] == np.inf
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -119,8 +120,8 @@ class TestWcpNuc:
         e_t = rng.uniform(0.25, 0.5, size=25)
         for alpha in (0.1, 0.2, 0.4):
             batch = wcp_threshold_nuc_batch(scores, e_cal, e_t, 1, 0.4, alpha)
-            single = [wcp_threshold_nuc(scores, e_cal, et, 1, 0.4, alpha)
-                      for et in e_t]
+            single = [wcp_threshold_nuc_batch(scores, e_cal, [et], 1, 0.4,
+                                              alpha)[0] for et in e_t]
             assert np.array_equal(batch, np.array(single))
             # reference: the weighted quantile with the sentinel atom
             ref = [weighted_quantile(WeightedDiscreteDist(
@@ -130,7 +131,8 @@ class TestWcpNuc:
 
     def test_empty_calibration_error(self):
         with pytest.raises(ValueError):
-            wcp_threshold_nuc(np.array([]), np.array([]), 0.5, 1, 0.5, 0.2)
+            wcp_threshold_nuc_batch(np.array([]), np.array([]), [0.5], 1,
+                                    0.5, 0.2)
 
 
 class TestIntervalAssembly:

@@ -5,8 +5,7 @@ import pytest
 
 from confsens.conformal import (
     WeightedDiscreteDist,
-    wcp_interval_nuc,
-    wcp_threshold_nuc,
+    wcp_threshold_nuc_batch,
     weighted_quantile,
 )
 from confsens.csa import (
@@ -136,7 +135,8 @@ class TestThreshold:
             spec = SensitivitySpec(gamma=1.0, alpha=alpha, t=1)
             assert csa_threshold_batch(scores, e, [0.5], spec, 0.4)[0] == want
             assert csa_threshold(scores, e, 0.5, spec, 0.4).threshold == want
-            assert wcp_threshold_nuc(scores, e, 0.5, 1, 0.4, alpha) == want
+            assert wcp_threshold_nuc_batch(scores, e, [0.5], 1, 0.4,
+                                           alpha)[0] == want
 
     def test_batch_greedy_matches_scalar_greedy(self):
         rng = np.random.default_rng(4)
@@ -174,9 +174,11 @@ class TestInterval:
         spec = SensitivitySpec(gamma=1.0, alpha=0.2, t=1)
         x0 = np.array([0.5, 0.5, 0.5])
         a = csa_interval(mu, prop, cal_x, cal_y, x0, spec, 0.4)
-        b = wcp_interval_nuc(mu, prop, cal_x, cal_y, x0, 1, 0.4, 0.2)
-        assert a.lower == b.lower and a.upper == b.upper
-        assert a.threshold == b.threshold
+        scores = np.abs(cal_y - mu.predict(cal_x))
+        q = wcp_threshold_nuc_batch(scores, prop.predict(cal_x),
+                                    prop.predict(x0[None, :]), 1, 0.4, 0.2)[0]
+        mu0 = mu.predict(x0[None, :])[0]
+        assert (a.lower, a.upper, a.threshold) == (mu0 - q, mu0 + q, q)
 
     def test_widens_with_gamma(self):
         mu, prop, cal_x, cal_y = _fitted_instance(seed=1)

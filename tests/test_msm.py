@@ -45,10 +45,6 @@ class TestSensitivitySpec:
             with pytest.raises(ValueError, match="finite number >= 1"):
                 check()
 
-    def test_lam(self):
-        assert SensitivitySpec(gamma=1.0, alpha=0.2, t=1).lam == 0.0
-        assert SensitivitySpec(gamma=np.e, alpha=0.2, t=0).lam == pytest.approx(1.0)
-
 
 class TestSameArmBounds:
     def test_collapse_at_gamma_one(self):

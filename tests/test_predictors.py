@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -118,7 +119,11 @@ class TestNeighborSearch:
         cfg = harness.ExperimentConfig(
             methods=methods, gammas=(1.0, 1.5, 2.0, 3.0, 4.0), n_train=300,
             n_target=200, n_trials=1)
-        harness.run_trial(cfg, 0)
+        # this seed's sharpened trial meets an infeasible balance row
+        fallback = (pytest.warns(UserWarning, match="infeasible")
+                    if "cssa-m" in methods else contextlib.nullcontext())
+        with fallback:
+            harness.run_trial(cfg, 0)
         assert len(calls) == searches
 
 

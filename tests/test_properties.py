@@ -1,4 +1,5 @@
-"""Property tests of the threshold engine's invariants, of the CSSA probe
+"""Property tests of the threshold engine's invariants, of the unconfounded
+thresholds against the weighted-quantile reference, of the CSSA probe
 against the fractional program solved as one LP, of interval widths in
 gamma, of the batch interval route against the per-target API,
 and of the shared nested fold against a fresh nested fit, over generated
@@ -14,7 +15,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confsens.conformal import wcp_interval_nuc, wcp_threshold_nuc_batch
+from confsens.conformal import (
+    WeightedDiscreteDist,
+    wcp_threshold_nuc_batch,
+    weighted_quantile,
+)
 from confsens.csa import (
     csa_interval,
     csa_threshold_batch,
@@ -38,7 +43,7 @@ from confsens.msm import (
 from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
 
-ETA = SensitivitySpec(gamma=1.0, alpha=0.1, t=1).eta
+ETA = 0.01  # the propensity clip of `fit_propensity`
 GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
 
 _settings = settings(derandomize=True, database=None, deadline=None,
@@ -80,6 +85,21 @@ def test_gamma_one_is_unconfounded_baseline(inst):
     got = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
     want = wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha)
     assert np.array_equal(got, want)
+
+
+@_settings
+@given(instances())
+def test_nuc_threshold_is_weighted_quantile(inst):
+    # the independent reference: a sorted, tie-merged cumulative sum over
+    # the weights p_t / P(T=t | x) with the target's weight on +inf
+    scores, e_cal, e_target, p_t, alpha, t = inst
+    arm_cal = e_cal if t == 1 else 1.0 - e_cal
+    want = [weighted_quantile(WeightedDiscreteDist(
+        np.append(scores, np.inf),
+        p_t / np.append(arm_cal, e if t == 1 else 1.0 - e)), 1.0 - alpha)
+        for e in e_target]
+    got = wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha)
+    assert list(got) == want
 
 
 @_settings
@@ -212,13 +232,12 @@ def test_single_row_probe_equals_lp(probe):
 def _per_target(arm, method, x, gamma, alpha, score):
     """One target's interval through the public per-target functions."""
     fold = arm.fold
-    spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=arm.t)
+    # the unconfounded baseline is CSA at gamma = 1
+    spec = SensitivitySpec(gamma=1.0 if method == "nuc" else gamma,
+                           alpha=alpha, t=arm.t)
     common = (arm.mu_hat, fold.propensity, arm.cal_x, arm.cal_y, x)
     q_hat = arm.q_hat if score == "cqr" else None
-    if method == "nuc":
-        return wcp_interval_nuc(*common, arm.t, arm.p_t, alpha, score=score,
-                                q_hat=q_hat)
-    if method == "csa":
+    if method in ("nuc", "csa"):
         return csa_interval(*common, spec, arm.p_t, score=score, q_hat=q_hat)
     return cssa_interval(*common, spec, arm.p_t, fold.cal.covariates,
                          fold.cal.treatment, score=score, q_hat=q_hat)
