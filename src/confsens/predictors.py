@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 
+def _finite(x):
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite covariate value")
+    return x
+
+
 def relevance_weights(train_x, train_y, floor=1e-3):
     """Per-feature metric weights from absolute outcome correlation.
 
@@ -33,7 +39,7 @@ def relevance_weights(train_x, train_y, floor=1e-3):
     noise.  Weights are normalized to max 1 with a small floor so no
     coordinate is discarded entirely.
     """
-    x = np.asarray(train_x, dtype=float)
+    x = _finite(np.asarray(train_x, dtype=float))
     y = np.asarray(train_y, dtype=float)
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
@@ -54,40 +60,108 @@ def _as_2d(x, p):
         x = x.reshape(1, -1) if x.shape[0] == p else x.reshape(-1, 1)
     if x.shape[1] != p:
         raise ValueError(f"query has {x.shape[1]} covariates, model expects {p}")
-    return x
+    return _finite(x)
 
 
-# query rows per distance block: bounds the block x train x p temporary
+# query rows per block: bounds the block x train approximations and the
+# candidates x p differences of the exact distances
 _BLOCK = 128
 # query sets a search remembers: the calibration rows and the targets
 _MEMO = 2
 
+# Why the prefilter is exact.  Write u = eps / 2 and gamma_m = m u / (1 - m u),
+# the inner-product error bound (Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 3.1), which holds in any summation order, with or without
+# fused multiply-adds.  Let qc = q - c and tc = t - c as computed, and S the
+# block's largest ||qc||^2 plus the train's largest ||tc||^2.
+#  - The entry ||tc||^2 - 2 qc.tc is ||qc - tc||^2 - ||qc||^2 to within
+#    (2 gamma_p + 2u) S: gamma_p S from each of the norm and the product, 2u S
+#    from the final addition.  ||qc||^2 is the same along a row, so it moves
+#    no row's candidates and is left out of the matrix.
+#  - ||qc - tc||^2 is ||q - t||^2 to within about 4u S: each centred
+#    coordinate carries a relative error of at most u.
+#  - ((q - t) ** 2).sum() is ||q - t||^2 to within gamma_{p+2} 2S: a rounded
+#    difference, a rounded square and p - 1 additions of non-negative terms,
+#    with ||q - t||^2 <= 2S.
+# So an entry plus its row's constant is the computed d2 to within
+# (4p + 10) u S.  delta = 8(p + 4) eps S is at least four times that, which
+# also covers the rounding of the threshold.  Gradual underflow adds at most
+# half the smallest subnormal per product or square and leaves subnormal sums
+# exact, hence delta's absolute term.
+# At least k entries of a row are at most its k-th smallest a_k, so the row's
+# k-th computed d2 is at most a_k + delta (plus the row constant).  A column
+# at or below that distance has an entry at most a_k + 2 delta and is a
+# candidate; a column outside is strictly farther than the k-th neighbour, so
+# the lists and their ties are unchanged.  Entries, thresholds and candidate
+# distances stay below 4S in magnitude; where 4S overflows, every column is a
+# candidate.
+_TINY = np.finfo(float).smallest_subnormal
+_EPS = np.finfo(float).eps
 
-def _block_neighbors(train_x, query_x, k):
-    d2 = ((query_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-    if 0 < k < d2.shape[1]:
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        # a NaN k-th distance leaves fewer than k comparable rows
-        if not np.isnan(kth).any():
-            # every row below the k-th distance, then the lowest-index
-            # ties at it, stable-sorted by distance
-            below, tie = d2 < kth, d2 == kth
-            room = k - below.sum(axis=1, keepdims=True)
-            keep = below | (tie & (np.cumsum(tie, axis=1) <= room))
-            cols = np.nonzero(keep)[1].reshape(-1, k)
-            order = np.argsort(np.take_along_axis(d2, cols, axis=1),
-                               axis=1, kind="stable")
-            return np.take_along_axis(cols, order, axis=1)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+def _candidates(query_x, c, tc2, tn, k):
+    """Per query row, in ascending order, the training columns whose
+    approximate distance is within 2 delta of the row's k-th smallest,
+    padded with column n; all n columns where the bound does not apply."""
+    n, p = tc2.shape
+    every = np.broadcast_to(np.arange(n), (query_x.shape[0], n))
+    if k == n or query_x.shape[0] == 0:
+        return every
+    with np.errstate(over="ignore", invalid="ignore"):
+        qc = query_x - c
+        s = (qc ** 2).sum(axis=1).max() + tn.max()
+        if not np.isfinite(4.0 * s):
+            return every
+        approx = qc @ tc2.T
+    approx += tn
+    delta = 8 * (p + 4) * (_EPS * s + _TINY)
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
+    keep = approx <= kth + 2 * delta
+    count = keep.sum(axis=1)
+    cols = np.full((query_x.shape[0], count.max()), n)
+    cols[np.arange(cols.shape[1]) < count[:, None]] = np.flatnonzero(keep) % n
+    return cols
+
+
+def _select(query_x, padded, cols, k):
+    """The first k of `cols` per row in a stable argsort of the exact
+    squared distances (equal distances in column order)."""
+    # ((q - t) ** 2).sum(), in place on the gathered candidates
+    diff = padded[cols]
+    np.subtract(query_x[:, None, :], diff, out=diff)
+    d2 = np.square(diff, out=diff).sum(axis=2)
+    # every column below the k-th distance, then the lowest-index ties at
+    # it, stable-sorted by distance
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below, tie = d2 < kth, d2 == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    keep = below | (tie & (np.cumsum(tie, axis=1) <= room))
+    pos = np.nonzero(keep)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(d2, pos, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, np.take_along_axis(pos, order, axis=1),
+                              axis=1)
 
 
 def _neighbor_idx(train_x, query_x, k):
-    """The first k columns of a stable argsort of the squared distances
-    (equidistant rows resolve by training index), found `_BLOCK` query
-    rows at a time; zero query rows still give one (empty) block."""
-    return np.concatenate([
-        _block_neighbors(train_x, query_x[start:start + _BLOCK], k)
-        for start in range(0, max(query_x.shape[0], 1), _BLOCK)])
+    """The first min(k, n) columns of a stable argsort of the squared
+    distances (equidistant rows resolve by training index), found
+    `_BLOCK` query rows at a time; zero query rows still give one (empty)
+    block.  Per block, one matrix product of train-centred coordinates
+    picks a few candidate columns per row, and the exact per-element
+    distances of those columns alone decide the list."""
+    n, p = train_x.shape
+    k = min(k, n)
+    # column n pads rows with fewer candidates than the widest, at +inf
+    padded = np.vstack([train_x, np.full((1, p), np.inf)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = train_x.mean(axis=0)
+        tc = train_x - c
+        tc2, tn = -2.0 * tc, (tc ** 2).sum(axis=1)
+    blocks = (query_x[start:start + _BLOCK]
+              for start in range(0, max(query_x.shape[0], 1), _BLOCK))
+    return np.concatenate([_select(q, padded, _candidates(q, c, tc2, tn, k), k)
+                           for q in blocks])
 
 
 class _Search:
@@ -96,9 +170,11 @@ class _Search:
     sets, compared by value, so models sharing it search a set once."""
 
     def __init__(self, train_x, k, feature_weights=None):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         self.weights = feature_weights
-        self.train = (train_x if feature_weights is None
-                      else train_x * feature_weights)
+        self.train = _finite(train_x if feature_weights is None
+                             else train_x * feature_weights)
         self.k = k
         self._memo = []
 
@@ -183,7 +259,7 @@ class LogisticPropensity:
                  step_size=0.1, n_iter=500):
         if not (0.0 < eta < 0.5):
             raise ValueError("eta must lie in (0, 0.5)")
-        x = np.asarray(train_x, dtype=float)
+        x = _finite(np.asarray(train_x, dtype=float))
         t = np.asarray(train_t, dtype=float)
         if len(np.unique(t)) < 2:
             raise ValueError("both treatment values must be present")

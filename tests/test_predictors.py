@@ -46,32 +46,65 @@ class TestKNNMean:
         with pytest.raises(ValueError):
             fit_mean(np.array([[0.0]]), np.array([1.0]))
 
+    def test_k_below_one_error(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            fit_mean(np.zeros((5, 1)), np.zeros(5), k=-1)
+
+
+def _adversarial(kind, rng, n, m, p):
+    """Training and query covariates of one family that stresses the
+    prefilter's error bound."""
+    if kind == "normal":
+        return [rng.normal(size=(r, p)) for r in (n, m)]
+    if kind == "offset":  # a common offset far above the separations
+        return [1e6 + 1e-3 * rng.normal(size=(r, p)) for r in (n, m)]
+    if kind == "relevance":  # metric scales down to the weights' floor
+        w = np.maximum(10.0 ** rng.uniform(-4.0, 0.0, size=p), 1e-3)
+        w[rng.integers(p)] = 1.0
+        return [w * rng.normal(size=(r, p)) for r in (n, m)]
+    if kind == "duplicates":  # rows drawn from a handful of points
+        pool = rng.normal(size=(4, p))
+        return [pool[rng.integers(0, 4, size=r)] for r in (n, m)]
+    # a quarter grid: many equal distances
+    return [rng.integers(0, 3, size=(r, p)) / 4 for r in (n, m)]
+
 
 class TestNeighborSearch:
     @settings(derandomize=True, database=None, deadline=None,
-              max_examples=120)
-    @given(n=st.integers(1, 80), p=st.integers(1, 4),
+              max_examples=300)
+    @given(kind=st.sampled_from(["normal", "grid", "offset", "relevance",
+                                 "duplicates"]),
+           magnitude=st.sampled_from(["unit", "tiny", "huge"]),
+           n=st.integers(1, 400), p=st.integers(1, 6),
            m=st.sampled_from([0, 5, _BLOCK, 2 * _BLOCK + 9]),
-           k_over_n=st.integers(-80, 3), quantized=st.booleans(),
-           seed=st.integers(0, 2 ** 16))
-    @example(n=40, p=2, m=_BLOCK, k_over_n=-39, quantized=True, seed=0)
-    @example(n=40, p=2, m=5, k_over_n=0, quantized=True, seed=1)
-    @example(n=40, p=2, m=2 * _BLOCK + 9, k_over_n=3, quantized=True, seed=2)
-    @example(n=40, p=2, m=0, k_over_n=-20, quantized=False, seed=3)
-    def test_matches_full_stable_argsort(self, n, p, m, k_over_n, quantized,
-                                         seed):
-        # k runs from 1 through n to n + 3; coordinates on {0, 1, 2} make
-        # ties at the k-th distance common
+           k_over_n=st.integers(-400, 3), seed=st.integers(0, 2 ** 16))
+    @example(kind="grid", magnitude="unit", n=40, p=2, m=_BLOCK,
+             k_over_n=-39, seed=0)
+    @example(kind="grid", magnitude="unit", n=40, p=2, m=5, k_over_n=0,
+             seed=1)
+    @example(kind="grid", magnitude="unit", n=40, p=2, m=2 * _BLOCK + 9,
+             k_over_n=3, seed=2)
+    @example(kind="normal", magnitude="unit", n=40, p=2, m=0, k_over_n=-20,
+             seed=3)
+    def test_matches_full_stable_argsort(self, kind, magnitude, n, p, m,
+                                         k_over_n, seed):
+        # k runs from 1 through n to n + 3.  The Gram prefilter must keep
+        # every neighbour and tie of the per-element distances, also where
+        # its error bound is tightest: underflowing or overflowing squares
         rng = np.random.default_rng(seed)
-        if quantized:
-            x = rng.integers(0, 3, size=(n, p)).astype(float)
-            q = rng.integers(0, 3, size=(m, p)).astype(float)
-        else:
-            x, q = rng.normal(size=(n, p)), rng.normal(size=(m, p))
+        x, q = _adversarial(kind, rng, n, m, p)
+        if magnitude != "unit":
+            low, high = (-170, -150) if magnitude == "tiny" else (150, 200)
+            scale = 10.0 ** rng.uniform(low, high)
+            x, q = scale * x, scale * q
         k = max(1, n + k_over_n)
-        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):
+            d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         want = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        got = _neighbor_idx(x, q, k)
+        # the search may overflow only where the per-element distances do
+        overflows = not np.isfinite(d2).all()
+        with np.errstate(over="ignore" if overflows else "raise"):
+            got = _neighbor_idx(x, q, k)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_predict_memory_is_bounded_in_query_rows(self):
@@ -125,6 +158,47 @@ class TestNeighborSearch:
         with fallback:
             harness.run_trial(cfg, 0)
         assert len(calls) == searches
+
+
+class TestNonFiniteCovariates:
+    FITS = {
+        "mean": lambda x, y: fit_mean(x, y),
+        "mean-relevance": lambda x, y: fit_mean(x, y, scale="relevance"),
+        "quantile": lambda x, y: fit_quantile(x, y, (0.1, 0.9)),
+        "quantile-relevance": lambda x, y: fit_quantile(
+            x, y, (0.1, 0.9), scale="relevance"),
+        "propensity": lambda x, y: fit_propensity(x, y > 0),
+    }
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(12)
+        return rng.normal(size=(40, 3)), rng.normal(size=40)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fit", FITS)
+    def test_training_covariates_refused(self, fit, bad):
+        x, y = self._data()
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite covariate value"):
+            self.FITS[fit](x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fit", FITS)
+    def test_query_covariates_refused(self, fit, bad):
+        x, y = self._data()
+        model = self.FITS[fit](x, y)
+        q = x[:5].copy()
+        q[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite covariate value"):
+            model.predict(q)
+
+    def test_infinite_outcomes_propagate(self):
+        x, y = self._data()
+        y[:] = np.inf
+        assert np.all(fit_mean(x, y).predict(x[:5]) == np.inf)
+        lo, hi = fit_quantile(x, y, (0.1, 0.9)).predict(x[:5])
+        assert np.all(lo == np.inf) and np.all(hi == np.inf)
 
 
 class TestKNNQuantile:
