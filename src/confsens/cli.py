@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 
@@ -121,14 +122,11 @@ def _cmd_sweep(args):
         "two_arm": args.two_arm or None,
         "base_seed": args.seed,
         "paper_scale": args.paper_scale or None,
-        "output_dir": args.out_dir,
+        "output_dir": os.environ.get("CONFSENS_OUTPUT_DIR", args.out_dir),
     }
     for key, value in overrides.items():
         if value is not None:
             cfg_dict[key] = value
-    for key in ("methods", "gammas"):
-        if key in cfg_dict:
-            cfg_dict[key] = tuple(cfg_dict[key])
     cfg_dict.setdefault("output_dir", ".")
     cfg = ExperimentConfig(**cfg_dict)
     _, summary = run_sweep(cfg)

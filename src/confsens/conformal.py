@@ -140,21 +140,16 @@ def wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha):
     """Unconfoundedness thresholds for an array of target propensities.
 
     The conformal weights p(T=t) / arm-probability(x) are the gamma = 1
-    point box of `weight_bounds_same_arm`; the +inf sentinel carries the
-    target weight.  Each threshold is the (1 - alpha) weighted quantile
-    (possibly +inf), one `_flip_index` search per target.
+    point box of `weight_bounds_same_arm`, the target weight riding on the
+    +inf sentinel: `cssa_threshold_batch` over that box with no balance
+    rows, each threshold the (1 - alpha) weighted quantile (possibly +inf).
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empty calibration set")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    order = np.argsort(scores, kind="stable")
-    w, _ = weight_bounds_same_arm(np.asarray(e_cal, dtype=float)[order], 1.0,
-                                  t, p_t)
-    w_target, _ = weight_bounds_same_arm(
-        np.atleast_1d(np.asarray(e_target, dtype=float)), 1.0, t, p_t)
-    return np.append(scores[order], np.inf)[_flip_index(w, w, w_target, alpha)]
+    # function-level: cssa imports this module
+    from .cssa import cssa_threshold_batch
+
+    w, _ = weight_bounds_same_arm(e_cal, 1.0, t, p_t)
+    w_target, _ = weight_bounds_same_arm(e_target, 1.0, t, p_t)
+    return cssa_threshold_batch(scores, w, w, (), alpha, w_target)
 
 
 def calibration_scores(score, model, x, y):

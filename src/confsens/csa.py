@@ -15,21 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (
-    PredictiveInterval,
-    _flip_index,
-    calibration_scores,
-    cqr_score_interval,
-    score_band,
-)
-from .msm import SensitivitySpec, weight_bounds_same_arm
+from .conformal import PredictiveInterval, _flip_index
+from .cssa import _sorted_box, _target_interval, cssa_threshold_batch
+from .msm import SensitivitySpec, check_alpha, weight_bounds_same_arm
 
 __all__ = [
     "GreedyResult",
     "greedy_max_quantile",
     "greedy_threshold_batch",
     "csa_threshold",
-    "csa_threshold_batch",
     "csa_interval",
 ]
 
@@ -65,8 +59,7 @@ def greedy_max_quantile(scores, lo, hi, alpha) -> GreedyResult:
     m = scores.shape[0]
     if lo.shape[0] != m or hi.shape[0] != m:
         raise ValueError("bounds are misaligned with scores")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     if m < 2 or not np.isinf(scores[-1]):
         raise ValueError("scores must end with the +inf sentinel")
     if np.any(np.diff(scores[:-1]) < 0):
@@ -80,64 +73,34 @@ def greedy_max_quantile(scores, lo, hi, alpha) -> GreedyResult:
 
 
 def greedy_threshold_batch(scores_sorted, lo_c, hi_c, hi_target, alpha):
-    """Greedy thresholds for many target points sharing one calibration set.
+    """Greedy thresholds for many target points sharing one calibration set:
+    `cssa_threshold_batch` with no balance rows.
 
     `scores_sorted` are the n ascending calibration scores (no sentinel);
     `lo_c`/`hi_c` the aligned calibration weight bounds; `hi_target` the
     per-target sentinel upper bounds.  Equal to `greedy_max_quantile` per
-    target; work is O(n + m log n) for m targets.
+    target; work is O(n log n + m log n) for m targets.
     """
-    scores_sorted = np.asarray(scores_sorted, dtype=float)
-    hi_target = np.atleast_1d(np.asarray(hi_target, dtype=float))
-    j_star = _flip_index(np.asarray(lo_c, dtype=float),
-                         np.asarray(hi_c, dtype=float), hi_target, alpha)
-    return np.append(scores_sorted, np.inf)[j_star]
+    return cssa_threshold_batch(scores_sorted, lo_c, hi_c, (), alpha,
+                                hi_target)
 
 
 def csa_threshold(scores, e_cal, e_target, spec: SensitivitySpec, p_t) -> GreedyResult:
-    """Sort scores, attach the sentinel, derive same-arm weight bounds from
-    the propensities, and run the greedy maximization."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empty calibration set")
-    e_cal = np.asarray(e_cal, dtype=float)
-    order = np.argsort(scores, kind="stable")
-    lo_c, hi_c = weight_bounds_same_arm(e_cal[order], spec.gamma, spec.t, p_t)
+    """The greedy corner at one target: same-arm weight bounds from the
+    propensities, checked and sorted as `cssa_threshold_batch` does, and
+    `greedy_max_quantile` over them with the target on the sentinel."""
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
     lo_t, hi_t = weight_bounds_same_arm(np.array([e_target]), spec.gamma,
                                         spec.t, p_t)
-    v = np.append(scores[order], np.inf)
-    lo = np.append(lo_c, lo_t)
-    hi = np.append(hi_c, hi_t)
-    return greedy_max_quantile(v, lo, hi, spec.alpha)
-
-
-def csa_threshold_batch(scores, e_cal, e_target, spec: SensitivitySpec, p_t):
-    """Worst-case thresholds for an array of target propensities."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empty calibration set")
-    order = np.argsort(scores, kind="stable")
-    lo_c, hi_c = weight_bounds_same_arm(np.asarray(e_cal, dtype=float)[order],
-                                        spec.gamma, spec.t, p_t)
-    _, hi_t = weight_bounds_same_arm(np.asarray(e_target, dtype=float),
-                                     spec.gamma, spec.t, p_t)
-    return greedy_threshold_batch(scores[order], lo_c, hi_c, hi_t, spec.alpha)
+    _, v, lo, hi = _sorted_box(scores, lo_c, hi_c, spec.alpha)
+    return greedy_max_quantile(v, np.append(lo, lo_t), np.append(hi, hi_t),
+                               spec.alpha)
 
 
 def csa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
                  spec: SensitivitySpec, p_t, score="mean",
                  q_hat=None) -> PredictiveInterval:
-    """Worst-case predictive interval for Y(t) at one target point:
-    `csa_threshold_batch` for one target.
-
-    The weight bounds are uniform in y, so the threshold is computed once
-    and the interval assembled analytically from the fitted predictor.
-    """
-    cal_x = np.asarray(cal_x, dtype=float)
-    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
-    model = q_hat if score == "cqr" else mu_hat
-    scores = calibration_scores(score, model, cal_x, cal_y)
-    q = csa_threshold_batch(scores, propensity.predict(cal_x),
-                            propensity.predict(x_target), spec, p_t)
-    lo, hi = score_band(score, model, x_target)
-    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])
+    """Worst-case predictive interval for Y(t) at one target point: the
+    sharpened interval's body with no balance rows."""
+    return _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y,
+                            propensity.predict(cal_x), x_target, spec, p_t)

@@ -29,7 +29,7 @@ from .conformal import (
     score_band,
 )
 from .lp import solve_lp
-from .msm import SensitivitySpec, weight_bounds_same_arm
+from .msm import SensitivitySpec, check_alpha, weight_bounds_same_arm
 
 __all__ = [
     "BalanceConstraint",
@@ -43,6 +43,9 @@ __all__ = [
     "cssa_interval",
 ]
 
+# relative slack of the balance rows in the threshold search
+_SLACK_REL = 1e-6
+
 
 @dataclass(frozen=True)
 class BalanceConstraint:
@@ -51,7 +54,6 @@ class BalanceConstraint:
 
     coefficients: np.ndarray
     rhs: float
-    label: str = ""
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
@@ -70,7 +72,7 @@ class FractionalProgram:
     hi: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    slack_rel: float = 1e-6
+    slack_rel: float = _SLACK_REL
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
@@ -187,8 +189,23 @@ def _probe(j, lo, hi, A, b, level, slack_rel):
     return float(c @ w), float(w.sum())
 
 
-def cssa_threshold(scores, lo, hi, constraints, alpha,
-                   slack_rel=1e-6) -> float:
+def _sorted_box(scores, lo_c, hi_c, alpha):
+    """The checks every threshold shares, then the stable sort: the
+    calibration order, the sorted scores with the +inf sentinel appended,
+    and the sorted weight bounds."""
+    scores = np.asarray(scores, dtype=float)
+    lo_c = np.asarray(lo_c, dtype=float)
+    hi_c = np.asarray(hi_c, dtype=float)
+    if scores.size == 0:
+        raise ValueError("empty calibration set")
+    if lo_c.shape != scores.shape or hi_c.shape != scores.shape:
+        raise ValueError("bounds are misaligned with scores")
+    check_alpha(alpha)
+    order = np.argsort(scores, kind="stable")
+    return order, np.append(scores[order], np.inf), lo_c[order], hi_c[order]
+
+
+def cssa_threshold(scores, lo, hi, constraints, alpha) -> float:
     """Constrained worst-case score threshold at one target (possibly
     +inf): `cssa_threshold_batch` for a batch of one.
 
@@ -202,13 +219,13 @@ def cssa_threshold(scores, lo, hi, constraints, alpha,
     if scores.shape[0] < 2 or not np.isinf(scores[-1]):
         raise ValueError("scores must end with the +inf sentinel")
     return float(cssa_threshold_batch(scores[:-1], np.asarray(lo)[:-1],
-                                      hi[:-1], constraints, alpha, hi[-1:],
-                                      slack_rel=slack_rel)[0])
+                                      hi[:-1], constraints, alpha,
+                                      hi[-1:])[0])
 
 
-def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
-                         slack_rel=1e-6):
-    """Constrained thresholds for many targets over one calibration set.
+def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
+    """Constrained thresholds for many targets over one calibration set:
+    the one threshold routine, which every other threshold calls.
 
     `scores`/`lo_c`/`hi_c` cover the n calibration units (unsorted);
     `hi_target` gives each target's sentinel upper bound h.  A target's
@@ -217,8 +234,9 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
     (tail + h) / (total + h) exceeds the level; position 1 always does.
     The probe at j does not depend on the target (`_probe`), so all
     targets bisect [1, flip] in lockstep and each distinct midpoint is
-    probed once per batch.  Raises RuntimeError when the probed
-    tail - level * total, which cannot grow with j, does.
+    probed once per batch.  Raises ValueError on an empty calibration
+    set, misaligned bounds or an alpha outside (0, 1), and RuntimeError
+    when the probed tail - level * total, which cannot grow with j, does.
 
     When every weight box is a point (gamma = 1) or there are no
     constraints, the greedy thresholds are returned; if a probe finds the
@@ -227,19 +245,13 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
     whose balance row is infeasible can exceed the sharpened thresholds
     at a larger gamma.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empty calibration set")
+    order, ext, lo, hi = _sorted_box(scores, lo_c, hi_c, alpha)
     hi_target = np.atleast_1d(np.asarray(hi_target, dtype=float))
-    order = np.argsort(scores, kind="stable")
-    lo = np.asarray(lo_c, dtype=float)[order]
-    hi = np.asarray(hi_c, dtype=float)[order]
-    ext = np.append(scores[order], np.inf)
     flips = _flip_index(lo, hi, hi_target, alpha) + 1  # 1-based greedy stops
     constraints = list(constraints)
     if not constraints or np.array_equal(lo, hi):
         return ext[flips - 1]
-    if any(con.coefficients.shape != scores.shape for con in constraints):
+    if any(con.coefficients.shape != order.shape for con in constraints):
         raise ValueError("constraint coefficients must cover the "
                          "calibration units")
     A = np.array([con.coefficients[order] for con in constraints])
@@ -252,7 +264,7 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target,
         live = np.flatnonzero(left < right)
         mid = (left[live] + right[live] + 1) // 2
         for j in np.unique(mid[np.isnan(tail[mid])]):
-            probe = _probe(j, lo, hi, A, b, level, slack_rel)
+            probe = _probe(j, lo, hi, A, b, level, _SLACK_REL)
             if probe is None:
                 warnings.warn("balancing constraints infeasible; falling "
                               "back to the unconstrained thresholds")
@@ -286,17 +298,34 @@ def balance_constraints(g_kind, cal_x, full_x, full_t, e_cal, e_full, t):
         raise ValueError(f"unknown balancing function kind {g_kind!r}")
     n_arm = cal_x.shape[0]
     return [BalanceConstraint(coefficients=g_cal / n_arm,
-                              rhs=balance_rhs(full_t, e_full, g_full, t),
-                              label="g")
+                              rhs=balance_rhs(full_t, e_full, g_full, t))
             for g_full, g_cal in pairs]
+
+
+def _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y, e_cal,
+                     x_target, spec: SensitivitySpec, p_t,
+                     constraints=()) -> PredictiveInterval:
+    """The interval for Y(t) at one target row, shared by `csa_interval`
+    (no rows) and `cssa_interval`: calibration scores, same-arm weight
+    bounds, `cssa_threshold_batch` for a batch of one, and the score's
+    band at the target widened by the threshold.  The weight bounds are
+    uniform in y, so the interval is assembled analytically."""
+    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
+    model = q_hat if score == "cqr" else mu_hat
+    scores = calibration_scores(score, model, cal_x, cal_y)
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
+    _, hi_t = weight_bounds_same_arm(propensity.predict(x_target),
+                                     spec.gamma, spec.t, p_t)
+    q = cssa_threshold_batch(scores, lo_c, hi_c, constraints, spec.alpha,
+                             hi_t)
+    lo, hi = score_band(score, model, x_target)
+    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])
 
 
 def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
                   spec: SensitivitySpec, p_t, full_x, full_t, score="mean",
-                  q_hat=None, g_kind="propensity",
-                  slack_rel=1e-6) -> PredictiveInterval:
-    """Sharpened worst-case interval for Y(t) at one target point:
-    `cssa_threshold_batch` for one target.
+                  q_hat=None, g_kind="propensity") -> PredictiveInterval:
+    """Sharpened worst-case interval for Y(t) at one target point.
 
     `full_x`/`full_t` hold the calibration fold with both arms, used for
     the inverse-propensity balance targets.  `g_kind` picks the balancing
@@ -305,16 +334,8 @@ def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
     """
     cal_x = np.asarray(cal_x, dtype=float)
     full_x = np.asarray(full_x, dtype=float)
-    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
-    model = q_hat if score == "cqr" else mu_hat
-    scores = calibration_scores(score, model, cal_x, cal_y)
     e_cal = propensity.predict(cal_x)
-    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
-    _, hi_t = weight_bounds_same_arm(propensity.predict(x_target),
-                                     spec.gamma, spec.t, p_t)
     constraints = balance_constraints(g_kind, cal_x, full_x, full_t, e_cal,
                                       propensity.predict(full_x), spec.t)
-    q = cssa_threshold_batch(scores, lo_c, hi_c, constraints, spec.alpha,
-                             hi_t, slack_rel=slack_rel)
-    lo, hi = score_band(score, model, x_target)
-    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])
+    return _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y,
+                            e_cal, x_target, spec, p_t, constraints)

@@ -20,7 +20,7 @@ from scipy import stats
 
 from . import __version__
 from .ite import NestedFold, bonferroni_ite, nested_ite_predict
-from .msm import check_gamma, weight_bounds_same_arm
+from .msm import check_alpha, check_gamma, weight_bounds_same_arm
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
 from .pipeline import fit_arms
 
@@ -75,8 +75,7 @@ class ExperimentConfig:
             check_gamma(g)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
 
@@ -206,8 +205,7 @@ def run_sweep(cfg: ExperimentConfig, keep_targets=False):
 def summarize(records):
     """One row per (method, gamma): coverage/width mean and sd across
     trials, plus the total count of unbounded intervals."""
-    keys = sorted({(r.method, r.gamma) for r in records},
-                  key=lambda k: (k[0], k[1]))
+    keys = sorted({(r.method, r.gamma) for r in records})
     rows = []
     for method, gamma in keys:
         sel = [r for r in records if r.method == method and r.gamma == gamma]
@@ -228,9 +226,8 @@ def summarize(records):
 
 
 def write_outputs(cfg: ExperimentConfig, records, summary):
-    out_dir = os.environ.get("CONFSENS_OUTPUT_DIR", cfg.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "records.csv"), "w", newline="",
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(os.path.join(cfg.output_dir, "records.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "gamma", "trial", "seed", "coverage",
@@ -240,14 +237,14 @@ def write_outputs(cfg: ExperimentConfig, records, summary):
                              format(r.coverage, ".17g"),
                              format(r.mean_width, ".17g"),
                              r.n_unbounded, r.n_target])
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="",
+    with open(os.path.join(cfg.output_dir, "summary.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(summary[0].keys()))
         writer.writeheader()
         for row in summary:
             writer.writerow(row)
     manifest = {
-        "config": {k: v for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "resolved_sizes": dict(zip(("n_train", "n_target", "n_trials"),
                                    cfg.sizes)),
         "seeds": [cfg.base_seed + i for i in range(cfg.sizes[2])],
@@ -257,7 +254,7 @@ def write_outputs(cfg: ExperimentConfig, records, summary):
             "scipy": __import__("scipy").__version__,
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w",
+    with open(os.path.join(cfg.output_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 

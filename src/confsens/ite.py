@@ -16,7 +16,7 @@ import numpy as np
 from .conformal import score_abs_residual
 from .csa import greedy_threshold_batch
 from .dataset import ObservationalDataset, arm_indices
-from .msm import SensitivitySpec, weight_bounds_cross_arm
+from .msm import weight_bounds_cross_arm
 from .predictors import (
     _as_2d,
     _default_k,
@@ -128,11 +128,10 @@ class NestedFold:
         lower = np.empty(self.n_val)
         upper = np.empty(self.n_val)
         for t, (scores, e_cal, mask, e_q, mu_q) in enumerate(self._arms):
-            spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
-            lo_c, hi_c = weight_bounds_cross_arm(e_cal, spec.gamma, t)
-            _, hi_t = weight_bounds_cross_arm(e_q, spec.gamma, t)
+            lo_c, hi_c = weight_bounds_cross_arm(e_cal, gamma, t)
+            _, hi_t = weight_bounds_cross_arm(e_q, gamma, t)
             thresholds = greedy_threshold_batch(scores, lo_c, hi_c, hi_t,
-                                                spec.alpha)
+                                                alpha)
             cf_lo, cf_hi = mu_q - thresholds, mu_q + thresholds
             y = self.val_y[mask]
             if t == 0:  # treated val units: effect = Y - [L0, U0]

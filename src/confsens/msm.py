@@ -31,6 +31,12 @@ def check_gamma(gamma):
         raise ValueError(f"gamma must be a finite number >= 1, got {gamma}")
 
 
+def check_alpha(alpha):
+    """Raise ValueError unless alpha lies in (0, 1); NaN is rejected."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SensitivitySpec:
     """Confounding strength gamma >= 1, miscoverage alpha and arm t."""
@@ -41,8 +47,7 @@ class SensitivitySpec:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         if self.t not in (0, 1):
             raise ValueError("t must be 0 or 1")
 

@@ -172,6 +172,8 @@ class _Search:
     def __init__(self, train_x, k, feature_weights=None):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
+        if len(train_x) == 0:
+            raise ValueError("empty training set")
         self.weights = feature_weights
         self.train = _finite(train_x if feature_weights is None
                              else train_x * feature_weights)

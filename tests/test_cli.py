@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
@@ -197,6 +198,34 @@ class TestIte:
         assert out.read_text().count("\n") == 7
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+
+# Per-target CSVs pinned on the fixtures above, compared byte for byte.
+# The fixture's outcome under t = 0 is identically zero, so the CQR
+# sharpened interval is pinned at both arms.
+_GOLDEN_COMMANDS = {
+    "csa": ["interval", "--method", "csa"],
+    "cssa_cqr_t0": ["interval", "--method", "cssa", "--score", "cqr",
+                    "--t", "0"],
+    "cssa_cqr_t1": ["interval", "--method", "cssa", "--score", "cqr",
+                    "--t", "1"],
+    "nested": ["ite", "--method", "nested"],
+    "bonferroni": ["ite", "--method", "bonferroni"],
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_COMMANDS))
+def test_csv_matches_golden(name, data_csv, target_csv, tmp_path):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([*_GOLDEN_COMMANDS[name], "--data", str(data_csv),
+                     "--target", str(target_csv), "--gamma", "2.0",
+                     "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"golden_cli_{name}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 class TestSweep:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -218,6 +247,20 @@ class TestSweep:
                      "--n-train", "200", "--n-target", "40",
                      "--n-trials", "1", "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "summary.csv").exists()
+
+    def test_output_dir_env_override(self, tmp_path, monkeypatch):
+        # the variable beats the flag, and the manifest names where the
+        # files went
+        inner = tmp_path / "env_dir"
+        monkeypatch.setenv("CONFSENS_OUTPUT_DIR", str(inner))
+        assert _run(["sweep", "--methods", "ite-nuc", "--gammas", "1.0",
+                     "--n-train", "200", "--n-target", "40",
+                     "--n-trials", "1",
+                     "--out-dir", str(tmp_path / "ignored")]) == 0
+        assert (inner / "summary.csv").exists()
+        assert not (tmp_path / "ignored").exists()
+        manifest = json.loads((inner / "manifest.json").read_text())
+        assert manifest["config"]["output_dir"] == str(inner)
 
     @pytest.mark.parametrize("flag", ["--methods", "--gammas"])
     def test_empty_grid_flag_fails(self, flag, tmp_path, capsys):

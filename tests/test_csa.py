@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from confsens.conformal import (
 from confsens.csa import (
     csa_interval,
     csa_threshold,
-    csa_threshold_batch,
     greedy_max_quantile,
     greedy_threshold_batch,
 )
-from confsens.msm import SensitivitySpec
+from confsens.cssa import cssa_threshold, cssa_threshold_batch
+from confsens.msm import SensitivitySpec, weight_bounds_same_arm
 from confsens.predictors import fit_mean, fit_propensity
 
 
@@ -30,6 +31,15 @@ def brute_force_max_quantile(scores, lo, hi, alpha):
         q = weighted_quantile(d, 1.0 - alpha)
         best = max(best, q)
     return best
+
+
+def csa_batch(scores, e_cal, e_target, spec, p_t):
+    """CSA thresholds at many targets: `cssa_threshold_batch` over the
+    gamma box with no balance rows."""
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
+    _, hi_t = weight_bounds_same_arm(np.asarray(e_target, dtype=float),
+                                     spec.gamma, spec.t, p_t)
+    return cssa_threshold_batch(scores, lo_c, hi_c, (), spec.alpha, hi_t)
 
 
 class TestGreedy:
@@ -124,7 +134,7 @@ class TestThreshold:
         e_cal = rng.uniform(0.25, 0.5, size=40)
         e_t = rng.uniform(0.25, 0.5, size=20)
         spec = SensitivitySpec(gamma=2.0, alpha=0.2, t=1)
-        batch = csa_threshold_batch(scores, e_cal, e_t, spec, 0.4)
+        batch = csa_batch(scores, e_cal, e_t, spec, 0.4)
         single = [csa_threshold(scores, e_cal, et, spec, 0.4).threshold
                   for et in e_t]
         assert np.array_equal(batch, np.array(single))
@@ -133,7 +143,7 @@ class TestThreshold:
         for n, alpha, want in ((9, 0.1, 8.0), (5, 0.5, 2.0)):
             scores, e = np.arange(float(n)), np.full(n, 0.5)
             spec = SensitivitySpec(gamma=1.0, alpha=alpha, t=1)
-            assert csa_threshold_batch(scores, e, [0.5], spec, 0.4)[0] == want
+            assert csa_batch(scores, e, [0.5], spec, 0.4)[0] == want
             assert csa_threshold(scores, e, 0.5, spec, 0.4).threshold == want
             assert wcp_threshold_nuc_batch(scores, e, [0.5], 1, 0.4,
                                            alpha)[0] == want
@@ -153,6 +163,65 @@ class TestThreshold:
                                           np.append(lo, h * 0.5),
                                           np.append(hi, h), alpha).threshold
                 assert got[j] == ref
+
+
+_SCORES = np.array([0.3, 0.7, 1.1, 1.2, 2.0])  # ascending
+_V = np.append(_SCORES, np.inf)
+_E_CAL = np.array([0.3, 0.5, 0.4, 0.6, 0.45])
+
+
+def _e_cal(extra):
+    """The calibration propensities, `extra` entries longer (cycling) or
+    shorter than the scores."""
+    return np.resize(_E_CAL, _SCORES.size + extra)
+
+
+def _bounds(extra, sentinel=False):
+    """Gamma = 2 weight bounds of `_e_cal(extra)`, with a target's bounds
+    (1, 1) appended when `sentinel`."""
+    return [np.append(b, 1.0) if sentinel else b
+            for b in weight_bounds_same_arm(_e_cal(extra), 2.0, 1, 0.4)]
+
+
+# The six threshold entry points on one instance, as functions of alpha
+# and of how much longer the calibration bounds are than the scores.
+ENTRY_POINTS = {
+    "greedy_max_quantile": lambda alpha, extra: greedy_max_quantile(
+        _V, *_bounds(extra, sentinel=True), alpha).threshold,
+    "greedy_threshold_batch": lambda alpha, extra: greedy_threshold_batch(
+        _SCORES, *_bounds(extra), [1.0], alpha)[0],
+    "csa_threshold": lambda alpha, extra: csa_threshold(
+        _SCORES, _e_cal(extra), 0.5,
+        SensitivitySpec(gamma=2.0, alpha=alpha, t=1), 0.4).threshold,
+    "wcp_threshold_nuc_batch": lambda alpha, extra: wcp_threshold_nuc_batch(
+        _SCORES, _e_cal(extra), [0.5], 1, 0.4, alpha)[0],
+    "cssa_threshold": lambda alpha, extra: cssa_threshold(
+        _V, *_bounds(extra, sentinel=True), [], alpha),
+    "cssa_threshold_batch": lambda alpha, extra: cssa_threshold_batch(
+        _SCORES, *_bounds(extra), [], alpha, [1.0])[0],
+}
+
+
+class TestEntryPointRefusals:
+    """Every threshold entry point refuses the same inputs the same way."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, np.nan])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_alpha_outside_unit_interval(self, entry, alpha):
+        with pytest.raises(ValueError,
+                           match=re.escape("alpha must lie in (0, 1)")):
+            ENTRY_POINTS[entry](alpha, 0)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_misaligned_bounds(self, entry, extra):
+        # too long used to be cut to a prefix, too short an IndexError
+        with pytest.raises(ValueError, match="misaligned"):
+            ENTRY_POINTS[entry](0.2, extra)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_valid_instance_answers(self, entry):
+        assert np.isfinite(ENTRY_POINTS[entry](0.4, 0))
 
 
 def _fitted_instance(seed=0, n=200):

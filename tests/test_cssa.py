@@ -173,8 +173,7 @@ class TestThreshold:
         v, lo, hi, g, _ = self._instance(seed=7)
         # a constraint satisfied across the whole box changes nothing
         con = BalanceConstraint(coefficients=g,
-                                rhs=float(g @ ((lo[:-1] + hi[:-1]) / 2)),
-                                label="loose")
+                                rhs=float(g @ ((lo[:-1] + hi[:-1]) / 2)))
         wide = BalanceConstraint(coefficients=np.zeros_like(g), rhs=0.0)
         got = cssa_threshold(v, lo, hi, [wide], 0.2)
         assert got == greedy_max_quantile(v, lo, hi, 0.2).threshold

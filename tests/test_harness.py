@@ -106,14 +106,6 @@ class TestSweep:
         assert header == ("method,gamma,trial,seed,coverage,mean_width,"
                           "n_unbounded,n_target")
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        inner = tmp_path / "env_dir"
-        monkeypatch.setenv("CONFSENS_OUTPUT_DIR", str(inner))
-        cfg = _tiny_cfg(output_dir=str(tmp_path / "ignored"))
-        run_sweep(cfg)
-        assert (inner / "summary.csv").exists()
-        assert not (tmp_path / "ignored").exists()
-
     @pytest.mark.parametrize("methods, fits", [(("nested",), 1),
                                                (("csa-m",), 0)])
     def test_nested_propensity_fit_once_per_trial(self, methods, fits,

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsens import harness, predictors
+from confsens.ite import KNNSingleQuantile
 from confsens.predictors import (
     _BLOCK,
     _MEMO,
@@ -199,6 +201,19 @@ class TestNonFiniteCovariates:
         assert np.all(fit_mean(x, y).predict(x[:5]) == np.inf)
         lo, hi = fit_quantile(x, y, (0.1, 0.9)).predict(x[:5])
         assert np.all(lo == np.inf) and np.all(hi == np.inf)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, y: predictors.KNNMean(x, y, 3),
+    lambda x, y: predictors.KNNQuantile(x, y, (0.1, 0.9), 3),
+    lambda x, y: KNNSingleQuantile(x, y, 0.5, 3),
+], ids=["KNNMean", "KNNQuantile", "KNNSingleQuantile"])
+def test_empty_training_set_refused(build):
+    # used to build, then warn "Mean of empty slice" and fail in predict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty training set"):
+            build(np.empty((0, 2)), np.empty(0))
 
 
 class TestKNNQuantile:

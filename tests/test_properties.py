@@ -22,7 +22,7 @@ from confsens.conformal import (
 )
 from confsens.csa import (
     csa_interval,
-    csa_threshold_batch,
+    csa_threshold,
     greedy_max_quantile,
     greedy_threshold_batch,
 )
@@ -31,6 +31,7 @@ from confsens.cssa import (
     FractionalProgram,
     _probe,
     cssa_interval,
+    cssa_threshold,
     cssa_threshold_batch,
     solve_fractional,
 )
@@ -61,6 +62,14 @@ alpha_st = st.one_of(st.floats(0.01, 0.99),
                      st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]))
 
 
+def csa_batch(scores, e_cal, e_target, spec, p_t):
+    """CSA thresholds at many targets: `cssa_threshold_batch` over the
+    gamma box with no balance rows."""
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
+    _, hi_t = weight_bounds_same_arm(e_target, spec.gamma, spec.t, p_t)
+    return cssa_threshold_batch(scores, lo_c, hi_c, (), spec.alpha, hi_t)
+
+
 @st.composite
 def instances(draw):
     """Calibration scores and propensities, target propensities, p_t,
@@ -82,9 +91,21 @@ def instances(draw):
 def test_gamma_one_is_unconfounded_baseline(inst):
     scores, e_cal, e_target, p_t, alpha, t = inst
     spec = SensitivitySpec(gamma=1.0, alpha=alpha, t=t)
-    got = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
+    got = csa_batch(scores, e_cal, e_target, spec, p_t)
     want = wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha)
     assert np.array_equal(got, want)
+    # the other four entry points agree, per target for the scalar ones
+    order = np.argsort(scores, kind="stable")
+    w, _ = weight_bounds_same_arm(e_cal[order], 1.0, t, p_t)
+    w_target, _ = weight_bounds_same_arm(e_target, 1.0, t, p_t)
+    assert np.array_equal(greedy_threshold_batch(scores[order], w, w,
+                                                 w_target, alpha), want)
+    v = np.append(scores[order], np.inf)
+    for e_t, w_t, q in zip(e_target, w_target, want):
+        box = np.append(w, w_t)
+        assert (csa_threshold(scores, e_cal, e_t, spec, p_t).threshold
+                == greedy_max_quantile(v, box, box, alpha).threshold
+                == cssa_threshold(v, box, box, [], alpha) == q)
 
 
 @_settings
@@ -124,7 +145,7 @@ def test_scalar_greedy_equals_batch(data):
 @given(instances())
 def test_csa_threshold_nondecreasing_in_gamma(inst):
     scores, e_cal, e_target, p_t, alpha, t = inst
-    thr = np.stack([csa_threshold_batch(
+    thr = np.stack([csa_batch(
         scores, e_cal, e_target, SensitivitySpec(gamma=g, alpha=alpha, t=t),
         p_t) for g in GAMMAS])
     assert np.all(thr[1:] >= thr[:-1])
@@ -143,7 +164,7 @@ def test_csa_unbounded_iff_alpha_below_alpha_star(inst, gamma, rel, below):
         if not 0.0 < alpha < 1.0:
             continue
         spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
-        thr = csa_threshold_batch(scores, e_cal, [e_t], spec, p_t)[0]
+        thr = csa_batch(scores, e_cal, np.array([e_t]), spec, p_t)[0]
         assert np.isinf(thr) == below
 
 
@@ -163,7 +184,7 @@ def test_cssa_never_exceeds_csa(inst, gamma, where):
         warnings.simplefilter("ignore")  # an infeasible row falls back to CSA
         sharp = cssa_threshold_batch(scores, lo_c, hi_c,
                                      [BalanceConstraint(g, rhs)], alpha, hi_t)
-    plain = csa_threshold_batch(scores, e_cal, e_target, spec, p_t)
+    plain = csa_batch(scores, e_cal, e_target, spec, p_t)
     assert np.all(sharp <= plain)
 
 
