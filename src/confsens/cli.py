@@ -13,7 +13,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,11 +21,11 @@ import warnings
 import numpy as np
 
 from .dataset import (
-    _float_columns,
-    _read_rows,
     arm_indices,
     emit_csv,
+    ingest_covariates,
     ingest_csv,
+    write_csv,
 )
 from .harness import ExperimentConfig, run_sweep
 from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
@@ -74,20 +73,20 @@ def _cmd_fit(args):
 
 def _cmd_interval(args):
     ds = ingest_csv(args.data)
-    x_target = _target_covariates(args.target)
+    x_target = ingest_covariates(args.target)
     arm = fit_arms(ds, args.alpha, args.seed)[args.t]
     lower, upper, threshold = arm.intervals(x_target, args.gamma, args.alpha,
                                             args.method, args.score)
-    _write_csv(args.out, ["lower", "upper", "threshold", "unbounded"],
-               zip(_cells(lower), _cells(upper),
-                   [format(v, ".17g") for v in threshold],
-                   np.isinf(threshold).astype(int)))
+    write_csv(args.out, ["lower", "upper", "threshold", "unbounded"],
+              zip(_cells(lower), _cells(upper),
+                  [format(v, ".17g") for v in threshold],
+                  np.isinf(threshold).astype(int)))
     print(f"wrote {threshold.shape[0]} intervals to {args.out}")
 
 
 def _cmd_ite(args):
     ds = ingest_csv(args.data)
-    x_target = _target_covariates(args.target)
+    x_target = ingest_covariates(args.target)
     if args.method == "nested":
         model = nested_ite_fit(ds, args.gamma, args.alpha, seed=args.seed)
         lower, upper = nested_ite_predict(model, x_target)
@@ -97,10 +96,10 @@ def _cmd_ite(args):
         arm0, arm1 = (arm.intervals(x_target, args.gamma, half, "csa")
                       for arm in fit_arms(ds, half, args.seed))
         lower, upper = bonferroni_ite(arm1, arm0)
-    _write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
-               ((i, lo, up, args.method, args.gamma, args.alpha)
-                for i, (lo, up) in enumerate(zip(_cells(lower),
-                                                 _cells(upper)))))
+    write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
+              ((i, lo, up, args.method, args.gamma, args.alpha)
+               for i, (lo, up) in enumerate(zip(_cells(lower),
+                                                _cells(upper)))))
     print(f"wrote {lower.shape[0]} effect intervals to {args.out}")
 
 
@@ -147,25 +146,9 @@ def _cmd_calibrate(args):
           f"{len(rows)} covariates to {args.out}")
 
 
-def _target_covariates(path):
-    """Target covariates from a CSV with or without `t`/`y` columns; with
-    them, the file must also be a valid dataset."""
-    header, rows = _read_rows(path)
-    if "t" in header and "y" in header:
-        return ingest_csv(path).covariates
-    return _float_columns(header, rows, header)
-
-
 def _cells(values):
     """CSV cells for interval endpoints: "" on an unbounded side."""
     return [format(v, ".17g") if np.isfinite(v) else "" for v in values]
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def build_parser():
@@ -242,6 +225,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     status = 0
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a caller's "error" must not apply
         try:
             args.func(args)
         except (ValueError, OSError, RuntimeError) as exc:

@@ -76,10 +76,11 @@ def greedy_threshold_batch(scores_sorted, lo_c, hi_c, hi_target, alpha):
     """Greedy thresholds for many target points sharing one calibration set:
     `cssa_threshold_batch` with no balance rows.
 
-    `scores_sorted` are the n ascending calibration scores (no sentinel);
-    `lo_c`/`hi_c` the aligned calibration weight bounds; `hi_target` the
-    per-target sentinel upper bounds.  Equal to `greedy_max_quantile` per
-    target; work is O(n log n + m log n) for m targets.
+    `scores_sorted` are the n calibration scores in any order (no
+    sentinel; the routine stable-sorts them); `lo_c`/`hi_c` the aligned
+    calibration weight bounds; `hi_target` the per-target sentinel upper
+    bounds.  Equal to `greedy_max_quantile` per target; work is
+    O(n log n + m log n) for m targets.
     """
     return cssa_threshold_batch(scores_sorted, lo_c, hi_c, (), alpha,
                                 hi_target)

@@ -2,7 +2,8 @@
 
 A dataset is a frozen collection of (covariates, binary treatment, outcome)
 rows.  Treatments must be literal 0/1 and all numbers finite; missing values
-are rejected rather than imputed.
+are rejected rather than imputed.  This module is the package's one CSV
+reader and writer: every file is UTF-8 with one header row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ __all__ = [
     "SplitPlan",
     "CsvSchema",
     "ingest_csv",
+    "ingest_covariates",
     "emit_csv",
+    "write_csv",
     "split",
     "arm_indices",
 ]
@@ -185,7 +188,20 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationalDataset:
     `t` and `y` is a covariate.  Malformed or ragged rows raise ValueError
     naming the first offending 1-based data row.
     """
+    return _dataset(*_read_rows(path), schema)
+
+
+def ingest_covariates(path) -> np.ndarray:
+    """Target covariates from a CSV with or without `t`/`y` columns; with
+    them, the file must also be a valid dataset.  The file is read once."""
     header, rows = _read_rows(path)
+    if "t" in header and "y" in header:
+        return _dataset(header, rows, None).covariates
+    return _float_columns(header, rows, header)
+
+
+def _dataset(header, rows, schema):
+    """`ingest_csv` on rows already read."""
     if schema is None:
         schema = CsvSchema(covariates=tuple(c for c in header
                                             if c not in ("t", "y")))
@@ -207,14 +223,20 @@ def emit_csv(ds: ObservationalDataset, path, schema: CsvSchema | None = None) ->
         schema = CsvSchema(covariates=names)
     if len(schema.covariates) != ds.covariate_dim:
         raise ValueError("schema covariate count != covariate_dim")
+    write_csv(path, [*schema.covariates, schema.treatment, schema.outcome],
+              ([*(format(v, ".17g") for v in x), str(t), format(y, ".17g")]
+               for x, t, y in zip(ds.covariates.tolist(),
+                                  ds.treatment.tolist(),
+                                  ds.outcome.tolist())))
+
+
+def write_csv(path, header, rows):
+    """Write a UTF-8 CSV: the header row, then `rows`.  Callers format
+    their own cells; the `csv` writer turns any other value into text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(schema.covariates) + [schema.treatment, schema.outcome])
-        for i in range(ds.n):
-            row = [format(v, ".17g") for v in ds.covariates[i]]
-            row.append(str(int(ds.treatment[i])))
-            row.append(format(ds.outcome[i], ".17g"))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def split(ds: ObservationalDataset, fractions, seed: int) -> SplitPlan:

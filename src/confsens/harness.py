@@ -9,7 +9,6 @@ manifest; no plotting.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -19,6 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
+from .dataset import write_csv
 from .ite import NestedFold, bonferroni_ite, nested_ite_predict
 from .msm import check_alpha, check_gamma, weight_bounds_same_arm
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
@@ -227,22 +227,15 @@ def summarize(records):
 
 def write_outputs(cfg: ExperimentConfig, records, summary):
     os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "records.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "gamma", "trial", "seed", "coverage",
-                         "mean_width", "n_unbounded", "n_target"])
-        for r in records:
-            writer.writerow([r.method, r.gamma, r.trial, r.seed,
-                             format(r.coverage, ".17g"),
-                             format(r.mean_width, ".17g"),
-                             r.n_unbounded, r.n_target])
-    with open(os.path.join(cfg.output_dir, "summary.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary[0].keys()))
-        writer.writeheader()
-        for row in summary:
-            writer.writerow(row)
+    write_csv(os.path.join(cfg.output_dir, "records.csv"),
+              ["method", "gamma", "trial", "seed", "coverage", "mean_width",
+               "n_unbounded", "n_target"],
+              ([r.method, r.gamma, r.trial, r.seed, format(r.coverage, ".17g"),
+                format(r.mean_width, ".17g"), r.n_unbounded, r.n_target]
+               for r in records))
+    header = list(summary[0])
+    write_csv(os.path.join(cfg.output_dir, "summary.csv"), header,
+              ([row[k] for k in header] for row in summary))
     manifest = {
         "config": asdict(cfg),
         "resolved_sizes": dict(zip(("n_train", "n_target", "n_trials"),

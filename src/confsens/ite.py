@@ -86,7 +86,7 @@ class NestedFold:
 
     One seeded split halves the data.  The fit half trains one propensity
     model and, per arm t, a mean model on the first half of its arm-t
-    units; the second half gives the sorted calibration scores.  The val
+    units; the second half gives the calibration scores.  The val
     units in arm 1 - t keep their propensities and mean predictions, and
     `model` turns them into counterfactual intervals for Y(t) through the
     cross-arm weight bounds at a given gamma.  The endpoint regressions of
@@ -107,19 +107,17 @@ class NestedFold:
         self.n_val = ds_val.n
         self._search = _Search(self.val_x, _default_k(self.n_val))
         propensity = fit_propensity(ds_fit.covariates, ds_fit.treatment)
-        # per arm t: sorted calibration scores and their propensities, then
-        # the mask, propensities and mean predictions of val units in 1 - t
+        # per arm t: calibration scores and their propensities, then the
+        # mask, propensities and mean predictions of val units in 1 - t
         self._arms = []
         for t, idx in enumerate(fit_idx):
             pre, cal = idx[:idx.size // 2], idx[idx.size // 2:]
             mu_hat = fit_mean(ds_fit.covariates[pre], ds_fit.outcome[pre])
             cal_x = ds_fit.covariates[cal]
             scores = score_abs_residual(mu_hat, cal_x, ds_fit.outcome[cal])
-            order = np.argsort(scores, kind="stable")
             mask = ds_val.treatment == 1 - t
             x_q = self.val_x[mask]
-            self._arms.append((scores[order],
-                               propensity.predict(cal_x)[order], mask,
+            self._arms.append((scores, propensity.predict(cal_x), mask,
                                propensity.predict(x_q), mu_hat.predict(x_q)))
 
     def model(self, gamma, alpha) -> NestedIteModel:

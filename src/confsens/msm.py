@@ -5,12 +5,12 @@ miscoverage admitting a finite interval.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import write_csv
 from .predictors import fit_propensity
 
 __all__ = [
@@ -126,11 +126,8 @@ def gamma_summary(gamma_matrix, names=None):
 
 
 def emit_gamma_summary_csv(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["covariate", "median", "p90", "p99"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    header = ["covariate", "median", "p90", "p99"]
+    write_csv(path, header, ([row[k] for k in header] for row in rows))
 
 
 def min_miscoverage(e_cal, e_target, gamma, t, p_t) -> float:

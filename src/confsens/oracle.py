@@ -9,13 +9,12 @@ separate object that estimation code never sees.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .dataset import ObservationalDataset
+from .dataset import ObservationalDataset, write_csv
 from .msm import check_gamma
 
 __all__ = [
@@ -213,10 +212,6 @@ def sample_target_outcomes(truth: TruthRecord, arm, gamma, rng):
 
 
 def emit_truth_csv(truth: TruthRecord, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["e", "mu1", "mu0", "sigma"])
-        for i in range(truth.e.shape[0]):
-            writer.writerow([format(v, ".17g") for v in
-                             (truth.e[i], truth.mu1[i], truth.mu0[i],
-                              truth.sigma[i])])
+    write_csv(path, ["e", "mu1", "mu0", "sigma"],
+              ([format(v, ".17g") for v in row] for row in
+               zip(truth.e, truth.mu1, truth.mu0, truth.sigma)))

@@ -9,6 +9,8 @@ import pytest
 from confsens.cli import main
 from confsens.dataset import ObservationalDataset, emit_csv
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+
 
 def _run(args):
     return main(args)
@@ -45,12 +47,16 @@ class TestGenerate:
     def test_truth_out(self, tmp_path):
         out = tmp_path / "d.csv"
         truth = tmp_path / "truth.csv"
-        assert _run(["generate", "--n", "10", "--dim", "3", "--out",
-                     str(out), "--truth-out", str(truth)]) == 0
+        assert _run(["generate", "--n", "10", "--dim", "3", "--seed", "0",
+                     "--out", str(out), "--truth-out", str(truth)]) == 0
         with open(truth, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["e", "mu1", "mu0", "sigma"]
         assert len(rows) == 11
+        for written, name in ((out, "generate"), (truth, "truth")):
+            with open(os.path.join(GOLDEN, f"golden_cli_{name}.csv"),
+                      "rb") as fh:
+                assert written.read_bytes() == fh.read(), name
 
 
 class TestFit:
@@ -147,8 +153,11 @@ class TestCssaFallback:
         assert _run(["interval", *common, "--method", "csa",
                      "--out", str(tmp_path / "csa.csv")]) == 0
         capsys.readouterr()
-        assert _run(["interval", *common, "--method", "cssa",
-                     "--out", str(tmp_path / "cssa.csv")]) == 0
+        # a caller's error filter must not turn the fallback into a crash
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(["interval", *common, "--method", "cssa",
+                         "--out", str(tmp_path / "cssa.csv")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning: balancing constraints infeasible; falling "
                        "back to the unconstrained thresholds"]
@@ -197,8 +206,6 @@ class TestIte:
                      str(out)]) == 0
         assert out.read_text().count("\n") == 7
 
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "data")
 
 # Per-target CSVs pinned on the fixtures above, compared byte for byte.
 # The fixture's outcome under t = 0 is identically zero, so the CQR
@@ -282,6 +289,9 @@ class TestCalibrate:
         assert rows[0] == ["covariate", "median", "p90", "p99"]
         assert len(rows) == 5
         assert all(float(r[1]) >= 1.0 for r in rows[1:])
+        with open(os.path.join(GOLDEN, "golden_cli_calibrate.csv"),
+                  "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
 
 class TestErrors:

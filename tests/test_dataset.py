@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from confsens import dataset
 from confsens.dataset import (
     CsvSchema,
     ObservationalDataset,
     arm_indices,
     emit_csv,
+    ingest_covariates,
     ingest_csv,
     split,
 )
@@ -108,6 +110,20 @@ class TestCsvRoundTrip:
         path.write_text("x1,t,y\n")
         with pytest.raises(ValueError, match="no data rows"):
             ingest_csv(path, CsvSchema(covariates=("x1",)))
+
+    @pytest.mark.parametrize("text", ["a,t,b,y\n0.5,1,2.0,1.0\n",
+                                      "a,b\n0.5,2.0\n"])
+    def test_target_covariates_read_once(self, text, tmp_path, monkeypatch):
+        # with `t`/`y` the file is also checked as a dataset, from the same
+        # rows
+        path = tmp_path / "target.csv"
+        path.write_text(text)
+        reads = []
+        read_rows = dataset._read_rows
+        monkeypatch.setattr(dataset, "_read_rows",
+                            lambda p: reads.append(p) or read_rows(p))
+        assert ingest_covariates(path).tolist() == [[0.5, 2.0]]
+        assert reads == [path]
 
 
 class TestSplit:

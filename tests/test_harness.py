@@ -142,10 +142,11 @@ class TestGoldenSweep:
                                base_seed=0, output_dir=str(tmp_path),
                                **flags)
         run_sweep(cfg)
-        got = (tmp_path / "summary.csv").read_bytes()
-        with open(os.path.join(GOLDEN, f"golden_sweep_{setting}.csv"),
-                  "rb") as fh:
-            assert got == fh.read()
+        for written, golden in (("summary.csv", f"golden_sweep_{setting}"),
+                                ("records.csv", f"golden_records_{setting}")):
+            got = (tmp_path / written).read_bytes()
+            with open(os.path.join(GOLDEN, f"{golden}.csv"), "rb") as fh:
+                assert got == fh.read(), written
 
 
 class TestSummarize:
