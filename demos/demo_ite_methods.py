@@ -28,7 +28,7 @@ x_query = rng.uniform(size=(5, ds.covariate_dim))
 # built at level alpha / 2.
 # ------------------------------------------------------------------
 arm0, arm1 = (arm.intervals(x_query, gamma, alpha / 2.0, "csa")
-              for arm in fit_arms(ds, alpha / 2.0, seed=0, scale="relevance"))
+              for arm in fit_arms(ds, seed=0, scale="relevance"))
 bonf = bonferroni_ite(arm1, arm0)
 
 # ------------------------------------------------------------------

@@ -32,9 +32,9 @@ print(f"dataset: n={ds.n}, p={ds.covariate_dim}, "
       f"treated fraction={ds.treatment.mean():.3f}")
 
 # Split into a preliminary fold (model fitting) and a calibration fold.
-plan = split(ds, (0.5, 0.5), seed=0)
-prelim = ds.subset(plan.preliminary_idx)
-cal = ds.subset(plan.calibration_idx)
+prelim_idx, cal_idx = split(ds, seed=0)
+prelim = ds.subset(prelim_idx)
+cal = ds.subset(cal_idx)
 
 # Fit the nuisances on the preliminary fold only.
 t = 1

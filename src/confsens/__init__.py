@@ -22,9 +22,7 @@ from .conformal import (
 from .csa import csa_interval, csa_threshold, greedy_max_quantile
 from .cssa import BalanceConstraint, cssa_interval, cssa_threshold, solve_fractional
 from .dataset import (
-    CsvSchema,
     ObservationalDataset,
-    SplitPlan,
     arm_indices,
     emit_csv,
     ingest_csv,

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
 from .msm import calibrate_gamma, emit_gamma_summary_csv, gamma_summary
 from .oracle import SyntheticDGP, emit_truth_csv, generate
 from .pipeline import fit_arms
-from .predictors import fit_mean, fit_propensity, marginal_treatment_prob
+from .predictors import CLIP, fit_mean, fit_propensity, marginal_treatment_prob
 
 
 def _cmd_generate(args):
@@ -58,7 +59,7 @@ def _cmd_fit(args):
             "coefficients": [float(b) for b in propensity.beta_],
             "feature_means": [float(v) for v in propensity.mean_],
             "feature_sds": [float(v) for v in propensity.sd_],
-            "clip": propensity.eta,
+            "clip": CLIP,
         },
     }
     for t in (0, 1):
@@ -74,7 +75,7 @@ def _cmd_fit(args):
 def _cmd_interval(args):
     ds = ingest_csv(args.data)
     x_target = ingest_covariates(args.target)
-    arm = fit_arms(ds, args.alpha, args.seed)[args.t]
+    arm = fit_arms(ds, args.seed)[args.t]
     lower, upper, threshold = arm.intervals(x_target, args.gamma, args.alpha,
                                             args.method, args.score)
     write_csv(args.out, ["lower", "upper", "threshold", "unbounded"],
@@ -94,7 +95,7 @@ def _cmd_ite(args):
         # Bonferroni: each arm at alpha / 2, then the difference interval
         half = args.alpha / 2.0
         arm0, arm1 = (arm.intervals(x_target, args.gamma, half, "csa")
-                      for arm in fit_arms(ds, half, args.seed))
+                      for arm in fit_arms(ds, args.seed))
         lower, upper = bonferroni_ite(arm1, arm0)
     write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
               ((i, lo, up, args.method, args.gamma, args.alpha)
@@ -108,6 +109,11 @@ def _cmd_sweep(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg_dict = json.load(fh)
+        if not isinstance(cfg_dict, dict):
+            raise ValueError("a sweep config must be a JSON object")
+        unknown = set(cfg_dict) - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     overrides = {
         "methods": (tuple(args.methods.split(","))
                     if args.methods is not None else None),

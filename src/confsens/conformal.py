@@ -34,15 +34,21 @@ _NORM_TOL = 1e-12
 class PredictiveInterval:
     """Interval endpoints plus the quantile threshold that produced them.
 
-    An unbounded side is flagged explicitly and its endpoint is None;
-    no large-float sentinels are used.
+    An unbounded side has the endpoint None; no large-float sentinels are
+    used.
     """
 
     lower: float | None
     upper: float | None
     threshold: float
-    lower_unbounded: bool = False
-    upper_unbounded: bool = False
+
+    @property
+    def lower_unbounded(self) -> bool:
+        return self.lower is None
+
+    @property
+    def upper_unbounded(self) -> bool:
+        return self.upper is None
 
     @property
     def bounded(self) -> bool:
@@ -179,6 +185,6 @@ def cqr_score_interval(q_lo_target, q_hi_target, threshold) -> PredictiveInterva
     """Assemble [q_lo - Q, q_hi + Q] for the CQR score; the mean score's
     interval [mu - Q, mu + Q] is the case q_lo = q_hi = mu."""
     if not np.isfinite(threshold):
-        return PredictiveInterval(None, None, np.inf, True, True)
+        return PredictiveInterval(None, None, np.inf)
     return PredictiveInterval(float(q_lo_target - threshold),
                               float(q_hi_target + threshold), float(threshold))

@@ -1,4 +1,4 @@
-"""Data model for observational studies: units, deterministic splits, CSV I/O.
+"""Data model for observational studies: units, the seeded halving, CSV I/O.
 
 A dataset is a frozen collection of (covariates, binary treatment, outcome)
 rows.  Treatments must be literal 0/1 and all numbers finite; missing values
@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ObservationalDataset",
-    "SplitPlan",
-    "CsvSchema",
     "ingest_csv",
     "ingest_covariates",
     "emit_csv",
@@ -94,40 +90,6 @@ class ObservationalDataset:
         return f"ObservationalDataset(n={self.n}, p={self.covariate_dim})"
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-name mapping for CSV ingestion and emission."""
-
-    covariates: tuple
-    treatment: str = "t"
-    outcome: str = "y"
-
-    def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        if len(self.covariates) < 1:
-            raise ValueError("schema needs at least one covariate column")
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Disjoint index sets produced by :func:`split`.
-
-    The first fraction maps to the preliminary set, the second to the
-    calibration set, the third to the validation set.  Unrequested sets
-    are empty.
-    """
-
-    preliminary_idx: np.ndarray
-    calibration_idx: np.ndarray
-    validation_idx: np.ndarray
-    seed: int
-    fractions: tuple = field(default=())
-
-    @property
-    def sets(self):
-        return (self.preliminary_idx, self.calibration_idx, self.validation_idx)
-
-
 def _read_rows(path):
     """Header and non-blank data rows of a UTF-8, header-row CSV, as
     strings, in one `csv.reader` pass."""
@@ -139,56 +101,48 @@ def _read_rows(path):
         return header, [row for row in reader if row]
 
 
-def _float_columns(header, rows, columns, binary=None):
-    """The named columns of `_read_rows` output as one (rows, columns)
-    float array; other columns stay unparsed.  Every row must have the
-    header's cell count and finite values, and the `binary` column only
-    0 or 1.  One conversion covers all rows; only when a check fails does
-    a row-by-row pass name the first offending 1-based data row."""
-    position = {name: i for i, name in enumerate(header)}
-    missing = set(columns) - set(position)
-    if missing:
-        raise ValueError(f"missing columns: {sorted(missing)}")
+def _float_rows(header, rows, binary=None):
+    """`_read_rows` output as one (rows, columns) float array.  Every row
+    must have the header's cell count and finite values, and column
+    `binary` (an index) only 0 or 1.  One conversion covers all rows; only
+    when a check fails does a row-by-row pass name the first offending
+    1-based data row."""
     if not rows:
         raise ValueError("no data rows")
-    idx = [position[c] for c in columns]
-    b = None if binary is None else columns.index(binary)
-    if all(len(row) == len(header) for row in rows):
-        pick = operator.itemgetter(*idx)
-        try:
-            values = np.array([pick(row) for row in rows],
-                              dtype=float).reshape(len(rows), len(idx))
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all() and (
-                b is None or np.isin(values[:, b], (0.0, 1.0)).all()):
-            return values
+    try:  # a ragged row raises too
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if (values is not None and values.shape[1] == len(header)
+            and np.isfinite(values).all()
+            and (binary is None or np.isin(values[:, binary], (0, 1)).all())):
+        return values
     parsed = []
     for rownum, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ValueError(f"data row {rownum} has {len(row)} cells, "
                              f"the header has {len(header)}")
         try:
-            parsed.append([float(row[i]) for i in idx])
+            parsed.append([float(v) for v in row])
         except ValueError as exc:
             raise ValueError(f"malformed value in data row {rownum}: "
                              f"{exc}") from None
-        if b is not None and parsed[-1][b] not in (0.0, 1.0):
-            raise ValueError(f"non-binary treatment {parsed[-1][b]!r} in "
-                             f"data row {rownum}")
+        if binary is not None and parsed[-1][binary] not in (0.0, 1.0):
+            raise ValueError(f"non-binary treatment {parsed[-1][binary]!r} "
+                             f"in data row {rownum}")
         if not all(math.isfinite(v) for v in parsed[-1]):
             raise ValueError(f"non-finite value in data row {rownum}")
     return np.array(parsed)
 
 
-def ingest_csv(path, schema: CsvSchema | None = None) -> ObservationalDataset:
+def ingest_csv(path) -> ObservationalDataset:
     """Read a UTF-8, header-row CSV into a dataset.
 
-    Columns are selected by name; with no schema, every column other than
-    `t` and `y` is a covariate.  Malformed or ragged rows raise ValueError
-    naming the first offending 1-based data row.
+    Every column other than `t` and `y` is a covariate; a header with
+    none is refused.  Malformed or ragged rows raise ValueError naming the
+    first offending 1-based data row.
     """
-    return _dataset(*_read_rows(path), schema)
+    return _dataset(*_read_rows(path))
 
 
 def ingest_covariates(path) -> np.ndarray:
@@ -196,34 +150,34 @@ def ingest_covariates(path) -> np.ndarray:
     them, the file must also be a valid dataset.  The file is read once."""
     header, rows = _read_rows(path)
     if "t" in header and "y" in header:
-        return _dataset(header, rows, None).covariates
-    return _float_columns(header, rows, header)
+        return _dataset(header, rows).covariates
+    return _float_rows(header, rows)
 
 
-def _dataset(header, rows, schema):
+def _dataset(header, rows):
     """`ingest_csv` on rows already read."""
-    if schema is None:
-        schema = CsvSchema(covariates=tuple(c for c in header
-                                            if c not in ("t", "y")))
-    columns = schema.covariates + (schema.treatment, schema.outcome)
-    values = _float_columns(header, rows, columns, binary=schema.treatment)
-    return ObservationalDataset(np.ascontiguousarray(values[:, :-2]),
-                                values[:, -2], values[:, -1],
-                                names=schema.covariates)
+    position = {name: i for i, name in enumerate(header)}
+    missing = {"t", "y"} - set(position)
+    if missing:
+        raise ValueError(f"missing columns: {sorted(missing)}")
+    names = [c for c in header if c not in ("t", "y")]
+    if not names:
+        raise ValueError("no covariate columns besides t and y")
+    values = _float_rows(header, rows, binary=position["t"])
+    x = np.ascontiguousarray(values[:, [position[c] for c in names]])
+    return ObservationalDataset(x, values[:, position["t"]],
+                                values[:, position["y"]], names=names)
 
 
-def emit_csv(ds: ObservationalDataset, path, schema: CsvSchema | None = None) -> None:
-    """Write a dataset to CSV in the same format ingest_csv reads.
+def emit_csv(ds: ObservationalDataset, path) -> None:
+    """Write a dataset to CSV in the format ingest_csv reads: covariates
+    under their names (x1, x2, ... when unnamed), then `t` and `y`.
 
     Numbers are serialized with 17 significant digits so an
     emit -> ingest round trip is exact.
     """
-    if schema is None:
-        names = ds.names or tuple(f"x{j + 1}" for j in range(ds.covariate_dim))
-        schema = CsvSchema(covariates=names)
-    if len(schema.covariates) != ds.covariate_dim:
-        raise ValueError("schema covariate count != covariate_dim")
-    write_csv(path, [*schema.covariates, schema.treatment, schema.outcome],
+    names = ds.names or [f"x{j + 1}" for j in range(ds.covariate_dim)]
+    write_csv(path, [*names, "t", "y"],
               ([*(format(v, ".17g") for v in x), str(t), format(y, ".17g")]
                for x, t, y in zip(ds.covariates.tolist(),
                                   ds.treatment.tolist(),
@@ -239,33 +193,12 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def split(ds: ObservationalDataset, fractions, seed: int) -> SplitPlan:
-    """Deterministically partition row indices by the given fractions.
-
-    Set i receives floor(fractions[i] * n) indices; the last requested set
-    absorbs the remainder of floor(sum(fractions) * n).  Up to three
-    fractions: preliminary, calibration, validation.
-    """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) < 1 or len(fractions) > 3:
-        raise ValueError("between 1 and 3 fractions required")
-    if any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be positive")
-    total = sum(fractions)
-    if total > 1.0 + 1e-12:
-        raise ValueError(f"fractions sum to {total} > 1")
-    n = ds.n
-    perm = np.random.default_rng(seed).permutation(n)
-    sizes = [int(np.floor(f * n)) for f in fractions]
-    sizes[-1] = int(np.floor(min(total, 1.0) * n)) - sum(sizes[:-1])
-    sets = []
-    start = 0
-    for size in sizes:
-        sets.append(np.sort(perm[start:start + size]))
-        start += size
-    while len(sets) < 3:
-        sets.append(np.array([], dtype=np.int64))
-    return SplitPlan(sets[0], sets[1], sets[2], seed=seed, fractions=fractions)
+def split(ds: ObservationalDataset, seed: int):
+    """The preliminary and calibration halves of a seeded permutation of
+    the row indices, each sorted: floor(n / 2) rows, then the rest."""
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    half = ds.n // 2
+    return np.sort(perm[:half]), np.sort(perm[half:])
 
 
 def arm_indices(ds: ObservationalDataset, t: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 from scipy import stats
@@ -49,6 +50,21 @@ _ARM_METHODS = {"csa-m": ("csa", "mean"), "csa-q": ("csa", "cqr"),
                 "bonferroni": ("csa", "mean")}
 
 
+# each config field's type; the gammas must be numbers too
+_FIELD_TYPES = {"methods": (list, tuple), "gammas": (list, tuple),
+                "alpha": Real, "n_train": Integral, "n_target": Integral,
+                "n_trials": Integral, "heteroscedastic": bool,
+                "two_arm": bool, "base_seed": Integral, "paper_scale": bool,
+                "output_dir": (str, type(None))}
+
+
+def _check_type(name, value, kind):
+    """Raise ValueError unless value is a `kind`; a bool is no number."""
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative sweep description; fully determines all randomness."""
@@ -66,12 +82,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), kind)
         if not self.methods or not self.gammas:
             raise ValueError("methods and gammas must not be empty")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
         for g in self.gammas:
+            _check_type("gammas", g, Real)
             check_gamma(g)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
@@ -134,8 +153,7 @@ class _TrialState:
         self.x_target = target_ds.covariates
         self.truth_rng = np.random.default_rng(s_truth)
         self.nested_seed = s_nested
-        self.arms = fit_arms(self.train, cfg.alpha, self.seed,
-                             scale="relevance")
+        self.arms = fit_arms(self.train, self.seed, scale="relevance")
 
     @cached_property
     def nested(self):
@@ -252,13 +270,12 @@ def write_outputs(cfg: ExperimentConfig, records, summary):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def shrinkage_sharpness(lower, upper, tau, alpha, factors=None):
-    """Coverage after shrinking interval length by each factor (centers
-    fixed).  Returns (table, max_factor_preserving, n_excluded) where the
-    table rows are (factor, coverage) and unbounded intervals are dropped.
+def shrinkage_sharpness(lower, upper, tau, alpha):
+    """Coverage after shrinking interval length by each factor 0, 0.01,
+    ..., 0.3 (centers fixed).  Returns (table, max_factor_preserving,
+    n_excluded) where the table rows are (factor, coverage) and unbounded
+    intervals are dropped.
     """
-    if factors is None:
-        factors = np.round(np.linspace(0.0, 0.3, 31), 4)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -269,7 +286,7 @@ def shrinkage_sharpness(lower, upper, tau, alpha, factors=None):
     dev = np.abs(tau[bounded] - center)
     table = []
     max_factor = None
-    for f in factors:
+    for f in np.round(np.linspace(0.0, 0.3, 31), 4):
         cov = float(np.mean(dev <= (1.0 - f) * half))
         table.append((float(f), cov))
         if cov >= 1.0 - alpha:
@@ -277,10 +294,9 @@ def shrinkage_sharpness(lower, upper, tau, alpha, factors=None):
     return table, max_factor, n_excluded
 
 
-def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False,
-                         n_target=4000):
-    """Per-trial coverages of split conformal with a fresh calibration
-    draw each trial, for checking the finite-sample coverage law.
+def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False):
+    """Per-trial coverages of split conformal at 4000 targets, with a fresh
+    calibration draw each trial, for checking the finite-sample coverage law.
 
     Scores are sigma(x) * |N(0, 1)| with sigma(x) = 0.5 + x.  In the
     reference run calibration and target share the covariate law, so the
@@ -292,7 +308,7 @@ def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False,
     """
     rng = np.random.default_rng(seed)
     coverages = np.empty(n_trials)
-    x_target = rng.uniform(size=n_target)
+    x_target = rng.uniform(size=4000)
     sig_target = 0.5 + x_target
     for i in range(n_trials):
         u = rng.uniform(size=n_cal)

@@ -84,7 +84,7 @@ def weight_bounds_cross_arm(e_hat, gamma, t):
     return odds / gamma, gamma * odds
 
 
-def calibrate_gamma(ds, eta=0.01, penalty=1e-4, step_size=0.1, n_iter=500):
+def calibrate_gamma(ds):
     """Leave-one-covariate-out confounding-strength reference.
 
     For each unit i and covariate j, computes the odds ratio between the
@@ -94,15 +94,12 @@ def calibrate_gamma(ds, eta=0.01, penalty=1e-4, step_size=0.1, n_iter=500):
     p = ds.covariate_dim
     if p < 2:
         raise ValueError("need at least 2 covariates")
-    kwargs = dict(eta=eta, penalty=penalty, step_size=step_size, n_iter=n_iter)
-    full = fit_propensity(ds.covariates, ds.treatment, **kwargs)
-    e_full = np.clip(full.predict(ds.covariates), eta, 1.0 - eta)
+    e_full = fit_propensity(ds.covariates, ds.treatment).predict(ds.covariates)
     odds_full = e_full / (1.0 - e_full)
     out = np.empty((ds.n, p))
     for j in range(p):
-        keep = [c for c in range(p) if c != j]
-        drop = fit_propensity(ds.covariates[:, keep], ds.treatment, **kwargs)
-        e_drop = np.clip(drop.predict(ds.covariates[:, keep]), eta, 1.0 - eta)
+        x = ds.covariates[:, [c for c in range(p) if c != j]]
+        e_drop = fit_propensity(x, ds.treatment).predict(x)
         ratio = odds_full / (e_drop / (1.0 - e_drop))
         out[:, j] = np.where(ratio >= 1.0, ratio, 1.0 / ratio)
     return out

@@ -43,7 +43,6 @@ class SyntheticDGP:
     covariate_dim: int = 20
     heteroscedastic: bool = False
     two_arm: bool = False  # nonzero control-arm mean surface
-    seed: int = 0
 
     def __post_init__(self):
         # the mean surfaces read covariates 1 and 2, the control arm's also 3
@@ -79,11 +78,11 @@ class TruthRecord:
     sigma: np.ndarray
 
 
-def generate(dgp: SyntheticDGP, n, seed=None):
+def generate(dgp: SyntheticDGP, n, seed):
     """Draw n observational units plus their sealed truth record."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(dgp.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(n, dgp.covariate_dim))
     sigma = (rng.uniform(0.5, 1.5, size=n) if dgp.heteroscedastic
              else np.ones(n))
@@ -113,7 +112,6 @@ class TiltSpec:
     q_l: float
     q_r: float
     normalizer: float = 1.0
-    shape: str = "two-sided-quantile"
 
     def eta(self, y):
         y = np.asarray(y, dtype=float)
@@ -124,22 +122,12 @@ class TiltSpec:
         return self.eta(y) / (self.gamma * self.normalizer)
 
 
-def tilt_two_sided(gamma, sample_bank=None, mean=None, sigma=None) -> TiltSpec:
-    """Build the adversarial two-sided tilt for one target point.
-
-    Cut points come either from the analytic normal proposal (mean, sigma)
-    or from empirical quantiles of a bank of proposal draws.
-    """
+def tilt_two_sided(gamma, mean, sigma) -> TiltSpec:
+    """Build the adversarial two-sided tilt for one target point, with
+    cut points from the normal proposal N(mean, sigma^2)."""
     check_gamma(gamma)
-    tau = 1.0 / (2.0 * (gamma + 1.0))
-    if sample_bank is not None:
-        bank = np.asarray(sample_bank, dtype=float)
-        q_l, q_r = np.quantile(bank, [tau, 1.0 - tau])
-    elif mean is not None and sigma is not None:
-        z = stats.norm.ppf(tau)
-        q_l, q_r = mean + sigma * z, mean - sigma * z
-    else:
-        raise ValueError("provide a sample bank or analytic (mean, sigma)")
+    z = stats.norm.ppf(1.0 / (2.0 * (gamma + 1.0)))
+    q_l, q_r = mean + sigma * z, mean - sigma * z
     return TiltSpec(gamma=float(gamma), q_l=float(q_l), q_r=float(q_r))
 
 

@@ -3,9 +3,9 @@ the experiment harness.
 
 `fit_arms` splits the data once and fits one propensity model; each arm
 keeps its models and the scores, propensities and balance constraint of
-its calibration units, fitting the quantile model only for a "cqr" score.
-`FittedArm.intervals` then solves all targets in one batch call: only the
-sentinel weight belongs to a target.
+its calibration units, fitting the quantile model for a "cqr" score at
+each call's alpha.  `FittedArm.intervals` then solves all targets in one
+batch call: only the sentinel weight belongs to a target.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ class _Fold:
     made at the latest targets, so each model predicts a target set once."""
 
     def __init__(self, ds, seed):
-        plan = split(ds, (0.5, 0.5), seed)
-        self.prelim = ds.subset(plan.preliminary_idx)
-        self.cal = ds.subset(plan.calibration_idx)
+        prelim_idx, cal_idx = split(ds, seed)
+        self.prelim = ds.subset(prelim_idx)
+        self.cal = ds.subset(cal_idx)
         self.propensity = fit_propensity(self.prelim.covariates,
                                          self.prelim.treatment)
         self.e_cal = self.propensity.predict(self.cal.covariates)
@@ -46,11 +46,10 @@ class _Fold:
 
 
 class FittedArm:
-    """Arm t of a fold.  `alpha` sets the quantile model's levels
-    (alpha / 2, 1 - alpha / 2); `scale` is the k-NN metric scaling."""
+    """Arm t of a fold; `scale` is the k-NN metric scaling."""
 
-    def __init__(self, fold: _Fold, t, alpha, scale=None):
-        self.fold, self.t, self.alpha, self.scale = fold, t, alpha, scale
+    def __init__(self, fold: _Fold, t, scale=None):
+        self.fold, self.t, self.scale = fold, t, scale
         pre_idx = arm_indices(fold.prelim, t)
         cal_idx = arm_indices(fold.cal, t)
         self.pre_x = fold.prelim.covariates[pre_idx]
@@ -59,20 +58,23 @@ class FittedArm:
         self.cal_y = fold.cal.outcome[cal_idx]
         self.e_cal = fold.e_cal[cal_idx]
         self.p_t = marginal_treatment_prob(fold.prelim.treatment, t)
+        self._q_hat = {}
         self._scores = {}
 
     @cached_property
     def mu_hat(self):
         return fit_mean(self.pre_x, self.pre_y, scale=self.scale)
 
-    @cached_property
-    def q_hat(self):
-        q_hat = fit_quantile(self.pre_x, self.pre_y,
-                             (self.alpha / 2.0, 1.0 - self.alpha / 2.0),
-                             scale=self.scale)
-        # same training rows, metric weights and k: one search for both
-        q_hat.search = self.mu_hat.search
-        return q_hat
+    def q_hat(self, alpha):
+        """The quantile model at levels (alpha / 2, 1 - alpha / 2), fitted
+        on first use at each alpha."""
+        if alpha not in self._q_hat:
+            self._q_hat[alpha] = fit_quantile(
+                self.pre_x, self.pre_y, (alpha / 2.0, 1.0 - alpha / 2.0),
+                scale=self.scale)
+            # same training rows, metric weights and k: one search for both
+            self._q_hat[alpha].search = self.mu_hat.search
+        return self._q_hat[alpha]
 
     @cached_property
     def constraints(self):
@@ -96,25 +98,26 @@ class FittedArm:
         if method not in ("nuc", "csa", "cssa"):
             raise ValueError(f"unknown method {method!r}")
         x_target = np.asarray(x_target, dtype=float)
-        model = self.q_hat if score == "cqr" else self.mu_hat
-        if score not in self._scores:
-            self._scores[score] = calibration_scores(score, model,
-                                                     self.cal_x, self.cal_y)
-        scores = self._scores[score]
+        model = self.q_hat(alpha) if score == "cqr" else self.mu_hat
+        key = score, alpha  # the quantile model's levels follow alpha
+        if key not in self._scores:
+            self._scores[key] = calibration_scores(score, model, self.cal_x,
+                                                   self.cal_y)
+        scores = self._scores[key]
         cache = self.fold.at(x_target)
         g = 1.0 if method == "nuc" else gamma
         lo_c, hi_c = weight_bounds_same_arm(self.e_cal, g, self.t, self.p_t)
         _, hi_t = weight_bounds_same_arm(cache["e"], g, self.t, self.p_t)
         rows = self.constraints if method == "cssa" else ()
         thr = cssa_threshold_batch(scores, lo_c, hi_c, rows, alpha, hi_t)
-        if (self.t, score) not in cache:
-            cache[self.t, score] = score_band(score, model, x_target)
-        lo, hi = cache[self.t, score]
+        if (self.t, key) not in cache:
+            cache[self.t, key] = score_band(score, model, x_target)
+        lo, hi = cache[self.t, key]
         return lo - thr, hi + thr, thr
 
 
-def fit_arms(ds, alpha, seed, scale=None):
+def fit_arms(ds, seed, scale=None):
     """(arm 0, arm 1) over one split of `ds` seeded by `seed`; models are
     fitted on first use."""
     fold = _Fold(ds, seed)
-    return tuple(FittedArm(fold, t, alpha, scale) for t in (0, 1))
+    return tuple(FittedArm(fold, t, scale) for t in (0, 1))

@@ -31,12 +31,12 @@ def _finite(x):
     return x
 
 
-def relevance_weights(train_x, train_y, floor=1e-3):
+def relevance_weights(train_x, train_y):
     """Per-feature metric weights from absolute outcome correlation.
 
     Scaling the k-NN metric by these weights focuses neighbor search on
     covariates that carry signal, which matters when most dimensions are
-    noise.  Weights are normalized to max 1 with a small floor so no
+    noise.  Weights are normalized to max 1 with a floor of 1e-3 so no
     coordinate is discarded entirely.
     """
     x = _finite(np.asarray(train_x, dtype=float))
@@ -51,7 +51,7 @@ def relevance_weights(train_x, train_y, floor=1e-3):
     top = corr.max()
     if top <= 0.0 or sy == 0.0:
         return np.ones(x.shape[1])
-    return np.maximum(corr / top, floor)
+    return np.maximum(corr / top, 1e-3)
 
 
 def _as_2d(x, p):
@@ -249,23 +249,26 @@ class KNNQuantile:
         return stacked[0], stacked[1]
 
 
+# the propensity clip, and the L2 penalty, step and steps of the logistic fit
+CLIP = 0.01
+PENALTY = 1e-4
+STEP = 0.1
+N_ITER = 500
+
+
 class LogisticPropensity:
     """Logistic-regression treatment model with clipped outputs.
 
     Standardization statistics are stored in the fitted model so query
     features are transformed exactly as the training features were.
-    Predictions are clipped to [eta, 1 - eta].
+    Predictions are clipped to [CLIP, 1 - CLIP].
     """
 
-    def __init__(self, train_x, train_t, eta=0.01, penalty=1e-4,
-                 step_size=0.1, n_iter=500):
-        if not (0.0 < eta < 0.5):
-            raise ValueError("eta must lie in (0, 0.5)")
+    def __init__(self, train_x, train_t):
         x = _finite(np.asarray(train_x, dtype=float))
         t = np.asarray(train_t, dtype=float)
         if len(np.unique(t)) < 2:
             raise ValueError("both treatment values must be present")
-        self.eta = float(eta)
         self.mean_ = x.mean(axis=0)
         sd = x.std(axis=0)
         sd[sd == 0.0] = 1.0
@@ -274,11 +277,11 @@ class LogisticPropensity:
         n, p = z.shape
         beta = np.zeros(p)
         intercept = 0.0
-        for _ in range(n_iter):
+        for _ in range(N_ITER):
             s = 1.0 / (1.0 + np.exp(-(z @ beta + intercept)))
             resid = t - s
-            beta += step_size * (z.T @ resid / n - 2.0 * penalty * beta)
-            intercept += step_size * resid.mean()
+            beta += STEP * (z.T @ resid / n - 2.0 * PENALTY * beta)
+            intercept += STEP * resid.mean()
         self.beta_ = beta
         self.intercept_ = intercept
 
@@ -286,7 +289,7 @@ class LogisticPropensity:
         x = _as_2d(x, self.mean_.shape[0])
         z = (x - self.mean_) / self.sd_
         e = 1.0 / (1.0 + np.exp(-(z @ self.beta_ + self.intercept_)))
-        return np.clip(e, self.eta, 1.0 - self.eta)
+        return np.clip(e, CLIP, 1.0 - CLIP)
 
 
 def _default_k(n):
@@ -326,13 +329,11 @@ def fit_quantile(train_x, train_y, levels, k=None, scale=None) -> KNNQuantile:
                        feature_weights=_metric_weights(scale, train_x, train_y))
 
 
-def fit_propensity(train_x, train_t, eta=0.01, penalty=1e-4, step_size=0.1,
-                   n_iter=500) -> LogisticPropensity:
+def fit_propensity(train_x, train_t) -> LogisticPropensity:
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     if train_x.shape[0] == 1 and np.asarray(train_t).size > 1:
         train_x = train_x.T
-    return LogisticPropensity(train_x, train_t, eta=eta, penalty=penalty,
-                              step_size=step_size, n_iter=n_iter)
+    return LogisticPropensity(train_x, train_t)
 
 
 def marginal_treatment_prob(treatment, t) -> float:

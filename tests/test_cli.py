@@ -248,6 +248,21 @@ class TestSweep:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["resolved_sizes"]["n_trials"] == 1  # flag wins
 
+    @pytest.mark.parametrize("config, text", [
+        ({"foo": 1}, "foo"),
+        ([1, 2], "JSON object"),
+        ({"gammas": 2.0}, "gammas"),
+        ({"n_trials": "3"}, "n_trials"),
+    ])
+    def test_malformed_config_fails(self, config, text, tmp_path, capsys):
+        # each used to end in a TypeError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert _run(["sweep", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "run")]) == 1
+        _assert_one_error_line(capsys, text)
+        assert not (tmp_path / "run").exists()
+
     def test_flags_only(self, tmp_path):
         out_dir = tmp_path / "run2"
         assert _run(["sweep", "--methods", "ite-nuc", "--gammas", "1.0",

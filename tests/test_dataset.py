@@ -3,7 +3,6 @@ import pytest
 
 from confsens import dataset
 from confsens.dataset import (
-    CsvSchema,
     ObservationalDataset,
     arm_indices,
     emit_csv,
@@ -49,7 +48,7 @@ class TestCsvRoundTrip:
         ds = make_ds(n=25)
         path = tmp_path / "data.csv"
         emit_csv(ds, path)
-        back = ingest_csv(path, CsvSchema(covariates=("x1", "x2", "x3")))
+        back = ingest_csv(path)
         assert np.array_equal(back.covariates, ds.covariates)
         assert np.array_equal(back.treatment, ds.treatment)
         assert np.array_equal(back.outcome, ds.outcome)
@@ -58,23 +57,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("x1,t\n0.5,1\n")
         with pytest.raises(ValueError, match="missing columns"):
-            ingest_csv(path, CsvSchema(covariates=("x1",)))
+            ingest_csv(path)
 
     def test_malformed_row_names_offender(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n0.5,1,1.0\n0.5,1,oops\n")
         with pytest.raises(ValueError, match="data row 2"):
-            ingest_csv(path, CsvSchema(covariates=("x1",)))
+            ingest_csv(path)
 
     def test_first_of_two_bad_rows_named(self, tmp_path):
         # row 2 is non-finite, row 3 malformed: the earlier row is reported
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n0.5,1,1.0\n0.5,1,nan\n0.5,1,oops\n")
         with pytest.raises(ValueError, match="non-finite value in data row 2"):
-            ingest_csv(path, CsvSchema(covariates=("x1",)))
+            ingest_csv(path)
         path.write_text("x1,t,y\n0.5,1,1.0\n0.5,1,oops\n0.5,1,nan\n")
         with pytest.raises(ValueError, match="malformed value in data row 2"):
-            ingest_csv(path, CsvSchema(covariates=("x1",)))
+            ingest_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         # a long row used to be accepted silently, a short one reported as
@@ -83,14 +82,7 @@ class TestCsvRoundTrip:
         for row in ("0.5,1,1.0,9", "0.5,1"):
             path.write_text(f"x1,t,y\n0.5,1,1.0\n{row}\n")
             with pytest.raises(ValueError, match="data row 2 has"):
-                ingest_csv(path, CsvSchema(covariates=("x1",)))
-
-    def test_column_outside_schema_unparsed(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("id,x1,t,y\nunit-a,0.5,1,1.0\nunit-b,0.25,0,2.0\n")
-        ds = ingest_csv(path, CsvSchema(covariates=("x1",)))
-        assert ds.covariates.tolist() == [[0.5], [0.25]]
-        assert ds.treatment.tolist() == [1, 0]
+                ingest_csv(path)
 
     def test_default_schema_takes_other_columns(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -99,17 +91,23 @@ class TestCsvRoundTrip:
         assert ds.names == ("a", "b")
         assert ds.covariates.tolist() == [[0.5, 2.0]]
 
+    def test_no_covariate_column_refused(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n1,1.0\n")
+        with pytest.raises(ValueError, match="no covariate columns"):
+            ingest_csv(path)
+
     def test_non_binary_treatment_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n0.5,0.3,1.0\n")
         with pytest.raises(ValueError, match="non-binary"):
-            ingest_csv(path, CsvSchema(covariates=("x1",)))
+            ingest_csv(path)
 
     def test_empty_data_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x1,t,y\n")
         with pytest.raises(ValueError, match="no data rows"):
-            ingest_csv(path, CsvSchema(covariates=("x1",)))
+            ingest_csv(path)
 
     @pytest.mark.parametrize("text", ["a,t,b,y\n0.5,1,2.0,1.0\n",
                                       "a,b\n0.5,2.0\n"])
@@ -129,29 +127,18 @@ class TestCsvRoundTrip:
 class TestSplit:
     def test_deterministic_and_disjoint(self):
         ds = make_ds(n=100)
-        a = split(ds, (0.5, 0.3, 0.2), seed=7)
-        b = split(ds, (0.5, 0.3, 0.2), seed=7)
-        for s1, s2 in zip(a.sets, b.sets):
+        a = split(ds, seed=7)
+        b = split(ds, seed=7)
+        for s1, s2 in zip(a, b):
             assert np.array_equal(s1, s2)
-        all_idx = np.concatenate(a.sets)
-        assert len(set(all_idx)) == 100
+        all_idx = np.concatenate(a)
+        assert sorted(all_idx) == list(range(100))
+        assert all(np.all(np.diff(s) > 0) for s in a)
 
     def test_sizes_floor_rule(self):
-        ds = make_ds(n=10)
-        plan = split(ds, (0.55, 0.45), seed=0)
-        assert plan.preliminary_idx.size == 5
-        assert plan.calibration_idx.size == 5
-
-    def test_partial_fractions_leave_rest_out(self):
-        ds = make_ds(n=10)
-        plan = split(ds, (0.5,), seed=0)
-        assert plan.preliminary_idx.size == 5
-        assert plan.calibration_idx.size == 0
-
-    def test_overfull_fractions_error(self):
-        ds = make_ds(n=10)
-        with pytest.raises(ValueError, match="> 1"):
-            split(ds, (0.8, 0.8), seed=0)
+        prelim, cal = split(make_ds(n=11), seed=0)
+        assert prelim.size == 5
+        assert cal.size == 6
 
 
 def test_arm_indices():

@@ -126,7 +126,7 @@ def _confounded_ds(n=800, p=4, seed=0):
 class TestCalibrateGamma:
     def test_all_entries_at_least_one(self):
         ds = _confounded_ds()
-        m = calibrate_gamma(ds, n_iter=200)
+        m = calibrate_gamma(ds)
         assert m.shape == (ds.n, ds.covariate_dim)
         assert np.all(m >= 1.0)
 
@@ -137,13 +137,13 @@ class TestCalibrateGamma:
         e = 1.0 / (1.0 + np.exp(-2.0 * (base[:, 0] - 0.5)))
         t = (rng.uniform(size=600) < e).astype(int)
         ds = ObservationalDataset(x, t, rng.normal(size=600))
-        m = calibrate_gamma(ds, n_iter=300)
+        m = calibrate_gamma(ds)
         # dropping one duplicate leaves the propensity nearly unchanged
         assert np.median(m[:, 0]) < 1.1
 
     def test_irrelevant_covariate_near_one(self):
         ds = _confounded_ds(n=2000, seed=2)
-        m = calibrate_gamma(ds, n_iter=300)
+        m = calibrate_gamma(ds)
         assert np.median(m[:, 3]) < 1.1  # covariate 3 plays no role
 
     def test_needs_two_covariates(self):

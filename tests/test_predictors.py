@@ -252,9 +252,10 @@ class TestLogisticPropensity:
         x = rng.uniform(size=(200, 2))
         # near-separable data pushes raw outputs to the extremes
         t = (x[:, 0] > 0.5).astype(int)
-        model = fit_propensity(x, t, eta=0.05)
+        model = fit_propensity(x, t)
         e = model.predict(rng.uniform(size=(10000, 2)))
-        assert np.all(e >= 0.05) and np.all(e <= 0.95)
+        # the fixed clip binds at both ends
+        assert e.min() == 0.01 and e.max() == 0.99
 
     def test_independent_covariates_near_half(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,9 @@
 """Property tests of the threshold engine's invariants, of the unconfounded
 thresholds against the weighted-quantile reference, of the CSSA probe
 against the fractional program solved as one LP, of interval widths in
-gamma, of the batch interval route against the per-target API,
-and of the shared nested fold against a fresh nested fit, over generated
-inputs.
+gamma, of the batch interval route against the per-target API (with the
+quantile model at each call's alpha), and of the shared nested fold
+against a fresh nested fit, over generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -43,8 +43,9 @@ from confsens.msm import (
 )
 from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
+from confsens.predictors import CLIP, fit_quantile
 
-ETA = 0.01  # the propensity clip of `fit_propensity`
+ETA = CLIP  # the propensity clip of `fit_propensity`
 GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
 
 _settings = settings(derandomize=True, database=None, deadline=None,
@@ -257,7 +258,7 @@ def _per_target(arm, method, x, gamma, alpha, score):
     spec = SensitivitySpec(gamma=1.0 if method == "nuc" else gamma,
                            alpha=alpha, t=arm.t)
     common = (arm.mu_hat, fold.propensity, arm.cal_x, arm.cal_y, x)
-    q_hat = arm.q_hat if score == "cqr" else None
+    q_hat = arm.q_hat(alpha) if score == "cqr" else None
     if method in ("nuc", "csa"):
         return csa_interval(*common, spec, arm.p_t, score=score, q_hat=q_hat)
     return cssa_interval(*common, spec, arm.p_t, fold.cal.covariates,
@@ -273,7 +274,7 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, alpha, seed)[t]
+    arm = fit_arms(ds, seed)[t]
     for method in ("nuc", "csa", "cssa"):
         for score in ("mean", "cqr"):
             with warnings.catch_warnings():
@@ -282,11 +283,43 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
                                                   method, score)
                 single = [_per_target(arm, method, x, gamma, alpha, score)
                           for x in x_target]
-            assert [c.threshold for c in single] == list(thr)
-            assert [-np.inf if c.lower is None else c.lower
-                    for c in single] == list(lower)
-            assert [np.inf if c.upper is None else c.upper
-                    for c in single] == list(upper)
+            _assert_same_intervals(single, lower, upper, thr)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
+       p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
+       gamma=st.sampled_from(GAMMAS),
+       alphas=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4]), min_size=2,
+                       max_size=2, unique=True))
+def test_cqr_intervals_follow_the_calls_alpha(seed, n, p, m, t, gamma,
+                                              alphas):
+    # one arm serves both alphas, twice over so the second round reads its
+    # caches; each round equals the per-target API with a quantile model
+    # fitted at that alpha's levels
+    dgp = SyntheticDGP(covariate_dim=p)
+    ds, _ = generate(dgp, n, seed=seed)
+    x_target = generate(dgp, m, seed=seed + 1)[0].covariates
+    arm = fit_arms(ds, seed)[t]
+    for alpha in alphas + alphas:
+        q_hat = fit_quantile(arm.pre_x, arm.pre_y,
+                             (alpha / 2.0, 1.0 - alpha / 2.0),
+                             scale=arm.scale)
+        spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
+        single = [csa_interval(arm.mu_hat, arm.fold.propensity, arm.cal_x,
+                               arm.cal_y, x, spec, arm.p_t, score="cqr",
+                               q_hat=q_hat) for x in x_target]
+        _assert_same_intervals(single, *arm.intervals(x_target, gamma,
+                                                      alpha, "csa", "cqr"))
+
+
+def _assert_same_intervals(single, lower, upper, thr):
+    """Per-target intervals equal the batch arrays bit for bit."""
+    assert [c.threshold for c in single] == list(thr)
+    assert [-np.inf if c.lower is None else c.lower
+            for c in single] == list(lower)
+    assert [np.inf if c.upper is None else c.upper
+            for c in single] == list(upper)
 
 
 def _assert_nested_in_gamma(intervals):
@@ -303,7 +336,7 @@ def test_interval_widths_grow_with_gamma(seed, n, p, m, t, alpha):
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, alpha, seed)[t]
+    arm = fit_arms(ds, seed)[t]
     for score in ("mean", "cqr"):
         nuc = [arm.intervals(x_target, g, alpha, "nuc", score)
                for g in GAMMAS]
