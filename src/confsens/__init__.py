@@ -51,6 +51,7 @@ from .predictors import (
     KNNMean,
     KNNQuantile,
     LogisticPropensity,
+    NeighborSearch,
     fit_mean,
     fit_propensity,
     fit_quantile,

@@ -92,12 +92,15 @@ class ObservationalDataset:
 
 def _read_rows(path):
     """Header and non-blank data rows of a UTF-8, header-row CSV, as
-    strings, in one `csv.reader` pass."""
+    strings, in one `csv.reader` pass; a repeated column name is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty file: no header row")
+        if len(set(header)) < len(header):
+            name = next(c for i, c in enumerate(header) if c in header[:i])
+            raise ValueError(f"repeated column name {name!r} in the header")
         return header, [row for row in reader if row]
 
 

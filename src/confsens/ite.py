@@ -4,7 +4,8 @@ Two constructions on top of the per-arm worst-case machinery: a
 Bonferroni difference of the two potential-outcome intervals, and a
 nested two-stage procedure that turns counterfactual intervals on held
 out units into a pair of endpoint regressions, avoiding the Bonferroni
-split of the error budget.
+split of the error budget.  The endpoint regressions are
+`predictors.KNNSingleQuantile` models over one neighbour search.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from .conformal import score_abs_residual
 from .csa import greedy_threshold_batch
 from .dataset import ObservationalDataset, arm_indices
 from .msm import weight_bounds_cross_arm
-from .predictors import (
-    _as_2d,
-    _default_k,
-    _empirical_quantile,
-    _Search,
-    fit_mean,
-    fit_propensity,
-)
+from .predictors import (KNNSingleQuantile, NeighborSearch, fit_mean,
+                         fit_propensity)
 
 __all__ = [
     "bonferroni_ite",
@@ -46,25 +41,6 @@ def bonferroni_ite(arm1, arm0):
     callers typically build each arm at alpha / 2.
     """
     return arm1[0] - arm0[1], arm1[1] - arm0[0]
-
-
-class KNNSingleQuantile:
-    """Single-level k-NN empirical quantile regressor (endpoints may be
-    infinite; the empirical quantile then propagates them)."""
-
-    def __init__(self, train_x, train_y, level, k):
-        if not (0.0 < level < 1.0):
-            raise ValueError("quantile level must lie in (0, 1)")
-        self.x = np.asarray(train_x, dtype=float)
-        self.y = np.asarray(train_y, dtype=float)
-        self.level = float(level)
-        self.k = int(k)
-        self.search = _Search(self.x, self.k)
-
-    def predict(self, x):
-        x = _as_2d(x, self.x.shape[1])
-        neigh = np.sort(self.y[self.search(x)], axis=1)
-        return _empirical_quantile(neigh, self.level)
 
 
 @dataclass(frozen=True)
@@ -105,7 +81,7 @@ class NestedFold:
                     f"too few units in arm {t} for the nested stage")
         self.val_x, self.val_y = ds_val.covariates, ds_val.outcome
         self.n_val = ds_val.n
-        self._search = _Search(self.val_x, _default_k(self.n_val))
+        self._search = NeighborSearch(self.val_x)
         propensity = fit_propensity(ds_fit.covariates, ds_fit.treatment)
         # per arm t: calibration scores and their propensities, then the
         # mask, propensities and mean predictions of val units in 1 - t
@@ -123,8 +99,7 @@ class NestedFold:
     def model(self, gamma, alpha) -> NestedIteModel:
         """Endpoint regressions of the val units' effect intervals: the
         observed outcome minus the worst-case counterfactual interval."""
-        lower = np.empty(self.n_val)
-        upper = np.empty(self.n_val)
+        lower, upper = np.empty((2, self.n_val))
         for t, (scores, e_cal, mask, e_q, mu_q) in enumerate(self._arms):
             lo_c, hi_c = weight_bounds_cross_arm(e_cal, gamma, t)
             _, hi_t = weight_bounds_cross_arm(e_q, gamma, t)
@@ -137,10 +112,9 @@ class NestedFold:
             else:  # control val units: effect = [L1, U1] - Y
                 lower[mask], upper[mask] = cf_lo - y, cf_hi - y
         n_unbounded = int(np.sum(~np.isfinite(lower) | ~np.isfinite(upper)))
-        lo_model, hi_model = (
-            KNNSingleQuantile(self.val_x, y, level, self._search.k)
-            for y, level in zip((lower, upper), _ENDPOINT_LEVELS))
-        lo_model.search = hi_model.search = self._search
+        lo_model, hi_model = (KNNSingleQuantile(self._search, y, level)
+                              for y, level in zip((lower, upper),
+                                                  _ENDPOINT_LEVELS))
         return NestedIteModel(lo_model=lo_model, hi_model=hi_model,
                               n_val=self.n_val, n_unbounded=n_unbounded)
 
@@ -155,8 +129,7 @@ def nested_ite_fit(ds: ObservationalDataset, gamma, alpha,
 def nested_ite_predict(model: NestedIteModel, x):
     """Effect-interval (lower, upper) float arrays at query points, -inf /
     +inf on unbounded sides; crossed endpoints are swapped."""
-    lo = np.atleast_1d(model.lo_model.predict(x))
-    hi = np.atleast_1d(model.hi_model.predict(x))
+    lo, hi = model.lo_model.predict(x), model.hi_model.predict(x)
     swap = lo > hi
     lo[swap], hi[swap] = hi[swap], lo[swap].copy()
     return lo, hi

@@ -2,10 +2,11 @@
 the experiment harness.
 
 `fit_arms` splits the data once and fits one propensity model; each arm
-keeps its models and the scores, propensities and balance constraint of
-its calibration units, fitting the quantile model for a "cqr" score at
-each call's alpha.  `FittedArm.intervals` then solves all targets in one
-batch call: only the sentinel weight belongs to a target.
+keeps one neighbour search over its preliminary rows, which its mean
+model and the quantile model of each call's alpha ("cqr" score) share,
+and the scores, propensities and balance constraint of its calibration
+units.  `FittedArm.intervals` then solves all targets in one batch call:
+only the sentinel weight belongs to a target.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .conformal import calibration_scores, score_band
 from .cssa import balance_constraints, cssa_threshold_batch
 from .dataset import arm_indices, split
 from .msm import SensitivitySpec, weight_bounds_same_arm
-from .predictors import fit_mean, fit_propensity, fit_quantile, marginal_treatment_prob
+from .predictors import (KNNMean, KNNQuantile, NeighborSearch, fit_propensity,
+                         marginal_treatment_prob, metric_weights)
 
 __all__ = ["FittedArm", "fit_arms"]
 
@@ -58,23 +60,23 @@ class FittedArm:
         self.cal_y = fold.cal.outcome[cal_idx]
         self.e_cal = fold.e_cal[cal_idx]
         self.p_t = marginal_treatment_prob(fold.prelim.treatment, t)
-        self._q_hat = {}
         self._scores = {}
 
     @cached_property
+    def search(self):
+        """The neighbour search over the arm's preliminary rows, shared by
+        the mean model and the quantile model of every alpha."""
+        weights = metric_weights(self.scale, self.pre_x, self.pre_y)
+        return NeighborSearch(self.pre_x, feature_weights=weights)
+
+    @cached_property
     def mu_hat(self):
-        return fit_mean(self.pre_x, self.pre_y, scale=self.scale)
+        return KNNMean(self.search, self.pre_y)
 
     def q_hat(self, alpha):
-        """The quantile model at levels (alpha / 2, 1 - alpha / 2), fitted
-        on first use at each alpha."""
-        if alpha not in self._q_hat:
-            self._q_hat[alpha] = fit_quantile(
-                self.pre_x, self.pre_y, (alpha / 2.0, 1.0 - alpha / 2.0),
-                scale=self.scale)
-            # same training rows, metric weights and k: one search for both
-            self._q_hat[alpha].search = self.mu_hat.search
-        return self._q_hat[alpha]
+        """The quantile model at levels (alpha / 2, 1 - alpha / 2)."""
+        return KNNQuantile(self.search, self.pre_y,
+                           (alpha / 2.0, 1.0 - alpha / 2.0))
 
     @cached_property
     def constraints(self):

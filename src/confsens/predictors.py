@@ -1,23 +1,25 @@
-"""Pluggable prediction models fitted on the preliminary split.
+"""Prediction models fitted on the preliminary split.
 
-Built-ins are deliberately dependency-free and deterministic: k-nearest
-neighbor averaging for the conditional mean, k-NN empirical quantiles for
-conditional quantiles, and an L2-penalized logistic regression (full-batch
-gradient ascent on standardized features) for the propensity.  Any object
-with the same ``predict`` surface can be substituted.
+Built-ins are deliberately dependency-free and deterministic.  The k-NN
+mean and quantile models are views of one `NeighborSearch`, which owns
+the training rows, k and the metric weights; the propensity is an
+L2-penalized logistic regression (full-batch gradient ascent on
+standardized features).  Any object with the same ``predict`` surface
+can be substituted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
+    "NeighborSearch",
     "KNNMean",
     "KNNQuantile",
+    "KNNSingleQuantile",
     "LogisticPropensity",
     "relevance_weights",
+    "metric_weights",
     "fit_mean",
     "fit_quantile",
     "fit_propensity",
@@ -25,7 +27,19 @@ __all__ = [
 ]
 
 
-def _finite(x):
+def _covariates(x, p=None):
+    """`x` as a finite (rows, covariates) float array: training rows (at
+    least one), or query rows of a model fitted on p covariates."""
+    x = np.asarray(x, dtype=float)
+    if p is not None and (x.ndim != 2 or x.shape[1] != p):
+        has = (f"{x.shape[1]} covariates" if x.ndim == 2
+               else f"shape {x.shape}, not (rows, covariates)")
+        raise ValueError(f"query has {has}, model expects {p}")
+    if x.ndim != 2:
+        raise ValueError(f"training covariates have shape {x.shape}, "
+                         "not (rows, covariates)")
+    if p is None and x.shape[0] == 0:
+        raise ValueError("empty training set")
     if not np.isfinite(x).all():
         raise ValueError("non-finite covariate value")
     return x
@@ -39,7 +53,7 @@ def relevance_weights(train_x, train_y):
     noise.  Weights are normalized to max 1 with a floor of 1e-3 so no
     coordinate is discarded entirely.
     """
-    x = _finite(np.asarray(train_x, dtype=float))
+    x = _covariates(train_x)
     y = np.asarray(train_y, dtype=float)
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
@@ -52,15 +66,6 @@ def relevance_weights(train_x, train_y):
     if top <= 0.0 or sy == 0.0:
         return np.ones(x.shape[1])
     return np.maximum(corr / top, 1e-3)
-
-
-def _as_2d(x, p):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(1, -1) if x.shape[0] == p else x.reshape(-1, 1)
-    if x.shape[1] != p:
-        raise ValueError(f"query has {x.shape[1]} covariates, model expects {p}")
-    return _finite(x)
 
 
 # query rows per block: bounds the block x train approximations and the
@@ -164,28 +169,30 @@ def _neighbor_idx(train_x, query_x, k):
                            for q in blocks])
 
 
-class _Search:
+class NeighborSearch:
     """Exact k-NN search over one training set under one metric
-    weighting.  It remembers the neighbours of its latest `_MEMO` query
-    sets, compared by value, so models sharing it search a set once."""
+    weighting; k defaults to ceil(sqrt(n)).  It remembers the neighbours
+    of its latest `_MEMO` query sets, compared by value, so the models
+    built over it search a set once."""
 
-    def __init__(self, train_x, k, feature_weights=None):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if len(train_x) == 0:
-            raise ValueError("empty training set")
+    def __init__(self, train_x, k=None, feature_weights=None):
+        self.x = _covariates(train_x)
+        self.k = int(np.ceil(np.sqrt(self.x.shape[0])) if k is None else k)
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
         self.weights = feature_weights
-        self.train = _finite(train_x if feature_weights is None
-                             else train_x * feature_weights)
-        self.k = k
+        self._train = (self.x if feature_weights is None
+                       else _covariates(self.x * feature_weights))
         self._memo = []
 
     def __call__(self, query_x):
+        """Per query row, its k nearest training rows, nearest first."""
+        query_x = _covariates(query_x, self.x.shape[1])
         for query, idx in self._memo:
             if np.array_equal(query, query_x):
                 return idx
         weighted = query_x if self.weights is None else query_x * self.weights
-        idx = _neighbor_idx(self.train, weighted, self.k)
+        idx = _neighbor_idx(self._train, weighted, self.k)
         idx.flags.writeable = False
         self._memo = [(query_x.copy(), idx)] + self._memo[:_MEMO - 1]
         return idx
@@ -198,55 +205,71 @@ def _empirical_quantile(sorted_vals, tau):
     return sorted_vals[..., max(j, 0)]
 
 
-class KNNMean:
-    """Conditional-mean regressor by k-nearest-neighbor averaging.
+class _KNN:
+    """A k-NN model over `search`, with one outcome per training row."""
 
-    An optional per-feature weight vector rescales the metric (see
-    `relevance_weights`); by default all features count equally.
-    """
+    x = property(lambda self: self._search.x)
+    k = property(lambda self: self._search.k)
 
-    def __init__(self, train_x, train_y, k, feature_weights=None):
-        self.x = np.asarray(train_x, dtype=float)
+    def __init__(self, search, train_y):
+        self._search = search
         self.y = np.asarray(train_y, dtype=float)
-        self.k = int(k)
-        self.feature_weights = (None if feature_weights is None
-                                else np.asarray(feature_weights, dtype=float))
-        self.search = _Search(self.x, self.k, self.feature_weights)
+        if self.y.shape != search.x.shape[:1]:
+            raise ValueError(f"outcomes of shape {self.y.shape} for "
+                             f"{search.x.shape[0]} training rows")
+
+    def _neighbors(self, x):
+        """The outcomes of each query row's k nearest training rows."""
+        return self.y[self._search(x)]
+
+
+class KNNMean(_KNN):
+    """Conditional-mean regressor by k-nearest-neighbor averaging."""
+
+    def __init__(self, search, train_y):
+        super().__init__(search, train_y)
+        if self.y.shape[0] < 2:
+            raise ValueError("need at least 2 training pairs")
 
     def predict(self, x):
-        x = _as_2d(x, self.x.shape[1])
-        return self.y[self.search(x)].mean(axis=1)
+        return self._neighbors(x).mean(axis=1)
 
 
-class KNNQuantile:
-    """Conditional-quantile pair from the k-NN empirical distribution.
+class KNNQuantile(_KNN):
+    """Conditional-quantile pair (lo, hi) from the k-NN empirical
+    distribution; lo < hi, so lower <= upper on every row."""
 
-    The two predictions are sorted before returning, which enforces
-    lower <= upper regardless of the underlying estimates.
-    """
-
-    def __init__(self, train_x, train_y, levels, k, feature_weights=None):
+    def __init__(self, search, train_y, levels):
+        super().__init__(search, train_y)
         lo, hi = float(levels[0]), float(levels[1])
-        if not (0.0 < lo < 1.0) or not (0.0 < hi < 1.0):
-            raise ValueError("quantile levels must lie in (0, 1)")
-        if not lo < hi:
-            raise ValueError(f"levels must satisfy lo < hi, got ({lo}, {hi})")
-        self.x = np.asarray(train_x, dtype=float)
-        self.y = np.asarray(train_y, dtype=float)
+        if not 0.0 < lo < hi < 1.0:
+            raise ValueError("quantile levels must satisfy 0 < lo < hi < 1, "
+                             f"got ({lo}, {hi})")
+        min_n = int(np.ceil(1.0 / min(lo, 1.0 - hi)))
+        if self.y.shape[0] < min_n:
+            raise ValueError(
+                f"need at least {min_n} training pairs for levels {levels}")
         self.levels = (lo, hi)
-        self.k = int(k)
-        self.feature_weights = (None if feature_weights is None
-                                else np.asarray(feature_weights, dtype=float))
-        self.search = _Search(self.x, self.k, self.feature_weights)
 
     def predict(self, x):
         """Return (q_lo, q_hi) arrays for the query points."""
-        x = _as_2d(x, self.x.shape[1])
-        neigh = np.sort(self.y[self.search(x)], axis=1)
-        q_lo = _empirical_quantile(neigh, self.levels[0])
-        q_hi = _empirical_quantile(neigh, self.levels[1])
-        stacked = np.sort(np.stack([q_lo, q_hi]), axis=0)
-        return stacked[0], stacked[1]
+        neigh = np.sort(self._neighbors(x), axis=1)
+        return tuple(_empirical_quantile(neigh, tau) for tau in self.levels)
+
+
+class KNNSingleQuantile(_KNN):
+    """Single-level k-NN empirical quantile regressor (outcomes may be
+    infinite; the empirical quantile then propagates them)."""
+
+    def __init__(self, search, train_y, level):
+        super().__init__(search, train_y)
+        if not (0.0 < level < 1.0):
+            raise ValueError("quantile level must lie in (0, 1)")
+        self.level = float(level)
+
+    def predict(self, x):
+        neigh = np.sort(self._neighbors(x), axis=1)
+        return _empirical_quantile(neigh, self.level)
 
 
 # the propensity clip, and the L2 penalty, step and steps of the logistic fit
@@ -265,7 +288,7 @@ class LogisticPropensity:
     """
 
     def __init__(self, train_x, train_t):
-        x = _finite(np.asarray(train_x, dtype=float))
+        x = _covariates(train_x)
         t = np.asarray(train_t, dtype=float)
         if len(np.unique(t)) < 2:
             raise ValueError("both treatment values must be present")
@@ -286,53 +309,31 @@ class LogisticPropensity:
         self.intercept_ = intercept
 
     def predict(self, x):
-        x = _as_2d(x, self.mean_.shape[0])
+        x = _covariates(x, self.mean_.shape[0])
         z = (x - self.mean_) / self.sd_
         e = 1.0 / (1.0 + np.exp(-(z @ self.beta_ + self.intercept_)))
         return np.clip(e, CLIP, 1.0 - CLIP)
 
 
-def _default_k(n):
-    return int(np.ceil(np.sqrt(n)))
-
-
-def _metric_weights(scale, train_x, train_y):
-    if scale is None:
-        return None
-    if scale == "relevance":
-        return relevance_weights(train_x, train_y)
-    raise ValueError(f"unknown metric scaling {scale!r}")
+def metric_weights(scale, train_x, train_y):
+    """The k-NN metric weights of `scale`: None, or `relevance_weights`
+    for "relevance"."""
+    if scale not in (None, "relevance"):
+        raise ValueError(f"unknown metric scaling {scale!r}")
+    return None if scale is None else relevance_weights(train_x, train_y)
 
 
 def fit_mean(train_x, train_y, k=None, scale=None) -> KNNMean:
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    if train_x.shape[0] == 1 and np.asarray(train_y).size > 1:
-        train_x = train_x.T
-    n = train_x.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 training pairs")
-    return KNNMean(train_x, train_y, k or _default_k(n),
-                   feature_weights=_metric_weights(scale, train_x, train_y))
+    weights = metric_weights(scale, train_x, train_y)
+    return KNNMean(NeighborSearch(train_x, k, weights), train_y)
 
 
 def fit_quantile(train_x, train_y, levels, k=None, scale=None) -> KNNQuantile:
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    if train_x.shape[0] == 1 and np.asarray(train_y).size > 1:
-        train_x = train_x.T
-    n = train_x.shape[0]
-    lo, hi = float(levels[0]), float(levels[1])
-    if 0.0 < lo < hi < 1.0:
-        min_n = int(np.ceil(1.0 / min(lo, 1.0 - hi)))
-        if n < min_n:
-            raise ValueError(f"need at least {min_n} training pairs for levels {levels}")
-    return KNNQuantile(train_x, train_y, levels, k or _default_k(n),
-                       feature_weights=_metric_weights(scale, train_x, train_y))
+    weights = metric_weights(scale, train_x, train_y)
+    return KNNQuantile(NeighborSearch(train_x, k, weights), train_y, levels)
 
 
 def fit_propensity(train_x, train_t) -> LogisticPropensity:
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    if train_x.shape[0] == 1 and np.asarray(train_t).size > 1:
-        train_x = train_x.T
     return LogisticPropensity(train_x, train_t)
 
 

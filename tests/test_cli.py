@@ -357,6 +357,15 @@ class TestErrors:
                      "--out", str(tmp_path / "o.csv")]) == 1
         _assert_one_error_line(capsys, "data row 2 has 3 cells")
 
+    def test_repeated_column_name(self, target_csv, tmp_path, capsys):
+        # the second `x1` used to be read in place of the first
+        data = tmp_path / "repeated.csv"
+        data.write_text("x1,x1,t,y\n1,2,1,0.5\n3,4,0,0.7\n")
+        assert _run(["interval", "--data", str(data), "--target",
+                     str(target_csv), "--gamma", "1.5",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        _assert_one_error_line(capsys, "repeated column name 'x1'")
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert _run(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.json")]) == 1

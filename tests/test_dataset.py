@@ -109,6 +109,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="no data rows"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("header, name", [("x1,x1,t,y", "x1"),
+                                              ("x1,t,t,y", "t")])
+    @pytest.mark.parametrize("reader", [ingest_csv, ingest_covariates])
+    def test_repeated_column_name_refused(self, reader, header, name,
+                                          tmp_path):
+        # a second `x1` used to be read twice in place of the first, a
+        # second `t` to replace the first
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1,2,1,0.5\n3,4,0,0.7\n")
+        with pytest.raises(ValueError,
+                           match=f"repeated column name '{name}'"):
+            reader(path)
+
     @pytest.mark.parametrize("text", ["a,t,b,y\n0.5,1,2.0,1.0\n",
                                       "a,b\n0.5,2.0\n"])
     def test_target_covariates_read_once(self, text, tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 
 from confsens.dataset import ObservationalDataset
 from confsens.ite import (
-    KNNSingleQuantile,
     bonferroni_ite,
     nested_ite_fit,
     nested_ite_predict,
@@ -43,29 +42,6 @@ class TestBonferroni:
         lower, upper = bonferroni_ite(_arm(y1 - 0.5, y1 + 0.5),
                                       _arm(y0 - 0.5, y0 + 0.5))
         assert np.all((lower <= y1 - y0) & (y1 - y0 <= upper))
-
-
-class TestKNNSingleQuantile:
-    def test_one_nn_interpolates(self):
-        m = KNNSingleQuantile(np.array([[0.0], [1.0]]),
-                              np.array([2.0, 5.0]), level=0.5, k=1)
-        assert m.predict(np.array([[0.9]]))[0] == 5.0
-
-    def test_quantile_convention(self):
-        x = np.arange(10.0).reshape(-1, 1) * 1e-6
-        y = np.arange(10.0)
-        m = KNNSingleQuantile(x, y, level=0.4, k=10)
-        assert m.predict(np.array([[0.0]]))[0] == 3.0  # ceil(0.4*10)-1
-
-    def test_infinite_training_values_propagate(self):
-        x = np.zeros((4, 1)) + np.arange(4).reshape(-1, 1) * 1e-6
-        y = np.array([1.0, 2.0, np.inf, np.inf])
-        m = KNNSingleQuantile(x, y, level=0.9, k=4)
-        assert m.predict(np.array([[0.0]]))[0] == np.inf
-
-    def test_level_range_error(self):
-        with pytest.raises(ValueError):
-            KNNSingleQuantile(np.zeros((3, 1)), np.zeros(3), level=1.0, k=1)
 
 
 def _two_arm_ds(n=400, seed=0):

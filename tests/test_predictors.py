@@ -8,10 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsens import harness, predictors
-from confsens.ite import KNNSingleQuantile
 from confsens.predictors import (
     _BLOCK,
     _MEMO,
+    KNNMean,
+    KNNQuantile,
+    KNNSingleQuantile,
+    LogisticPropensity,
+    NeighborSearch,
     _neighbor_idx,
     fit_mean,
     fit_propensity,
@@ -127,10 +131,11 @@ class TestNeighborSearch:
     def test_memo_is_bounded_and_keyed_by_value(self):
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(60, 2)), rng.normal(size=60)
-        model = fit_mean(x, y, scale="relevance")
+        search = NeighborSearch(x, feature_weights=relevance_weights(x, y))
+        model = KNNMean(search, y)
         for _ in range(50):
             model.predict(rng.normal(size=(7, 2)))
-        assert len(model.search._memo) == _MEMO
+        assert len(search._memo) == _MEMO
         q = rng.normal(size=(9, 2))
         first = model.predict(q)
         q[0] = 50.0  # a changed query set is searched again
@@ -203,17 +208,80 @@ class TestNonFiniteCovariates:
         assert np.all(lo == np.inf) and np.all(hi == np.inf)
 
 
-@pytest.mark.parametrize("build", [
-    lambda x, y: predictors.KNNMean(x, y, 3),
-    lambda x, y: predictors.KNNQuantile(x, y, (0.1, 0.9), 3),
-    lambda x, y: KNNSingleQuantile(x, y, 0.5, 3),
-], ids=["KNNMean", "KNNQuantile", "KNNSingleQuantile"])
+# each k-NN model, built over a given search
+BUILDS = {
+    "KNNMean": lambda search, y: KNNMean(search, y),
+    "KNNQuantile": lambda search, y: KNNQuantile(search, y, (0.1, 0.9)),
+    "KNNSingleQuantile": lambda search, y: KNNSingleQuantile(search, y, 0.5),
+}
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
 def test_empty_training_set_refused(build):
     # used to build, then warn "Mean of empty slice" and fail in predict
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="empty training set"):
-            build(np.empty((0, 2)), np.empty(0))
+            BUILDS[build](NeighborSearch(np.empty((0, 2)), 3), np.empty(0))
+
+
+@pytest.mark.parametrize("fit", ["mean-relevance", "propensity"])
+def test_empty_fit_refused_before_any_statistic(fit):
+    # the relevance weights and the logistic fit refuse an empty set
+    # before they average it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty training set"):
+            TestNonFiniteCovariates.FITS[fit](np.empty((0, 3)), np.empty(0))
+
+
+class TestOneDimensionalCovariates:
+    # a 1-D query used to be read as one row when its length was p, and
+    # 1-D training covariates of `fit_*` as one column
+    FITS = {**{name: lambda x, y, build=build: build(NeighborSearch(x), y)
+               for name, build in BUILDS.items()},
+            "LogisticPropensity": lambda x, y: LogisticPropensity(x, y > 0),
+            "fit_mean": fit_mean,
+            "fit_quantile": lambda x, y: fit_quantile(x, y, (0.1, 0.9)),
+            "fit_propensity": lambda x, y: fit_propensity(x, y > 0)}
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(13)
+        return rng.normal(size=(40, 4)), rng.normal(size=40)
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_query_refused(self, fit):
+        x, y = self._data()
+        with pytest.raises(ValueError, match="model expects 4"):
+            self.FITS[fit](x, y).predict(x[0])
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_training_covariates_refused(self, fit):
+        x, y = self._data()
+        with pytest.raises(ValueError, match=r"training covariates have "
+                           r"shape \(40,\), not \(rows, covariates\)"):
+            self.FITS[fit](x[:, 0], y)
+
+
+def test_outcomes_must_match_the_search():
+    search = NeighborSearch(np.zeros((5, 2)))
+    for build in BUILDS.values():
+        with pytest.raises(ValueError, match="for 5 training rows"):
+            build(search, np.zeros(4))
+
+
+def test_models_share_one_search():
+    # the models over one search find a query set's neighbours once
+    rng = np.random.default_rng(14)
+    x, y = rng.normal(size=(50, 3)), rng.normal(size=50)
+    q = rng.normal(size=(8, 3))
+    search = NeighborSearch(x, k=5)
+    models = [build(search, y) for build in BUILDS.values()]
+    assert all(model.x is x and model.k == 5 for model in models)
+    for model in models:
+        model.predict(q)
+    assert len(search._memo) == 1
 
 
 class TestKNNQuantile:
@@ -244,6 +312,30 @@ class TestKNNQuantile:
         model = fit_quantile(x, y, (0.3, 0.7))
         lo, hi = model.predict(rng.uniform(size=(40, 2)))
         assert np.all(lo <= hi)
+
+
+class TestKNNSingleQuantile:
+    def test_one_nn_interpolates(self):
+        m = KNNSingleQuantile(NeighborSearch(np.array([[0.0], [1.0]]), k=1),
+                              np.array([2.0, 5.0]), level=0.5)
+        assert m.predict(np.array([[0.9]]))[0] == 5.0
+
+    def test_quantile_convention(self):
+        x = np.arange(10.0).reshape(-1, 1) * 1e-6
+        y = np.arange(10.0)
+        m = KNNSingleQuantile(NeighborSearch(x, k=10), y, level=0.4)
+        assert m.predict(np.array([[0.0]]))[0] == 3.0  # ceil(0.4*10)-1
+
+    def test_infinite_training_values_propagate(self):
+        x = np.zeros((4, 1)) + np.arange(4).reshape(-1, 1) * 1e-6
+        y = np.array([1.0, 2.0, np.inf, np.inf])
+        m = KNNSingleQuantile(NeighborSearch(x, k=4), y, level=0.9)
+        assert m.predict(np.array([[0.0]]))[0] == np.inf
+
+    def test_level_range_error(self):
+        with pytest.raises(ValueError, match="quantile level"):
+            KNNSingleQuantile(NeighborSearch(np.zeros((3, 1)), k=1),
+                              np.zeros(3), level=1.0)
 
 
 class TestLogisticPropensity:
