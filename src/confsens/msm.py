@@ -1,6 +1,7 @@
 """Marginal sensitivity model: conformal-weight bounds, cross-group bounds,
-confounding-strength calibration from observed covariates, and the minimal
-miscoverage admitting a finite interval.
+confounding-strength calibration from observed covariates (the p + 1
+leave-one-covariate-out propensity fits run as one batched fit), and the
+minimal miscoverage admitting a finite interval.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import write_csv
-from .predictors import fit_propensity
+from .predictors import drop_one_propensities
 
 __all__ = [
     "SensitivitySpec",
@@ -85,24 +86,16 @@ def weight_bounds_cross_arm(e_hat, gamma, t):
 
 
 def calibrate_gamma(ds):
-    """Leave-one-covariate-out confounding-strength reference.
-
-    For each unit i and covariate j, computes the odds ratio between the
-    full propensity fit and the fit without covariate j, folded to >= 1.
-    Returns an (n, p) matrix.
-    """
-    p = ds.covariate_dim
-    if p < 2:
+    """Leave-one-covariate-out confounding-strength reference: for each
+    unit i and covariate j, the odds ratio between the full propensity fit
+    and the fit without covariate j (one batched `drop_one_propensities`
+    call), folded to >= 1.  Returns an (n, p) matrix."""
+    if ds.covariate_dim < 2:
         raise ValueError("need at least 2 covariates")
-    e_full = fit_propensity(ds.covariates, ds.treatment).predict(ds.covariates)
-    odds_full = e_full / (1.0 - e_full)
-    out = np.empty((ds.n, p))
-    for j in range(p):
-        x = ds.covariates[:, [c for c in range(p) if c != j]]
-        e_drop = fit_propensity(x, ds.treatment).predict(x)
-        ratio = odds_full / (e_drop / (1.0 - e_drop))
-        out[:, j] = np.where(ratio >= 1.0, ratio, 1.0 / ratio)
-    return out
+    e = drop_one_propensities(ds.covariates, ds.treatment)
+    odds = e / (1.0 - e)
+    ratio = odds[:, -1:] / odds[:, :-1]
+    return np.where(ratio >= 1.0, ratio, 1.0 / ratio)
 
 
 def gamma_summary(gamma_matrix, names=None):

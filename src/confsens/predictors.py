@@ -4,8 +4,9 @@ Built-ins are deliberately dependency-free and deterministic.  The k-NN
 mean and quantile models are views of one `NeighborSearch`, which owns
 the training rows, k and the metric weights; the propensity is an
 L2-penalized logistic regression (full-batch gradient ascent on
-standardized features).  Any object with the same ``predict`` surface
-can be substituted.
+standardized features), and `drop_one_propensities` runs the p + 1
+leave-one-covariate-out fits of `msm.calibrate_gamma` as one masked
+ascent.  Any object with the same ``predict`` surface can be substituted.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "fit_mean",
     "fit_quantile",
     "fit_propensity",
+    "drop_one_propensities",
     "marginal_treatment_prob",
 ]
 
@@ -279,6 +281,50 @@ STEP = 0.1
 N_ITER = 500
 
 
+def _standardize(train_x, train_t):
+    """Checked fit inputs (z, t, mean, sd); a constant column gives z = 0."""
+    x = _covariates(train_x)
+    t = np.asarray(train_t, dtype=float)
+    if len(np.unique(t)) < 2:
+        raise ValueError("both treatment values must be present")
+    mean, sd = x.mean(axis=0), x.std(axis=0)
+    const = (x == x[0]).all(axis=0)  # its rounded mean may miss the value
+    mean[const], sd[const] = x[0, const], 1.0
+    z = x - mean
+    z /= sd
+    return z, t, mean, sd
+
+
+def _logistic(z, beta, intercept, out=None, clip=False):
+    """1 / (1 + exp(-(z @ beta + intercept))) into `out`, maybe clipped."""
+    e = np.matmul(z, beta, out=out)
+    e += intercept
+    np.exp(np.negative(e, out=e), out=e)
+    np.divide(1.0, np.add(e, 1.0, out=e), out=e)
+    return np.clip(e, CLIP, 1.0 - CLIP, out=e) if clip else e
+
+
+def _ascend(z, t, mask=None):
+    """Gradient ascent of the L2-penalized logistic likelihood of t on z:
+    (beta, intercept) of one model, or, with a (p, m) 0/1 mask, of m models
+    at once, model k holding coefficient j at 0 where mask[j, k] is 0."""
+    n, p = z.shape
+    shape = (p,) if mask is None else mask.shape
+    beta, intercept = np.zeros(shape), np.zeros(shape[1:])
+    t = t if mask is None else t[:, None]
+    resid, grad = np.empty((n,) + shape[1:]), np.empty(shape)
+    for _ in range(N_ITER):
+        np.subtract(t, _logistic(z, beta, intercept, out=resid), out=resid)
+        np.matmul(z.T, resid, out=grad)
+        grad /= n
+        grad -= 2.0 * PENALTY * beta
+        if mask is not None:
+            grad *= mask
+        beta += np.multiply(grad, STEP, out=grad)
+        intercept += STEP * resid.mean(axis=0)
+    return beta, intercept[()]  # a scalar intercept for one model
+
+
 class LogisticPropensity:
     """Logistic-regression treatment model with clipped outputs.
 
@@ -288,31 +334,22 @@ class LogisticPropensity:
     """
 
     def __init__(self, train_x, train_t):
-        x = _covariates(train_x)
-        t = np.asarray(train_t, dtype=float)
-        if len(np.unique(t)) < 2:
-            raise ValueError("both treatment values must be present")
-        self.mean_ = x.mean(axis=0)
-        sd = x.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        self.sd_ = sd
-        z = (x - self.mean_) / self.sd_
-        n, p = z.shape
-        beta = np.zeros(p)
-        intercept = 0.0
-        for _ in range(N_ITER):
-            s = 1.0 / (1.0 + np.exp(-(z @ beta + intercept)))
-            resid = t - s
-            beta += STEP * (z.T @ resid / n - 2.0 * PENALTY * beta)
-            intercept += STEP * resid.mean()
-        self.beta_ = beta
-        self.intercept_ = intercept
+        z, t, self.mean_, self.sd_ = _standardize(train_x, train_t)
+        self.beta_, self.intercept_ = _ascend(z, t)
 
     def predict(self, x):
         x = _covariates(x, self.mean_.shape[0])
-        z = (x - self.mean_) / self.sd_
-        e = 1.0 / (1.0 + np.exp(-(z @ self.beta_ + self.intercept_)))
-        return np.clip(e, CLIP, 1.0 - CLIP)
+        return _logistic((x - self.mean_) / self.sd_, self.beta_,
+                         self.intercept_, clip=True)
+
+
+def drop_one_propensities(train_x, train_t):
+    """(n, p + 1) clipped propensities at the training rows: column j of
+    the fit without covariate j, the last column of the full fit.  One
+    masked ascent runs the p + 1 fits, with `LogisticPropensity`'s checks."""
+    z, t, _, _ = _standardize(train_x, train_t)
+    p = z.shape[1]
+    return _logistic(z, *_ascend(z, t, 1.0 - np.eye(p, p + 1)), clip=True)
 
 
 def metric_weights(scale, train_x, train_y):

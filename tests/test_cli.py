@@ -392,6 +392,7 @@ def _hostile_datasets():
             "identical-rows": (np.tile(x[:1], (n, 1)), t, y),
             "separated": (x, (x[:, 0] > 0.5).astype(int), y),
             "one-unit-arm": (x, lone, y),
+            "all-treated": (x, np.ones(n, dtype=int), y),
             "n8": (x[:8], np.array([0, 1] * 4), y[:8]),
             "p1": (x[:, :1], t, y)}
 
@@ -409,6 +410,7 @@ _HOSTILE_COMMANDS = {
 
 _PAIRS = "need at least 2 training pairs"
 _CQR_PAIRS = "need at least 11 training pairs"
+_BOTH = "both treatment values must be present"
 _FALLBACK = ("warning: balancing constraints infeasible; falling back to "
              "the unconstrained thresholds")
 
@@ -425,6 +427,8 @@ _HOSTILE_MATRIX = {
     "n8": (_PAIRS, _PAIRS, _CQR_PAIRS, "too few units in arm 0", _PAIRS,
            "ok", "ok"),
     "p1": ("ok", "ok", "ok", "ok", "ok", "need at least 2 covariates", "ok"),
+    "all-treated": (_BOTH, _BOTH, _BOTH, "too few units in arm 0", _BOTH,
+                    _BOTH, _BOTH),
 }
 
 

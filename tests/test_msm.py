@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,24 @@ class TestCalibrateGamma:
         ds = _confounded_ds(n=2000, seed=2)
         m = calibrate_gamma(ds)
         assert np.median(m[:, 3]) < 1.1  # covariate 3 plays no role
+
+    @pytest.mark.parametrize("n, p", [(2000, 20), (8000, 20), (2000, 80)])
+    def test_peak_memory_is_a_few_matrices(self, n, p):
+        # the p + 1 fits share one standardized copy of the covariates and
+        # one (n, p + 1) buffer, and make no column-subset copies
+        ds = _confounded_ds(n=n, p=p, seed=4)
+        tracemalloc.start()
+        calibrate_gamma(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 8 * n * (p + 1) * 8
+
+    def test_one_arm_refused(self):
+        ds = _confounded_ds(n=50)
+        ds = ObservationalDataset(ds.covariates, np.ones(50, dtype=int),
+                                  ds.outcome)
+        with pytest.raises(ValueError, match="both treatment values"):
+            calibrate_gamma(ds)
 
     def test_needs_two_covariates(self):
         rng = np.random.default_rng(3)

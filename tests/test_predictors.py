@@ -17,6 +17,7 @@ from confsens.predictors import (
     LogisticPropensity,
     NeighborSearch,
     _neighbor_idx,
+    drop_one_propensities,
     fit_mean,
     fit_propensity,
     fit_quantile,
@@ -360,6 +361,48 @@ class TestLogisticPropensity:
     def test_single_class_error(self):
         with pytest.raises(ValueError):
             fit_propensity(np.zeros((5, 1)), np.ones(5))
+
+    def test_constant_column_is_inert(self):
+        # 0.01 has no exact mean over these rows: its rounded standard
+        # deviation used to be about 1e-18, which scaled the column up to
+        # +-1 noise that the fit then used
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(32, 2))
+        t = (x[:, 0] + rng.normal(size=32) > 0).astype(int)
+        padded = np.hstack([x, np.full((32, 1), 0.01)])
+        model = fit_propensity(padded, t)
+        assert model.beta_[2] == 0.0
+        np.testing.assert_allclose(model.predict(padded),
+                                   fit_propensity(x, t).predict(x),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x, t, match", [
+        (np.zeros((5, 2)), np.ones(5), "both treatment values"),
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1]),
+         "non-finite covariate value"),
+        (np.zeros(4), np.array([0, 1, 0, 1]), r"not \(rows, covariates\)"),
+        (np.empty((0, 2)), np.empty(0), "empty training set")])
+    def test_drop_one_propensities_checks_inputs(self, x, t, match):
+        # the batched fits refuse what `fit_propensity` refuses
+        for fit in (fit_propensity, drop_one_propensities):
+            with pytest.raises(ValueError, match=match):
+                fit(x, t)
+
+    def test_drop_one_columns(self):
+        # column j equals a fit without covariate j; the last, the full fit
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(120, 3))
+        t = (x[:, 0] - x[:, 1] + rng.normal(size=120) > 0).astype(int)
+        e = drop_one_propensities(x, t)
+        assert e.shape == (120, 4)
+        assert e.min() >= 0.01 and e.max() <= 0.99
+        for j in range(3):
+            kept = np.delete(x, j, axis=1)
+            np.testing.assert_allclose(
+                e[:, j], fit_propensity(kept, t).predict(kept),
+                rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(e[:, 3], fit_propensity(x, t).predict(x),
+                                   rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

@@ -2,8 +2,9 @@
 thresholds against the weighted-quantile reference, of the CSSA probe
 against the fractional program solved as one LP, of interval widths in
 gamma, of the batch interval route against the per-target API (with the
-quantile model at each call's alpha), and of the shared nested fold
-against a fresh nested fit, over generated inputs.
+quantile model at each call's alpha), of the shared nested fold against a
+fresh nested fit, and of the batched leave-one-covariate-out propensity
+fits against separate fits, over generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -36,14 +37,21 @@ from confsens.cssa import (
     solve_fractional,
 )
 from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
+from confsens.dataset import ObservationalDataset
 from confsens.msm import (
     SensitivitySpec,
+    calibrate_gamma,
     min_miscoverage,
     weight_bounds_same_arm,
 )
 from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
-from confsens.predictors import CLIP, fit_quantile
+from confsens.predictors import (
+    CLIP,
+    drop_one_propensities,
+    fit_propensity,
+    fit_quantile,
+)
 
 ETA = CLIP  # the propensity clip of `fit_propensity`
 GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
@@ -374,3 +382,42 @@ def test_nested_fold_equals_fresh_fit(seed, n, p, two_arm, gammas, alpha):
         for a, b in zip(nested_ite_predict(shared, x_target),
                         nested_ite_predict(fresh, x_target)):
             assert a.tobytes() == b.tobytes()
+
+
+def _calibrate_by_loop(ds):
+    """`calibrate_gamma` as p + 1 separate fits on column-subset copies:
+    the reference for the batched fit."""
+    p = ds.covariate_dim
+    e_full = fit_propensity(ds.covariates, ds.treatment).predict(ds.covariates)
+    odds_full = e_full / (1.0 - e_full)
+    out = np.empty((ds.n, p))
+    for j in range(p):
+        x = ds.covariates[:, [c for c in range(p) if c != j]]
+        e_drop = fit_propensity(x, ds.treatment).predict(x)
+        ratio = odds_full / (e_drop / (1.0 - e_drop))
+        out[:, j] = np.where(ratio >= 1.0, ratio, 1.0 / ratio)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(8, 300),
+       p=st.integers(2, 10), scale=st.sampled_from([0.01, 1.0, 100.0]),
+       constant=st.booleans(), duplicate=st.booleans())
+def test_batched_calibration_equals_separate_fits(seed, n, p, scale,
+                                                  constant, duplicate):
+    # constant and duplicated columns make some drop-one fits equal the
+    # full fit; the ratio is then 1 up to rounding
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(n, p))
+    if constant:
+        x[:, -1] = scale
+    if duplicate:
+        x[:, 1] = x[:, 0]
+    t = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-x[:, 0] / scale)))
+    t[:2] = (False, True)  # both arms present
+    ds = ObservationalDataset(x, t.astype(int), rng.normal(size=n))
+    np.testing.assert_allclose(calibrate_gamma(ds), _calibrate_by_loop(ds),
+                               rtol=1e-12, atol=0.0)
+    full = fit_propensity(x, t).predict(x)
+    np.testing.assert_allclose(drop_one_propensities(x, t)[:, -1], full,
+                               rtol=1e-12, atol=0.0)
