@@ -74,7 +74,7 @@ def _cmd_fit(args):
 
 def _cmd_interval(args):
     ds = ingest_csv(args.data)
-    x_target = ingest_covariates(args.target)
+    x_target = ingest_covariates(args.target, ds.names)
     arm = fit_arms(ds, args.seed)[args.t]
     lower, upper, threshold = arm.intervals(x_target, args.gamma, args.alpha,
                                             args.method, args.score)
@@ -87,7 +87,7 @@ def _cmd_interval(args):
 
 def _cmd_ite(args):
     ds = ingest_csv(args.data)
-    x_target = ingest_covariates(args.target)
+    x_target = ingest_covariates(args.target, ds.names)
     if args.method == "nested":
         model = nested_ite_fit(ds, args.gamma, args.alpha, seed=args.seed)
         lower, upper = nested_ite_predict(model, x_target)
@@ -105,34 +105,25 @@ def _cmd_ite(args):
 
 
 def _cmd_sweep(args):
-    cfg_dict = {}
-    if args.config:
+    known = {f.name for f in fields(ExperimentConfig)}
+    cfg_dict = {"output_dir": "."}
+    if "config" in args:
         with open(args.config, encoding="utf-8") as fh:
-            cfg_dict = json.load(fh)
-        if not isinstance(cfg_dict, dict):
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
             raise ValueError("a sweep config must be a JSON object")
-        unknown = set(cfg_dict) - {f.name for f in fields(ExperimentConfig)}
+        unknown = set(loaded) - known
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    overrides = {
-        "methods": (tuple(args.methods.split(","))
-                    if args.methods is not None else None),
-        "gammas": (tuple(float(g) for g in args.gammas.split(","))
-                   if args.gammas is not None else None),
-        "alpha": args.alpha,
-        "n_train": args.n_train,
-        "n_target": args.n_target,
-        "n_trials": args.n_trials,
-        "heteroscedastic": args.heteroscedastic or None,
-        "two_arm": args.two_arm or None,
-        "base_seed": args.seed,
-        "paper_scale": args.paper_scale or None,
-        "output_dir": os.environ.get("CONFSENS_OUTPUT_DIR", args.out_dir),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg_dict[key] = value
-    cfg_dict.setdefault("output_dir", ".")
+        cfg_dict.update(loaded)
+    # the flags present, each under its config field's name
+    cfg_dict.update((k, v) for k, v in vars(args).items() if k in known)
+    if "methods" in args:
+        cfg_dict["methods"] = tuple(args.methods.split(","))
+    if "gammas" in args:
+        cfg_dict["gammas"] = tuple(float(g) for g in args.gammas.split(","))
+    if "CONFSENS_OUTPUT_DIR" in os.environ:
+        cfg_dict["output_dir"] = os.environ["CONFSENS_OUTPUT_DIR"]
     cfg = ExperimentConfig(**cfg_dict)
     _, summary = run_sweep(cfg)
     for row in summary:
@@ -202,19 +193,21 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ite)
 
-    p = sub.add_parser("sweep", help="coverage/length experiment")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--methods", default=None)
-    p.add_argument("--gammas", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-target", type=int, default=None)
-    p.add_argument("--n-trials", type=int, default=None)
+    # an absent flag is absent from `args`; each dest names a config field
+    p = sub.add_parser("sweep", help="coverage/length experiment",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--methods")
+    p.add_argument("--gammas")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-target", type=int)
+    p.add_argument("--n-trials", type=int)
     p.add_argument("--heteroscedastic", action="store_true")
     p.add_argument("--two-arm", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, dest="base_seed")
     p.add_argument("--paper-scale", action="store_true")
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--out-dir", dest="output_dir")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("calibrate", help="confounding-strength table")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +25,20 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class ObservationalDataset:
-    """Immutable table of n units with p finite covariates each."""
+    """Immutable table of n units with p finite covariates each.  It holds
+    read-only copies of the arrays given, the treatment as int64 0 or 1."""
 
-    def __init__(self, covariates, treatment, outcome, names=None):
-        covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-        treatment = np.asarray(treatment, dtype=float)
-        outcome = np.asarray(outcome, dtype=float)
+    covariates: np.ndarray
+    treatment: np.ndarray
+    outcome: np.ndarray
+    names: tuple | None = None
+
+    def __post_init__(self):
+        covariates = np.atleast_2d(np.array(self.covariates, dtype=float))
+        treatment = np.asarray(self.treatment, dtype=float)
+        outcome = np.array(self.outcome, dtype=float)
         n, p = covariates.shape
         if treatment.shape != (n,) or outcome.shape != (n,):
             raise ValueError("covariates, treatment, outcome lengths disagree")
@@ -41,47 +49,30 @@ class ObservationalDataset:
         if not np.all((treatment == 0.0) | (treatment == 1.0)):
             bad = int(np.flatnonzero((treatment != 0.0) & (treatment != 1.0))[0])
             raise ValueError(f"treatment must be 0 or 1 (unit {bad})")
-        if names is not None:
-            names = tuple(str(s) for s in names)
+        if self.names is not None:
+            names = tuple(str(s) for s in self.names)
             if len(names) != p:
                 raise ValueError("covariate name count != covariate_dim")
-        self._x = covariates
-        self._t = treatment.astype(np.int64)
-        self._y = outcome
-        self._names = names
-        for a in (self._x, self._t, self._y):
+            object.__setattr__(self, "names", names)
+        for field, a in (("covariates", covariates),
+                         ("treatment", treatment.astype(np.int64)),
+                         ("outcome", outcome)):
             a.setflags(write=False)
-
-    @property
-    def covariates(self):
-        return self._x
-
-    @property
-    def treatment(self):
-        return self._t
-
-    @property
-    def outcome(self):
-        return self._y
-
-    @property
-    def names(self):
-        return self._names
+            object.__setattr__(self, field, a)
 
     @property
     def n(self):
-        return self._x.shape[0]
+        return self.covariates.shape[0]
 
     @property
     def covariate_dim(self):
-        return self._x.shape[1]
+        return self.covariates.shape[1]
 
     def subset(self, idx):
         """New dataset holding the given rows, order preserved."""
         idx = np.asarray(idx, dtype=np.int64)
-        return ObservationalDataset(
-            self._x[idx], self._t[idx], self._y[idx], names=self._names
-        )
+        return ObservationalDataset(self.covariates[idx], self.treatment[idx],
+                                    self.outcome[idx], names=self.names)
 
     def __len__(self):
         return self.n
@@ -92,16 +83,22 @@ class ObservationalDataset:
 
 def _read_rows(path):
     """Header and non-blank data rows of a UTF-8, header-row CSV, as
-    strings, in one `csv.reader` pass; a repeated column name is refused."""
+    strings, in one `csv.reader` pass; a repeated column name, or text the
+    reader cannot parse, is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty file: no header row")
-        if len(set(header)) < len(header):
-            name = next(c for i, c in enumerate(header) if c in header[:i])
-            raise ValueError(f"repeated column name {name!r} in the header")
-        return header, [row for row in reader if row]
+        try:
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"unreadable CSV at line {reader.line_num}: "
+                             f"{exc}") from None
+    if header is None:
+        raise ValueError("empty file: no header row")
+    if len(set(header)) < len(header):
+        name = next(c for i, c in enumerate(header) if c in header[:i])
+        raise ValueError(f"repeated column name {name!r} in the header")
+    return header, rows
 
 
 def _float_rows(header, rows, binary=None):
@@ -148,13 +145,24 @@ def ingest_csv(path) -> ObservationalDataset:
     return _dataset(*_read_rows(path))
 
 
-def ingest_covariates(path) -> np.ndarray:
-    """Target covariates from a CSV with or without `t`/`y` columns; with
-    them, the file must also be a valid dataset.  The file is read once."""
+def ingest_covariates(path, names) -> np.ndarray:
+    """Target covariates from a CSV: the columns `names`, in that order.
+    Columns `t` and `y` may also be present; with both, the file must also
+    be a valid dataset.  A missing or any other column is refused.  The
+    file is read once."""
     header, rows = _read_rows(path)
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise ValueError(f"target lacks covariate columns {missing}")
+    unknown = [c for c in header if c not in names and c not in ("t", "y")]
+    if unknown:
+        raise ValueError(f"target has columns the data lacks: {unknown}")
     if "t" in header and "y" in header:
-        return _dataset(header, rows).covariates
-    return _float_rows(header, rows)
+        ds = _dataset(header, rows)
+        header, values = ds.names, ds.covariates
+    else:
+        values = _float_rows(header, rows)
+    return values[:, [header.index(c) for c in names]]
 
 
 def _dataset(header, rows):

@@ -132,22 +132,14 @@ def _candidates(query_x, c, tc2, tn, k):
 
 def _select(query_x, padded, cols, k):
     """The first k of `cols` per row in a stable argsort of the exact
-    squared distances (equal distances in column order)."""
+    squared distances.  Each row's `cols` ascend, so equal distances stay
+    in column order and the padding column n, at +inf, sorts last."""
     # ((q - t) ** 2).sum(), in place on the gathered candidates
     diff = padded[cols]
     np.subtract(query_x[:, None, :], diff, out=diff)
     d2 = np.square(diff, out=diff).sum(axis=2)
-    # every column below the k-th distance, then the lowest-index ties at
-    # it, stable-sorted by distance
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    below, tie = d2 < kth, d2 == kth
-    room = k - below.sum(axis=1, keepdims=True)
-    keep = below | (tie & (np.cumsum(tie, axis=1) <= room))
-    pos = np.nonzero(keep)[1].reshape(-1, k)
-    order = np.argsort(np.take_along_axis(d2, pos, axis=1), axis=1,
-                       kind="stable")
-    return np.take_along_axis(cols, np.take_along_axis(pos, order, axis=1),
-                              axis=1)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def _neighbor_idx(train_x, query_x, k):

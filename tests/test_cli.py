@@ -1,13 +1,16 @@
+import argparse
 import csv
 import json
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from confsens.cli import main
+from confsens.cli import build_parser, main
 from confsens.dataset import ObservationalDataset, emit_csv
+from confsens.harness import ExperimentConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data")
 
@@ -194,8 +197,8 @@ class TestIte:
         assert _run(["ite", "--data", str(data_csv), "--target", str(target),
                      "--gamma", "1.5", "--method", method,
                      "--out", str(tmp_path / "o.csv")]) == 1
-        assert ("query has 1 covariates, model expects 4"
-                in capsys.readouterr().err)
+        _assert_one_error_line(
+            capsys, "target lacks covariate columns ['x2', 'x3', 'x4']")
 
     def test_bonferroni_small_alpha(self, data_csv, target_csv, tmp_path):
         # each arm runs at alpha / 2 = 0.01 and needs no quantile model
@@ -205,6 +208,49 @@ class TestIte:
                      "bonferroni", "--alpha", "0.02", "--out",
                      str(out)]) == 0
         assert out.read_text().count("\n") == 7
+
+
+def _reordered(target_csv, path, header):
+    """`target_csv` rewritten with its columns in the order `header`."""
+    with open(target_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, header, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("command", [["interval"], ["ite"],
+                                     ["ite", "--method", "bonferroni"]],
+                         ids=["interval", "nested", "bonferroni"])
+@pytest.mark.parametrize("header", [["x4", "x2", "x3", "x1"],
+                                    ["y", "x3", "x1", "t", "x4", "x2"]],
+                         ids=["covariates", "with-t-y"])
+def test_target_read_by_column_name(command, header, data_csv, target_csv,
+                                    tmp_path):
+    # the target's covariates used to be read by position
+    target = _reordered(target_csv, tmp_path / "reordered.csv", header)
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, out in zip((target_csv, target), outs):
+        assert _run([*command, "--data", str(data_csv), "--target",
+                     str(path), "--gamma", "2.0", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["interval", "ite"])
+@pytest.mark.parametrize("header, text", [
+    (["x1", "x2", "x4"], "target lacks covariate columns ['x3']"),
+    (["x1", "x2", "x3", "x4", "x5"], "columns the data lacks: ['x5']"),
+])
+def test_target_column_mismatch(command, header, text, data_csv, tmp_path,
+                                capsys):
+    target = tmp_path / "target.csv"
+    target.write_text(",".join(header) + "\n" + ",".join(["0.5"] * len(header))
+                      + "\n")
+    assert _run([command, "--data", str(data_csv), "--target", str(target),
+                 "--gamma", "2.0", "--out", str(tmp_path / "o.csv")]) == 1
+    _assert_one_error_line(capsys, text)
 
 
 # Per-target CSVs pinned on the fixtures above, compared byte for byte.
@@ -283,6 +329,35 @@ class TestSweep:
         assert not (tmp_path / "ignored").exists()
         manifest = json.loads((inner / "manifest.json").read_text())
         assert manifest["config"]["output_dir"] == str(inner)
+
+    def test_flags_cover_config(self):
+        # each config field is the dest of exactly one flag, so a field
+        # added without its flag fails here
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices["sweep"]._actions
+                 if a.dest not in ("help", "config")]
+        assert sorted(dests) == sorted(f.name
+                                       for f in fields(ExperimentConfig))
+
+    def test_absent_flag_keeps_config_entry(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"two_arm": True, "base_seed": 3}))
+        out_dir = tmp_path / "run"
+        assert _run(["sweep", "--config", str(cfg), "--methods", "ite-nuc",
+                     "--gammas", "1.0", "--n-train", "200", "--n-target",
+                     "40", "--n-trials", "1", "--out-dir", str(out_dir)]) == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert config["two_arm"] is True and config["base_seed"] == 3
+
+    def test_seed_flag_sets_base_seed(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert _run(["sweep", "--methods", "ite-nuc", "--gammas", "1.0",
+                     "--n-train", "200", "--n-target", "40", "--n-trials",
+                     "1", "--seed", "5", "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["base_seed"] == 5
+        assert manifest["seeds"] == [5]
 
     @pytest.mark.parametrize("flag", ["--methods", "--gammas"])
     def test_empty_grid_flag_fails(self, flag, tmp_path, capsys):
@@ -370,6 +445,14 @@ class TestErrors:
         assert _run(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unparsable_csv_exit_code(self, tmp_path, capsys):
+        # used to end in a `_csv.Error` traceback
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"x1,x2,t,y\n0.5,{'9' * 200_000},1,1.0\n")
+        assert _run(["calibrate", "--data", str(huge),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        _assert_one_error_line(capsys, "unreadable CSV at line 2")
 
     def test_bad_csv_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

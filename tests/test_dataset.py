@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -37,10 +40,32 @@ class TestObservationalDataset:
         with pytest.raises(ValueError):
             ObservationalDataset([[1.0]], [1], [np.inf])
 
+    def test_frozen_record_of_copies(self):
+        # building a dataset used to freeze the caller's arrays in place
+        x, t, y = np.ones((3, 2)), np.array([0, 1, 1]), np.zeros(3)
+        ds = ObservationalDataset(x, t, y, names=["a", "b"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.outcome = np.ones(3)
+        assert not any(a.flags.writeable
+                       for a in (ds.covariates, ds.treatment, ds.outcome))
+        assert all(a.flags.writeable for a in (x, t, y))
+        x[0, 0], t[0], y[0] = 5.0, 1, 7.0
+        assert ds.covariates[0, 0] == 1.0 and ds.treatment[0] == 0
+        assert ds.outcome[0] == 0.0 and ds.names == ("a", "b")
+        # equality and hashing stay by identity
+        assert ds == ds and ds != ObservationalDataset(x, t, y)
+        assert hash(ds) == object.__hash__(ds)
+
     def test_subset_preserves_order(self):
         ds = make_ds()
         sub = ds.subset([4, 1])
         assert np.array_equal(sub.outcome, ds.outcome[[4, 1]])
+
+
+# both readers; the target reader takes the data's covariate names
+_READERS = [ingest_csv,
+            pytest.param(functools.partial(ingest_covariates, names=["x1"]),
+                         id="ingest_covariates")]
 
 
 class TestCsvRoundTrip:
@@ -111,7 +136,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("header, name", [("x1,x1,t,y", "x1"),
                                               ("x1,t,t,y", "t")])
-    @pytest.mark.parametrize("reader", [ingest_csv, ingest_covariates])
+    @pytest.mark.parametrize("reader", _READERS)
     def test_repeated_column_name_refused(self, reader, header, name,
                                           tmp_path):
         # a second `x1` used to be read twice in place of the first, a
@@ -123,18 +148,29 @@ class TestCsvRoundTrip:
             reader(path)
 
     @pytest.mark.parametrize("text", ["a,t,b,y\n0.5,1,2.0,1.0\n",
-                                      "a,b\n0.5,2.0\n"])
+                                      "a,b\n0.5,2.0\n",
+                                      "b,t,a,y\n2.0,1,0.5,1.0\n",
+                                      "b,a\n2.0,0.5\n"])
     def test_target_covariates_read_once(self, text, tmp_path, monkeypatch):
         # with `t`/`y` the file is also checked as a dataset, from the same
-        # rows
+        # rows; columns are read by name, not position
         path = tmp_path / "target.csv"
         path.write_text(text)
         reads = []
         read_rows = dataset._read_rows
         monkeypatch.setattr(dataset, "_read_rows",
                             lambda p: reads.append(p) or read_rows(p))
-        assert ingest_covariates(path).tolist() == [[0.5, 2.0]]
+        assert ingest_covariates(path, ["a", "b"]).tolist() == [[0.5, 2.0]]
         assert reads == [path]
+
+    @pytest.mark.parametrize("reader", _READERS)
+    def test_unparsable_csv_refused(self, reader, tmp_path):
+        # a field past the `csv` module's size limit used to escape as
+        # `_csv.Error`
+        path = tmp_path / "huge.csv"
+        path.write_text(f"x1,t,y\n0.5,1,1.0\n{'9' * 200_000},1,1.0\n")
+        with pytest.raises(ValueError, match="unreadable CSV at line 3"):
+            reader(path)
 
 
 class TestSplit:
