@@ -16,7 +16,6 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .dataset import write_csv
@@ -306,6 +305,8 @@ def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False):
     With `shifted=True` the calibration covariates are tilted while the
     weights stay uniform — the negative control that breaks the law.
     """
+    from scipy.special import ndtr
+
     rng = np.random.default_rng(seed)
     coverages = np.empty(n_trials)
     x_target = rng.uniform(size=4000)
@@ -317,7 +318,7 @@ def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False):
         k = int(np.ceil((1.0 - alpha) * (n_cal + 1)))
         thr = np.sort(scores)[k - 1] if k <= n_cal else np.inf
         # exact per-target coverage of [..] given the threshold
-        per_target = 2.0 * stats.norm.cdf(thr / sig_target) - 1.0
+        per_target = 2.0 * ndtr(thr / sig_target) - 1.0
         coverages[i] = float(per_target.mean())
     return coverages
 
@@ -329,6 +330,8 @@ def beta_coverage_check(coverages, n_cal, alpha, level=0.01):
     Returns (statistic, p_value, passed); requires >= 50 trials, each with
     an independent calibration draw.
     """
+    from scipy import stats
+
     coverages = np.asarray(coverages, dtype=float)
     if coverages.size < 50:
         raise ValueError("need at least 50 independent trials")

@@ -3,6 +3,9 @@
 A thin adapter over `scipy.optimize.linprog(method="highs")` (Huangfu &
 Hall 2018) that keeps the package's small result type: a status string,
 and the solution and objective value only when the status is optimal.
+`scipy.optimize` is imported on the first solve, not with the package:
+the default propensity balance row never reaches an LP, and the
+command-line tools should not pay for loading it.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["LpResult", "solve_lp"]
 
@@ -32,6 +34,8 @@ class LpResult:
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
              maximize=False) -> LpResult:
     """Solve min (or max) c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float)
     if A_ub is None and A_eq is None:
         raise ValueError("no constraints")

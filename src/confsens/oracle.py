@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .dataset import ObservationalDataset, write_csv
 from .msm import check_gamma
@@ -53,8 +52,10 @@ class SyntheticDGP:
                              f"got {self.covariate_dim}")
 
     def propensity(self, x):
+        from scipy.special import betainc
+
         x = np.atleast_2d(x)
-        return 0.25 * (1.0 + stats.beta.cdf(1.0 - x[:, 0], 2, 4))
+        return 0.25 * (1.0 + betainc(2, 4, 1.0 - x[:, 0]))
 
     def mean_treated(self, x):
         x = np.atleast_2d(x)
@@ -125,8 +126,10 @@ class TiltSpec:
 def tilt_two_sided(gamma, mean, sigma) -> TiltSpec:
     """Build the adversarial two-sided tilt for one target point, with
     cut points from the normal proposal N(mean, sigma^2)."""
+    from scipy.special import ndtri
+
     check_gamma(gamma)
-    z = stats.norm.ppf(1.0 / (2.0 * (gamma + 1.0)))
+    z = ndtri(1.0 / (2.0 * (gamma + 1.0)))
     q_l, q_r = mean + sigma * z, mean - sigma * z
     return TiltSpec(gamma=float(gamma), q_l=float(q_l), q_r=float(q_r))
 
@@ -154,19 +157,24 @@ def sample_counterfactual_batch(gamma, mean, sigma, rng) -> np.ndarray:
     """Vectorized tilted draws for many target points at once.
 
     Normal proposals with analytic cut points; each entry follows the
-    adversarial two-sided tilt at its own (mean, sigma).
+    adversarial two-sided tilt at its own (mean, sigma).  Rejection
+    sampling runs for a fixed number of rounds; entries still unaccepted
+    after them are drawn by inverse CDF from the same tilted law, so any
+    gamma >= 1 succeeds.
     """
+    from scipy.special import ndtri
+
     mean = np.asarray(mean, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     n = mean.shape[0]
     if gamma == 1.0:
         return mean + sigma * rng.standard_normal(n)
-    z = stats.norm.ppf(1.0 / (2.0 * (gamma + 1.0)))  # z < 0
+    tau = 1.0 / (2.0 * (gamma + 1.0))  # proposal mass of each tail
+    z = ndtri(tau)  # z < 0
     out = np.empty(n)
     todo = np.arange(n)
     p_inside = 1.0 / gamma ** 2
-    rounds = 200  # acceptance >= 1/gamma per round
-    for _ in range(rounds):
+    for _ in range(200):  # acceptance >= 1/gamma per round
         draw = mean[todo] + sigma[todo] * rng.standard_normal(todo.size)
         zscore = (draw - mean[todo]) / sigma[todo]
         inside = (zscore >= z) & (zscore <= -z)
@@ -175,10 +183,17 @@ def sample_counterfactual_batch(gamma, mean, sigma, rng) -> np.ndarray:
         todo = todo[~accept]
         if todo.size == 0:
             return out
-    raise RuntimeError(f"rejection sampling at gamma={gamma:g} left "
-                       f"{todo.size} of {n} draws unaccepted after {rounds} "
-                       f"rounds; acceptance per round can be as low as "
-                       f"1/gamma")
+    # The tilted law is symmetric: its lower half puts mass gamma * tau on
+    # the proposal's lower tail (density x gamma) and the rest on the lower
+    # centre (density / gamma).  Fold a uniform onto that half, invert its
+    # CDF to a proposal quantile and flip the sign for the upper half.
+    u = rng.uniform(size=todo.size)
+    w = np.minimum(u, 1.0 - u)
+    tail = w < gamma * tau
+    q = np.where(tail, w / gamma, tau + gamma * (w - gamma * tau))
+    zs = np.where(u < 0.5, 1.0, -1.0) * ndtri(q)
+    out[todo] = mean[todo] + sigma[todo] * zs
+    return out
 
 
 def sample_target_outcomes(truth: TruthRecord, arm, gamma, rng):

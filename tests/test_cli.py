@@ -405,15 +405,24 @@ class TestErrors:
                      "--out", str(tmp_path / "o.csv")]) == 1
         _assert_one_error_line(capsys, "gamma")
 
-    @pytest.mark.parametrize("gammas", ["1,inf", "1e6"])
-    def test_sweep_gamma_exit_code(self, gammas, tmp_path, capsys):
-        # inf is refused up front; at 1e6 the oracle's rejection sampler
-        # runs out of rounds and raises RuntimeError
+    @pytest.mark.parametrize("gammas, code", [("1,inf", 1), ("1e6", 0)],
+                             ids=["1,inf", "1e6"])
+    def test_sweep_gamma_exit_code(self, gammas, code, tmp_path, capsys):
+        # inf is refused up front; 1e6 is legal, and the oracle draws what
+        # its rejection rounds leave by inverse CDF
         assert _run(["sweep", "--methods", "ite-nuc", "--gammas", gammas,
                      "--n-train", "200", "--n-target", "40", "--n-trials",
-                     "1", "--out-dir", str(tmp_path / "run")]) == 1
-        _assert_one_error_line(capsys)
-        assert not (tmp_path / "run").exists()
+                     "1", "--out-dir", str(tmp_path / "run")]) == code
+        if code:
+            _assert_one_error_line(capsys)
+        assert (tmp_path / "run" / "records.csv").exists() == (code == 0)
+
+    def test_sweep_at_gamma_50(self, tmp_path):
+        # used to exit 1: 6 of 302 oracle draws were left unaccepted
+        assert _run(["sweep", "--methods", "ite-nuc", "--gammas", "50",
+                     "--n-train", "500", "--n-target", "500", "--n-trials",
+                     "1", "--out-dir", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "records.csv").exists()
 
     @pytest.mark.parametrize("flags", [["--dim", "1"], ["--dim", "0"],
                                        ["--dim", "2", "--two-arm"]])

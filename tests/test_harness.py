@@ -217,6 +217,13 @@ class TestBetaCoverage:
         _, _, passed = beta_coverage_check(covs, n_cal=80, alpha=0.2)
         assert not passed
 
+    def test_ndtr_is_the_normal_cdf_bit_for_bit(self):
+        # the trials call scipy.special so that import loads no stats
+        from scipy import special, stats
+        x = np.concatenate([np.linspace(-40.0, 40.0, 1_000_001),
+                            [-np.inf, np.inf]])
+        assert np.array_equal(special.ndtr(x), stats.norm.cdf(x))
+
     def test_determinism(self):
         a = beta_coverage_trials(50, 60, 0.2, seed=5)
         b = beta_coverage_trials(50, 60, 0.2, seed=5)

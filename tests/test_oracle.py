@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from confsens.oracle import (
     SyntheticDGP,
@@ -31,6 +31,13 @@ class TestDGP:
         rng = np.random.default_rng(0)
         e = dgp.propensity(rng.uniform(size=(500, 20)))
         assert np.all(e >= 0.25) and np.all(e <= 0.5)
+
+    def test_betainc_is_the_beta_cdf_bit_for_bit(self):
+        # the propensity calls scipy.special so that import loads no stats
+        u = np.concatenate([np.linspace(0.0, 1.0, 100_001), [1e-300],
+                            np.random.default_rng(1).uniform(size=100_000)])
+        assert np.array_equal(special.betainc(2, 4, u),
+                              stats.beta.cdf(u, 2, 4))
 
     def test_two_arm_control_surface(self):
         dgp = SyntheticDGP(two_arm=True)
@@ -97,6 +104,11 @@ class TestTilt:
         z = stats.norm.ppf(1.0 / 6.0)
         assert tilt.q_l == pytest.approx(3.0 + 2.0 * z)
 
+    def test_ndtri_is_the_normal_ppf_bit_for_bit(self):
+        gamma = np.concatenate([[1.0], np.geomspace(1.0 + 1e-6, 1e7, 200_000)])
+        tau = 1.0 / (2.0 * (gamma + 1.0))
+        assert np.array_equal(special.ndtri(tau), stats.norm.ppf(tau))
+
     def test_eta_values(self):
         tilt = TiltSpec(gamma=2.0, q_l=-1.0, q_r=1.0)
         assert tilt.eta(0.0) == 0.5
@@ -107,6 +119,21 @@ class TestTilt:
     def test_gamma_below_one_error(self):
         with pytest.raises(ValueError):
             tilt_two_sided(0.5, mean=0.0, sigma=1.0)
+
+
+def _tilted_cdf(gamma):
+    """CDF of the two-sided tilt of N(0, 1): density x gamma beyond the
+    cut points, each tail of proposal mass tau, and / gamma between."""
+    tau = 1.0 / (2.0 * (gamma + 1.0))
+    z_cut = stats.norm.ppf(tau)
+
+    def cdf(z):
+        return np.where(
+            z < z_cut, gamma * stats.norm.cdf(z),
+            np.where(z <= -z_cut,
+                     gamma * tau + (stats.norm.cdf(z) - tau) / gamma,
+                     1.0 - gamma * stats.norm.sf(z)))
+    return cdf
 
 
 class TestRejectionSampling:
@@ -163,14 +190,15 @@ class TestRejectionSampling:
             sample_counterfactual(tilt, lambda r, k: r.standard_normal(k),
                                   rng, max_proposals=256)
 
-    def test_batch_exhaustion_names_gamma_and_budget(self):
-        # at gamma = 1e6 a round accepts about one draw in a million, so a
-        # valid tilt runs out of rounds; the message must not blame the tilt
+    @pytest.mark.parametrize("gamma", [50.0, 1e6])
+    def test_draws_past_the_round_budget_follow_the_tilt(self, gamma):
+        # rounds accept about 1/gamma of the draws, so at 1e6 nearly all
+        # and at 50 about 2 % are left to the inverse-CDF draw
         rng = np.random.default_rng(11)
-        with pytest.raises(RuntimeError,
-                           match=r"gamma=1e\+06 .* after 200 rounds") as exc:
-            sample_counterfactual_batch(1e6, np.zeros(50), np.ones(50), rng)
-        assert "invariants" not in str(exc.value)
+        draws = sample_counterfactual_batch(gamma, np.zeros(100_000),
+                                            np.ones(100_000), rng)
+        assert np.all(np.isfinite(draws))
+        assert stats.kstest(draws, _tilted_cdf(gamma)).pvalue > 0.01
 
     def test_per_entry_means_respected(self):
         rng = np.random.default_rng(12)

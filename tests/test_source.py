@@ -2,9 +2,14 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import confsens
+from confsens.cli import main
 
 SOURCES = sorted(Path(confsens.__file__).parent.glob("*.py"))
 
@@ -84,3 +89,44 @@ def test_bench_span_targets_resolve():
         if name not in names:
             missing.append(f"{module}.{attr}")
     assert len(targets) > 20 and not missing, f"unresolved: {missing}"
+
+
+def _scipy_modules_after(code):
+    """The `scipy` modules loaded by running `code` in a fresh interpreter
+    (this one has loaded SciPy already) that imports this copy of the
+    package."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(confsens.__file__).parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    # each SciPy module is imported by the function that calls it
+    assert _scipy_modules_after("import confsens, confsens.cli") == []
+
+
+def test_per_target_commands_load_no_scipy(tmp_path):
+    data, target = tmp_path / "data.csv", tmp_path / "target.csv"
+    for path, n, seed in ((data, 200, 1), (target, 5, 2)):
+        assert main(["generate", "--n", str(n), "--dim", "3", "--seed",
+                     str(seed), "--out", str(path)]) == 0
+    io = ["--data", str(data), "--target", str(target), "--gamma", "2"]
+    commands = [["interval", *io, "--method", "cssa"],
+                ["interval", *io, "--score", "cqr"],
+                ["ite", *io, "--method", "nested"],
+                ["ite", *io, "--method", "bonferroni"],
+                ["calibrate", "--data", str(data)]]
+    commands = [[*c, "--out", str(tmp_path / f"out{i}.csv")]
+                for i, c in enumerate(commands)]
+    code = ("from confsens.cli import main\n"
+            f"for args in {commands!r}:\n"
+            f"    if main(args):\n"
+            f"        raise SystemExit(args)\n")
+    assert _scipy_modules_after(code) == []
