@@ -59,7 +59,7 @@ for gamma in (1.0, 1.5, 2.0, 3.0, 4.0):
     spec = SensitivitySpec(gamma=gamma, alpha=0.2, t=t)
     c = csa_interval(mu_hat, propensity, cal_x, cal_y, x0, spec, p_t)
     print(f"  gamma={gamma:<4g} [{c.lower:7.3f}, {c.upper:7.3f}] "
-          f"width={c.width:.3f}")
+          f"width={c.upper - c.lower:.3f}")
 
 # The sharpened variant adds a covariate-balance constraint on the
 # candidate weights, which can only shrink the interval.
@@ -69,7 +69,7 @@ for gamma in (1.5, 2.0, 3.0):
     c = cssa_interval(mu_hat, propensity, cal_x, cal_y, x0, spec, p_t,
                       cal.covariates, cal.treatment)
     print(f"  gamma={gamma:<4g} [{c.lower:7.3f}, {c.upper:7.3f}] "
-          f"width={c.width:.3f}")
+          f"width={c.upper - c.lower:.3f}")
 
 # ------------------------------------------------------------------
 # Feasibility diagnostic: below the minimal miscoverage alpha* no

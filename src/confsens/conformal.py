@@ -9,7 +9,7 @@ model at gamma = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,46 +24,18 @@ __all__ = [
     "wcp_threshold_nuc_batch",
     "calibration_scores",
     "score_band",
-    "cqr_score_interval",
 ]
 
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PredictiveInterval:
-    """Interval endpoints plus the quantile threshold that produced them.
-
-    An unbounded side has the endpoint None; no large-float sentinels are
-    used.
-    """
+class PredictiveInterval(NamedTuple):
+    """One target's interval [lower, upper] and the score threshold that
+    widened the band to it; an unbounded interval is (None, None, +inf)."""
 
     lower: float | None
     upper: float | None
     threshold: float
-
-    @property
-    def lower_unbounded(self) -> bool:
-        return self.lower is None
-
-    @property
-    def upper_unbounded(self) -> bool:
-        return self.upper is None
-
-    @property
-    def bounded(self) -> bool:
-        return not (self.lower_unbounded or self.upper_unbounded)
-
-    @property
-    def width(self) -> float:
-        if not self.bounded:
-            return np.inf
-        return self.upper - self.lower
-
-    def contains(self, y) -> bool:
-        lo_ok = self.lower_unbounded or y >= self.lower
-        hi_ok = self.upper_unbounded or y <= self.upper
-        return bool(lo_ok and hi_ok)
 
 
 class WeightedDiscreteDist:
@@ -179,12 +151,3 @@ def score_band(score, model, x):
         mu = model.predict(x)
         return mu, mu
     return model.predict(x)
-
-
-def cqr_score_interval(q_lo_target, q_hi_target, threshold) -> PredictiveInterval:
-    """Assemble [q_lo - Q, q_hi + Q] for the CQR score; the mean score's
-    interval [mu - Q, mu + Q] is the case q_lo = q_hi = mu."""
-    if not np.isfinite(threshold):
-        return PredictiveInterval(None, None, np.inf)
-    return PredictiveInterval(float(q_lo_target - threshold),
-                              float(q_hi_target + threshold), float(threshold))

@@ -42,10 +42,6 @@ class GreedyResult:
     weights: np.ndarray
     iterations: int
 
-    @property
-    def unbounded(self) -> bool:
-        return not np.isfinite(self.threshold)
-
 
 def greedy_max_quantile(scores, lo, hi, alpha) -> GreedyResult:
     """Maximize the (1 - alpha) weighted quantile over box weights.

@@ -25,7 +25,6 @@ from .conformal import (
     PredictiveInterval,
     _flip_index,
     calibration_scores,
-    cqr_score_interval,
     score_band,
 )
 from .lp import solve_lp
@@ -157,11 +156,10 @@ def _probe(j, lo, hi, A, b, level, slack_rel):
     c = np.zeros(lo.shape[0])
     c[j - 1:] = 1.0
     if A.shape[0] != 1 or not np.all(A[0] > 0.0):
-        eye = np.eye(lo.shape[0])
         delta = slack_rel * np.abs(b)
-        res = solve_lp(c - level, A_ub=np.vstack([eye, -eye, A, -A]),
-                       b_ub=np.concatenate([hi, -lo, b + delta, delta - b]),
-                       maximize=True)
+        res = solve_lp(c - level, A_ub=np.vstack([A, -A]),
+                       b_ub=np.concatenate([b + delta, delta - b]),
+                       bounds=np.column_stack([lo, hi]), maximize=True)
         if not res.optimal:
             return None
         return float(c @ res.x), float(res.x.sum())
@@ -308,8 +306,9 @@ def _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y, e_cal,
     """The interval for Y(t) at one target row, shared by `csa_interval`
     (no rows) and `cssa_interval`: calibration scores, same-arm weight
     bounds, `cssa_threshold_batch` for a batch of one, and the score's
-    band at the target widened by the threshold.  The weight bounds are
-    uniform in y, so the interval is assembled analytically."""
+    band at the target widened by the threshold, or (None, None, inf) when
+    the threshold is infinite.  The weight bounds are uniform in y, so the
+    interval is assembled analytically."""
     x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
     model = q_hat if score == "cqr" else mu_hat
     scores = calibration_scores(score, model, cal_x, cal_y)
@@ -319,7 +318,10 @@ def _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y, e_cal,
     q = cssa_threshold_batch(scores, lo_c, hi_c, constraints, spec.alpha,
                              hi_t)
     lo, hi = score_band(score, model, x_target)
-    return cqr_score_interval(float(lo[0]), float(hi[0]), q[0])
+    if np.isinf(q[0]):
+        return PredictiveInterval(None, None, np.inf)
+    return PredictiveInterval(float(lo[0] - q[0]), float(hi[0] + q[0]),
+                              float(q[0]))
 
 
 def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,

@@ -91,6 +91,10 @@ class ExperimentConfig:
         for g in self.gammas:
             _check_type("gammas", g, Real)
             check_gamma(g)
+        for values in (self.methods, self.gammas):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"repeated method or gamma: {v!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         check_alpha(self.alpha)

@@ -591,6 +591,13 @@ _HOSTILE_RUNS = {
     "sweep-alpha-1": (_tiny_sweep(40, "csa-m", "--n-trials", "1",
                                   "--alpha", "1"),
                       "alpha must lie in (0, 1)"),
+    "sweep-repeated-method": (_tiny_sweep(40, "csa-m,csa-m", "--n-trials",
+                                          "1"),
+                              "repeated method or gamma: 'csa-m'"),
+    "sweep-repeated-gamma": (["sweep", "--n-train", "40", "--n-target", "5",
+                              "--gammas", "1,1.0", "--methods", "csa-m",
+                              "--n-trials", "1"],
+                             "repeated method or gamma: 1.0"),
     "sweep-nested": (_tiny_sweep(40, "nested", "--n-trials", "1"), "ok"),
     "sweep-cssa-two-arm": (_tiny_sweep(40, "cssa-m", "--n-trials", "1",
                                        "--two-arm"), "ok"),

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from confsens.conformal import (
-    PredictiveInterval,
     WeightedDiscreteDist,
-    cqr_score_interval,
     score_abs_residual,
     score_cqr,
     wcp_threshold_nuc_batch,
@@ -133,37 +131,6 @@ class TestWcpNuc:
         with pytest.raises(ValueError):
             wcp_threshold_nuc_batch(np.array([]), np.array([]), [0.5], 1,
                                     0.5, 0.2)
-
-
-class TestIntervalAssembly:
-    def test_mean_interval(self):
-        c = cqr_score_interval(0.0, 0.0, 2.0)
-        assert (c.lower, c.upper) == (-2.0, 2.0)
-
-    def test_cqr_interval(self):
-        c = cqr_score_interval(-1.0, 1.0, 0.5)
-        assert (c.lower, c.upper) == (-1.5, 1.5)
-
-    def test_unbounded_flagged(self):
-        c = cqr_score_interval(0.0, 0.0, np.inf)
-        assert not c.bounded and c.lower is None and c.upper is None
-        assert c.width == np.inf
-        assert c.contains(1e9)
-
-    def test_membership_threshold_consistency(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            mu, thr = rng.normal(), rng.uniform(0.1, 2.0)
-            c = cqr_score_interval(mu, mu, thr)
-            y = rng.normal(scale=2.0)
-            assert c.contains(y) == (abs(y - mu) <= thr)
-            qlo, qhi = sorted(rng.normal(size=2))
-            c2 = cqr_score_interval(qlo, qhi, thr)
-            assert c2.contains(y) == (max(qlo - y, y - qhi) <= thr)
-
-    def test_width_nonnegative(self):
-        c = PredictiveInterval(1.0, 3.0, 0.5)
-        assert c.width == 2.0
 
 
 class TestWeightedDiscreteDist:

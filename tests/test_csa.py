@@ -6,6 +6,7 @@ import pytest
 
 from confsens.conformal import (
     WeightedDiscreteDist,
+    score_band,
     wcp_threshold_nuc_batch,
     weighted_quantile,
 )
@@ -16,8 +17,12 @@ from confsens.csa import (
     greedy_threshold_batch,
 )
 from confsens.cssa import cssa_threshold, cssa_threshold_batch
-from confsens.msm import SensitivitySpec, weight_bounds_same_arm
-from confsens.predictors import fit_mean, fit_propensity
+from confsens.msm import (
+    SensitivitySpec,
+    min_miscoverage,
+    weight_bounds_same_arm,
+)
+from confsens.predictors import fit_mean, fit_propensity, fit_quantile
 
 
 def brute_force_max_quantile(scores, lo, hi, alpha):
@@ -63,7 +68,7 @@ class TestGreedy:
         hi = np.full(3, 1.5)
         # sentinel upper mass alone exceeds alpha * total
         res = greedy_max_quantile(v, lo, hi, alpha=0.1)
-        assert res.unbounded
+        assert np.isinf(res.threshold)
 
     def test_weight_layout(self):
         v = np.array([1.0, 2.0, 3.0, np.inf])
@@ -102,7 +107,7 @@ class TestGreedy:
         lo = np.full(4, 1.0)
         hi = np.full(4, 1.0)
         assert greedy_max_quantile(v, lo, hi, 0.3).threshold == 2.0
-        assert greedy_max_quantile(v, lo, hi, 0.2).unbounded
+        assert np.isinf(greedy_max_quantile(v, lo, hi, 0.2).threshold)
 
 
 class TestThreshold:
@@ -255,9 +260,38 @@ class TestInterval:
         widths = []
         for g in (1.0, 2.0, 4.0):
             spec = SensitivitySpec(gamma=g, alpha=0.2, t=1)
-            widths.append(csa_interval(mu, prop, cal_x, cal_y, x0,
-                                       spec, 0.4).width)
+            lower, upper, _ = csa_interval(mu, prop, cal_x, cal_y, x0,
+                                           spec, 0.4)
+            widths.append(upper - lower)
         assert widths[0] <= widths[1] <= widths[2]
+
+    @pytest.mark.parametrize("score", ["mean", "cqr"])
+    def test_band_widened_by_threshold(self, score):
+        # the score's band at the target widened by the threshold, bit for
+        # bit; (None, None, inf) when alpha is below alpha* (at alpha*
+        # the sentinel's mass ties the level and the quantile stays finite)
+        mu, prop, cal_x, cal_y = _fitted_instance(seed=3)
+        q_hat = fit_quantile(cal_x[:20], cal_y[:20], (0.1, 0.9))
+        cal_x, cal_y = cal_x[20:], cal_y[20:]
+        x0 = np.array([0.5, 0.5, 0.5])
+        band_lo, band_hi = score_band(score, q_hat if score == "cqr" else mu,
+                                      x0[None, :])
+
+        def interval(alpha):
+            spec = SensitivitySpec(gamma=2.0, alpha=alpha, t=1)
+            return csa_interval(mu, prop, cal_x, cal_y, x0, spec, 0.4,
+                                score=score, q_hat=q_hat)
+
+        res = interval(0.2)
+        assert res._fields == ("lower", "upper", "threshold")
+        lower, upper, threshold = res
+        assert np.isfinite(threshold)
+        assert lower == band_lo[0] - threshold
+        assert upper == band_hi[0] + threshold
+        a_star = min_miscoverage(prop.predict(cal_x),
+                                 prop.predict(x0[None, :])[0], 2.0, 1, 0.4)
+        for alpha in (a_star * (1 - 1e-6), a_star / 2):
+            assert interval(alpha) == (None, None, np.inf)
 
     def test_cqr_score_requires_quantile_model(self):
         mu, prop, cal_x, cal_y = _fitted_instance(seed=2)

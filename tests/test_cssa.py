@@ -313,7 +313,8 @@ class TestInterval:
                 warnings.simplefilter("error")  # no silent fallback
                 sharp = cssa_interval(mu, prop, cal_x, cal_y, x0, spec,
                                       p_t, x, t)
-            assert sharp.width <= plain.width + 1e-9
+            assert sharp.upper - sharp.lower \
+                <= plain.upper - plain.lower + 1e-9
 
     def test_unknown_g_kind(self):
         x, t, y = _arm_instance(seed=1)

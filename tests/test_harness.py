@@ -30,6 +30,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n_trials=0)
 
+    def test_repeats_rejected(self):
+        # a summary row would count each repeat as one more trial
+        with pytest.raises(ValueError, match="repeated method or gamma: "
+                                             "'csa-m'"):
+            ExperimentConfig(methods=("csa-m", "csa-m"), gammas=(1.0,))
+        with pytest.raises(ValueError, match="repeated method or gamma: 1.0"):
+            ExperimentConfig(methods=("csa-m",), gammas=(1, 1.0))
+
     def test_nan_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             ExperimentConfig(gammas=(1.0, float("nan")))

@@ -82,6 +82,13 @@ class TestKnownInstances:
         assert res.value == pytest.approx(36.0)
         assert np.allclose(res.x, [2.0, 6.0])
 
+    def test_variable_bounds(self):
+        # the same program with x <= 4 given as x's upper bound
+        res = solve_lp([3, 5], A_ub=[[0, 2], [3, 2]], b_ub=[12, 18],
+                       bounds=[(0, 4), (0, None)], maximize=True)
+        assert res.optimal and res.value == pytest.approx(36.0)
+        assert np.allclose(res.x, [2.0, 6.0])
+
     def test_equality_only(self):
         # min x + 2y s.t. x + y = 4 -> 4 at (4, 0)
         res = solve_lp([1, 2], A_eq=[[1, 1]], b_eq=[4])

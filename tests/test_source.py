@@ -42,6 +42,18 @@ def test_only_dataset_imports_csv():
     assert found == ["dataset.py"], f"csv imported in {found}"
 
 
+def test_only_cssa_builds_intervals():
+    # one target's interval is assembled in one place
+    found = sorted({path.name for path in SOURCES
+                    for node in ast.walk(ast.parse(
+                        path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "PredictiveInterval"})
+    assert found == ["cssa.py"], f"PredictiveInterval built in {found}"
+
+
 def _private_imports(target):
     """`file: name` for each `_`-prefixed name another module imports from
     module `target` of the package."""
