@@ -3,13 +3,17 @@
 A dataset is a frozen collection of (covariates, binary treatment, outcome)
 rows.  Treatments must be literal 0/1 and all numbers finite; missing values
 are rejected rather than imputed.  This module is the package's one CSV
-reader and writer: every file is UTF-8 with one header row.
+reader and writer: every file is UTF-8 with one header row.  The `csv`
+module reads the header and numpy's C parser the data rows; a file that
+parser cannot read, or whose values fail a check, is read again row by
+row with the `csv` module, which names the first offending row.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,21 +105,26 @@ def _read_rows(path):
     return header, rows
 
 
-def _float_rows(header, rows, binary=None):
+def _valid(values, width, binary):
+    """Whether the rows of `values` have `width` cells and finite values,
+    and column `binary` (an index, or None) only 0 or 1."""
+    return (values.shape[1] == width and np.isfinite(values).all()
+            and (binary is None or np.isin(values[:, binary], (0, 1)).all()))
+
+
+def _float_rows(header, rows, binary):
     """`_read_rows` output as one (rows, columns) float array.  Every row
     must have the header's cell count and finite values, and column
-    `binary` (an index) only 0 or 1.  One conversion covers all rows; only
-    when a check fails does a row-by-row pass name the first offending
-    1-based data row."""
+    `binary` (an index, or None) only 0 or 1.  One conversion covers all
+    rows; only when a check fails does a row-by-row pass name the first
+    offending 1-based data row."""
     if not rows:
         raise ValueError("no data rows")
     try:  # a ragged row raises too
         values = np.array(rows, dtype=float)
     except ValueError:
         values = None
-    if (values is not None and values.shape[1] == len(header)
-            and np.isfinite(values).all()
-            and (binary is None or np.isin(values[:, binary], (0, 1)).all())):
+    if values is not None and _valid(values, len(header), binary):
         return values
     parsed = []
     for rownum, row in enumerate(rows, start=1):
@@ -135,6 +144,54 @@ def _float_rows(header, rows, binary=None):
     return np.array(parsed)
 
 
+def _parse(path):
+    """The header and the data rows as one float array, the rows through
+    numpy's C parser; None where that parser fails or warns, where the
+    header is missing or repeats a name, or where a line is long enough to
+    hold a field over the `csv` module's size limit."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            lines = fh.read().split("\n")
+        if (header is None or len(set(header)) < len(header)
+                or max(map(len, lines)) > csv.field_size_limit()):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            return header, np.loadtxt(lines, delimiter=",", ndmin=2,
+                                      comments=None)
+    except (ValueError, Warning, csv.Error):
+        return None
+
+
+def _read(path, columns):
+    """The header and the (rows, columns) float values of a UTF-8,
+    header-row CSV.  `columns(header)` checks the header and returns the
+    index of the column that may hold only 0 or 1, or None.  `_parse`
+    reads the rows at once; where it fails, or a row has the wrong cell
+    count, a non-finite or a non-binary value, the `csv.reader` pass of
+    `_read_rows` and `_float_rows` reads the file again: it returns the
+    values, or raises naming what it finds."""
+    parsed = _parse(path)
+    if parsed is not None:
+        header, values = parsed
+        if _valid(values, len(header), columns(header)):
+            return header, values
+    header, rows = _read_rows(path)
+    return header, _float_rows(header, rows, columns(header))
+
+
+def _dataset_columns(header):
+    """The treatment column of a dataset header, which must hold `t`, `y`
+    and at least one covariate column."""
+    missing = {"t", "y"} - set(header)
+    if missing:
+        raise ValueError(f"missing columns: {sorted(missing)}")
+    if set(header) == {"t", "y"}:
+        raise ValueError("no covariate columns besides t and y")
+    return header.index("t")
+
+
 def ingest_csv(path) -> ObservationalDataset:
     """Read a UTF-8, header-row CSV into a dataset.
 
@@ -142,7 +199,11 @@ def ingest_csv(path) -> ObservationalDataset:
     none is refused.  Malformed or ragged rows raise ValueError naming the
     first offending 1-based data row.
     """
-    return _dataset(*_read_rows(path))
+    header, values = _read(path, _dataset_columns)
+    names = [c for c in header if c not in ("t", "y")]
+    x = np.ascontiguousarray(values[:, [header.index(c) for c in names]])
+    return ObservationalDataset(x, values[:, header.index("t")],
+                                values[:, header.index("y")], names=names)
 
 
 def ingest_covariates(path, names) -> np.ndarray:
@@ -150,34 +211,19 @@ def ingest_covariates(path, names) -> np.ndarray:
     Columns `t` and `y` may also be present; with both, the file must also
     be a valid dataset.  A missing or any other column is refused.  The
     file is read once."""
-    header, rows = _read_rows(path)
-    missing = [c for c in names if c not in header]
-    if missing:
-        raise ValueError(f"target lacks covariate columns {missing}")
-    unknown = [c for c in header if c not in names and c not in ("t", "y")]
-    if unknown:
-        raise ValueError(f"target has columns the data lacks: {unknown}")
-    if "t" in header and "y" in header:
-        ds = _dataset(header, rows)
-        header, values = ds.names, ds.covariates
-    else:
-        values = _float_rows(header, rows)
+    def columns(header):
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise ValueError(f"target lacks covariate columns {missing}")
+        unknown = [c for c in header
+                   if c not in names and c not in ("t", "y")]
+        if unknown:
+            raise ValueError(f"target has columns the data lacks: {unknown}")
+        return (_dataset_columns(header) if "t" in header and "y" in header
+                else None)
+
+    header, values = _read(path, columns)
     return values[:, [header.index(c) for c in names]]
-
-
-def _dataset(header, rows):
-    """`ingest_csv` on rows already read."""
-    position = {name: i for i, name in enumerate(header)}
-    missing = {"t", "y"} - set(position)
-    if missing:
-        raise ValueError(f"missing columns: {sorted(missing)}")
-    names = [c for c in header if c not in ("t", "y")]
-    if not names:
-        raise ValueError("no covariate columns besides t and y")
-    values = _float_rows(header, rows, binary=position["t"])
-    x = np.ascontiguousarray(values[:, [position[c] for c in names]])
-    return ObservationalDataset(x, values[:, position["t"]],
-                                values[:, position["y"]], names=names)
 
 
 def emit_csv(ds: ObservationalDataset, path) -> None:

@@ -123,8 +123,11 @@ def emit_gamma_summary_csv(rows, path):
 def min_miscoverage(e_cal, e_target, gamma, t, p_t) -> float:
     """Smallest miscoverage alpha* admitting a finite-length interval.
 
-    alpha* = w_hi(X) / (sum_i w_lo(X_i) + w_hi(X)); a bounded interval at
-    level 1 - alpha exists iff alpha > alpha*.
+    alpha* = w_hi(X) / (sum_i w_lo(X_i) + w_hi(X)); the interval at level
+    1 - alpha is bounded iff alpha >= alpha*.  At alpha = alpha* the
+    target's mass ties the level and the quantile stays at the largest
+    finite score; the solvers compare at alpha plus a 1e-12 tolerance, so
+    it stays finite that little below alpha* too.
     """
     e_cal = np.asarray(e_cal, dtype=float)
     if e_cal.size == 0:

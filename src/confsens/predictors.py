@@ -3,10 +3,12 @@
 Built-ins are deliberately dependency-free and deterministic.  The k-NN
 mean and quantile models are views of one `NeighborSearch`, which owns
 the training rows, k and the metric weights; the propensity is an
-L2-penalized logistic regression (full-batch gradient ascent on
-standardized features), and `drop_one_propensities` runs the p + 1
+L2-penalized logistic regression (full-batch gradient ascent on the
+design [z, 1] of standardized features and an intercept column, one
+fused update per step), and `drop_one_propensities` runs the p + 1
 leave-one-covariate-out fits of `msm.calibrate_gamma` as one masked
-ascent.  Any object with the same ``predict`` surface can be substituted.
+ascent on the same path.  Any object with the same ``predict`` surface
+can be substituted.
 """
 
 from __future__ import annotations
@@ -299,22 +301,32 @@ def _logistic(z, beta, intercept, out=None, clip=False):
 def _ascend(z, t, mask=None):
     """Gradient ascent of the L2-penalized logistic likelihood of t on z:
     (beta, intercept) of one model, or, with a (p, m) 0/1 mask, of m models
-    at once, model k holding coefficient j at 0 where mask[j, k] is 0."""
+    at once, model k holding coefficient j at 0 where mask[j, k] is 0; one
+    model is the one-column mask.  The design is [z, 1] and the loop holds
+    nb = -(beta, intercept), so z1 @ nb is the negated logit and a step is
+    nb <- nb * decay - gain * z1.T @ (t - 1 / (1 + exp(z1 @ nb))), with
+    STEP, PENALTY, 1 / n and the mask folded into decay and gain (the
+    intercept unpenalized)."""
     n, p = z.shape
-    shape = (p,) if mask is None else mask.shape
-    beta, intercept = np.zeros(shape), np.zeros(shape[1:])
-    t = t if mask is None else t[:, None]
-    resid, grad = np.empty((n,) + shape[1:]), np.empty(shape)
+    free = np.ones((p, 1)) if mask is None else mask
+    z1 = np.hstack([z, np.ones((n, 1))])
+    gain = np.vstack([free, np.ones(free.shape[1])]) * (STEP / n)
+    decay = np.full((p + 1, 1), 1.0 - 2.0 * STEP * PENALTY)
+    decay[p] = 1.0
+    nb = np.zeros(gain.shape)
+    t = t[:, None]
+    resid, grad = np.empty((n, gain.shape[1])), np.empty(gain.shape)
     for _ in range(N_ITER):
-        np.subtract(t, _logistic(z, beta, intercept, out=resid), out=resid)
-        np.matmul(z.T, resid, out=grad)
-        grad /= n
-        grad -= 2.0 * PENALTY * beta
-        if mask is not None:
-            grad *= mask
-        beta += np.multiply(grad, STEP, out=grad)
-        intercept += STEP * resid.mean(axis=0)
-    return beta, intercept[()]  # a scalar intercept for one model
+        np.exp(np.matmul(z1, nb, out=resid), out=resid)
+        resid += 1.0
+        np.subtract(t, np.reciprocal(resid, out=resid), out=resid)
+        np.matmul(z1.T, resid, out=grad)
+        grad *= gain
+        nb *= decay
+        nb -= grad
+    if mask is None:
+        nb = nb[:, 0]
+    return -nb[:p], -nb[p]
 
 
 class LogisticPropensity:

@@ -157,9 +157,9 @@ class TestCsvRoundTrip:
         path = tmp_path / "target.csv"
         path.write_text(text)
         reads = []
-        read_rows = dataset._read_rows
-        monkeypatch.setattr(dataset, "_read_rows",
-                            lambda p: reads.append(p) or read_rows(p))
+        monkeypatch.setattr(dataset, "open", lambda p, *args, **kwargs:
+                            reads.append(p) or open(p, *args, **kwargs),
+                            raising=False)
         assert ingest_covariates(path, ["a", "b"]).tolist() == [[0.5, 2.0]]
         assert reads == [path]
 

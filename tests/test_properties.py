@@ -3,14 +3,20 @@ thresholds against the weighted-quantile reference, of the CSSA probe
 against the fractional program solved as one LP, of interval widths in
 gamma, of the batch interval route against the per-target API (with the
 quantile model at each call's alpha), of the shared nested fold against a
-fresh nested fit, and of the batched leave-one-covariate-out propensity
-fits against separate fits, over generated inputs.
+fresh nested fit, of the batched leave-one-covariate-out propensity fits
+against separate fits, of the propensity ascent against a copy of its
+former arithmetic, and of the C-parsed CSV readers against the row-by-row
+pass, over generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
 """
 
+import functools
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -36,8 +42,13 @@ from confsens.cssa import (
     cssa_threshold_batch,
     solve_fractional,
 )
+from confsens import dataset
+from confsens.dataset import (
+    ObservationalDataset,
+    ingest_covariates,
+    ingest_csv,
+)
 from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
-from confsens.dataset import ObservationalDataset
 from confsens.msm import (
     SensitivitySpec,
     calibrate_gamma,
@@ -48,6 +59,11 @@ from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
 from confsens.predictors import (
     CLIP,
+    N_ITER,
+    PENALTY,
+    STEP,
+    LogisticPropensity,
+    _standardize,
     drop_one_propensities,
     fit_propensity,
     fit_quantile,
@@ -163,9 +179,12 @@ def test_csa_threshold_nondecreasing_in_gamma(inst):
 @_settings
 @given(instances(), st.sampled_from(GAMMAS),
        st.floats(1e-6, 0.9, exclude_min=True), st.booleans())
+@example((np.arange(7.0), np.full(7, 0.5), np.array([0.5]), 0.2, 0.125, 1),
+         2.0, 0.0, False)  # alpha = alpha*: the sentinel's mass ties the level
 def test_csa_unbounded_iff_alpha_below_alpha_star(inst, gamma, rel, below):
     # alpha is drawn outside a relative 1e-6 band around alpha*, where the
-    # greedy's sums and the closed form may round to different sides
+    # greedy's sums and the closed form may round to different sides; at
+    # an exact tie the interval is finite
     scores, e_cal, e_target, p_t, _, t = inst
     for e_t in e_target:
         a_star = min_miscoverage(e_cal, e_t, gamma, t, p_t)
@@ -421,3 +440,150 @@ def test_batched_calibration_equals_separate_fits(seed, n, p, scale,
     full = fit_propensity(x, t).predict(x)
     np.testing.assert_allclose(drop_one_propensities(x, t)[:, -1], full,
                                rtol=1e-12, atol=0.0)
+
+
+def _logistic_reference(z, beta, intercept, out=None, clip=False):
+    """1 / (1 + exp(-(z @ beta + intercept))), maybe clipped, as the
+    former ascent computed it."""
+    e = np.matmul(z, beta, out=out)
+    e += intercept
+    np.exp(np.negative(e, out=e), out=e)
+    np.divide(1.0, np.add(e, 1.0, out=e), out=e)
+    return np.clip(e, CLIP, 1.0 - CLIP, out=e) if clip else e
+
+
+def _ascend_reference(z, t, mask=None):
+    """The 500-step ascent as it was before the [z, 1] design: beta and the
+    intercept updated apart, with the intercept's step from the mean
+    residual."""
+    n, p = z.shape
+    shape = (p,) if mask is None else mask.shape
+    beta, intercept = np.zeros(shape), np.zeros(shape[1:])
+    t = t if mask is None else t[:, None]
+    resid, grad = np.empty((n,) + shape[1:]), np.empty(shape)
+    for _ in range(N_ITER):
+        np.subtract(t, _logistic_reference(z, beta, intercept, out=resid),
+                    out=resid)
+        np.matmul(z.T, resid, out=grad)
+        grad /= n
+        grad -= 2.0 * PENALTY * beta
+        if mask is not None:
+            grad *= mask
+        beta += np.multiply(grad, STEP, out=grad)
+        intercept += STEP * resid.mean(axis=0)
+    return beta, intercept[()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 16),
+       n=st.integers(2, 12) | st.integers(13, 300), p=st.integers(1, 8),
+       scale=st.sampled_from([0.01, 1.0, 100.0]),
+       separated=st.booleans(), constant=st.booleans(),
+       duplicate=st.booleans())
+def test_ascent_matches_reference(seed, n, p, scale, separated, constant,
+                                  duplicate):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.normal(size=(n, p))
+    if constant:
+        x[:, -1] = scale
+    if duplicate and p > 1:
+        x[:, 1] = x[:, 0]
+    t = (x[:, 0] > np.median(x[:, 0]) if separated
+         else rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-x[:, 0] / scale)))
+    t = t.astype(float)
+    t[:2] = (0.0, 1.0) if x[0, 0] <= x[1, 0] else (1.0, 0.0)
+    z, t_fit, _, _ = _standardize(x, t)
+    want = _logistic_reference(z, *_ascend_reference(z, t_fit), clip=True)
+    full = fit_propensity(x, t).predict(x)
+    np.testing.assert_allclose(full, want, rtol=1e-12, atol=0.0)
+    mask = 1.0 - np.eye(p, p + 1)
+    want = _logistic_reference(z, *_ascend_reference(z, t_fit, mask),
+                               clip=True)
+    got = drop_one_propensities(x, t)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[:, -1], LogisticPropensity(x, t).predict(x),
+                               rtol=1e-12, atol=0.0)
+
+
+# cells the C parser and the row-by-row pass must read alike: numbers in
+# several spellings, then quoted, padded, underscored, non-finite, empty,
+# non-ASCII, non-binary (in `t`) and over-long ones
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.floats(-1e3, 1e3).map(lambda v: format(v, ".17g"))
+           | st.integers(-3, 3).map(str)
+           | st.sampled_from(["-0", "+1e3", "1.", ".5", "1E-2", "0.0"]))
+_ODD = st.sampled_from(['"0.5"', '"1"', " 1 ", "\t0", "1_0", "nan", "inf",
+                        "-Infinity", "1e400", "", "x", "0.5", "2", "\u0661",
+                        "1\x0c", "1 2", "1." + "0" * 140_000])
+_HEADERS = st.sampled_from([
+    "x1,t,y", "t,x2,x1,y", "y,t,x1", "x1", "x1,x2", "t,y", "x1,t",
+    '"x1",t,y', "x1,x1,t,y", "x1,t,y,x2", "x1,,t,y"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and up to five rows, maybe with one odd cell, a ragged row,
+    blank or whitespace-only lines and no final line end, joined by one of
+    LF, CRLF and CR; and the header's names other than `t` and `y`."""
+    header = draw(_HEADERS)
+    names = header.replace('"', "").split(",")
+    rows = [[draw(st.sampled_from(["0", "1", "1.0", "0e0"]) if c == "t"
+                  else _NUMBER) for c in names]
+            for _ in range(draw(st.integers(0, 5)))]
+    if rows and draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_ODD)
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()) or len(row) == 1:
+            row.append(draw(_NUMBER))
+        else:
+            row.pop()
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["", "", " ", "\t "])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, [c for c in names if c not in ("t", "y")]
+
+
+def _read_outcome(read, path):
+    """What `read(path)` gives: its arrays' shapes and bytes, or its error."""
+    try:
+        got = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, ObservationalDataset):
+        return got.names, *[(a.shape, a.dtype, a.tobytes()) for a in (
+            got.covariates, got.treatment, got.outcome)]
+    return got.shape, got.dtype, got.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(csv_texts())
+# header only: loadtxt's "no data" warning stays inside
+@example(("x1,t,y\n", ["x1"]))
+@example(("x1\r\n", ["x1"]))
+# a finite field over the `csv` size limit is still refused
+@example((f"x1,t,y\n0.5,1,1.0\n1.{'0' * 140_000},1,1.0\n", ["x1"]))
+# a non-binary treatment and non-finite values in plain numbers
+@example(("x1,t,y\n0.5,1,2.0\n0.25,0.5,1.0\n", ["x1"]))
+@example(("t,x1,y\n1,0.5,nan\n", ["x1"]))
+@example(("x1,t,y\n0.5,1,2.0\n1e400,0,1.0\n", ["x1"]))
+def test_csv_reader_matches_row_by_row(text_covariates):
+    text, covariates = text_covariates
+    readers = (ingest_csv,
+               functools.partial(ingest_covariates,
+                                 names=covariates[::-1] or ["x1"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        for read in readers:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fast = _read_outcome(read, path)
+            assert not caught
+            with mock.patch.object(dataset, "_parse", lambda path: None):
+                assert fast == _read_outcome(read, path)
