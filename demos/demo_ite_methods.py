@@ -25,10 +25,11 @@ x_query = rng.uniform(size=(5, ds.covariate_dim))
 
 # ------------------------------------------------------------------
 # Route 1: Bonferroni difference of per-arm worst-case intervals, each
-# built at level alpha / 2.
+# built at level alpha / 2.  The arms are fitted for the query points.
 # ------------------------------------------------------------------
-arm0, arm1 = (arm.intervals(x_query, gamma, alpha / 2.0, "csa")
-              for arm in fit_arms(ds, seed=0, scale="relevance"))
+arm0, arm1 = (arm.intervals(gamma, alpha / 2.0, "csa")
+              for arm in fit_arms(ds, seed=0, x_target=x_query,
+                                  scale="relevance"))
 bonf = bonferroni_ite(arm1, arm0)
 
 # ------------------------------------------------------------------

@@ -31,8 +31,6 @@ from .dataset import (
 from .harness import (
     ExperimentConfig,
     beta_coverage_check,
-    delta_slack_diagnostic,
-    positivity_summary,
     run_sweep,
     shrinkage_sharpness,
 )

@@ -75,8 +75,8 @@ def _cmd_fit(args):
 def _cmd_interval(args):
     ds = ingest_csv(args.data)
     x_target = ingest_covariates(args.target, ds.names)
-    arm = fit_arms(ds, args.seed)[args.t]
-    lower, upper, threshold = arm.intervals(x_target, args.gamma, args.alpha,
+    arm = fit_arms(ds, args.seed, x_target)[args.t]
+    lower, upper, threshold = arm.intervals(args.gamma, args.alpha,
                                             args.method, args.score)
     write_csv(args.out, ["lower", "upper", "threshold", "unbounded"],
               zip(_cells(lower), _cells(upper),
@@ -94,8 +94,8 @@ def _cmd_ite(args):
     else:
         # Bonferroni: each arm at alpha / 2, then the difference interval
         half = args.alpha / 2.0
-        arm0, arm1 = (arm.intervals(x_target, args.gamma, half, "csa")
-                      for arm in fit_arms(ds, args.seed))
+        arm0, arm1 = (arm.intervals(args.gamma, half, "csa")
+                      for arm in fit_arms(ds, args.seed, x_target))
         lower, upper = bonferroni_ite(arm1, arm0)
     write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
               ((i, lo, up, args.method, args.gamma, args.alpha)

@@ -4,9 +4,10 @@ A dataset is a frozen collection of (covariates, binary treatment, outcome)
 rows.  Treatments must be literal 0/1 and all numbers finite; missing values
 are rejected rather than imputed.  This module is the package's one CSV
 reader and writer: every file is UTF-8 with one header row.  The `csv`
-module reads the header and numpy's C parser the data rows; a file that
-parser cannot read, or whose values fail a check, is read again row by
-row with the `csv` module, which names the first offending row.
+module reads the header and numpy's C parser the data rows, quoted cells
+and LF, CRLF or CR line ends included; a file that parser cannot read,
+or whose values fail a check, is read again row by row with the `csv`
+module, which names the first offending row.
 """
 
 from __future__ import annotations
@@ -113,19 +114,12 @@ def _valid(values, width, binary):
 
 
 def _float_rows(header, rows, binary):
-    """`_read_rows` output as one (rows, columns) float array.  Every row
-    must have the header's cell count and finite values, and column
-    `binary` (an index, or None) only 0 or 1.  One conversion covers all
-    rows; only when a check fails does a row-by-row pass name the first
-    offending 1-based data row."""
+    """`_read_rows` output as one (rows, columns) float array, converted
+    row by row.  Every row must have the header's cell count and finite
+    values, and column `binary` (an index, or None) only 0 or 1; the first
+    offending 1-based data row is named."""
     if not rows:
         raise ValueError("no data rows")
-    try:  # a ragged row raises too
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        values = None
-    if values is not None and _valid(values, len(header), binary):
-        return values
     parsed = []
     for rownum, row in enumerate(rows, start=1):
         if len(row) != len(header):
@@ -146,20 +140,25 @@ def _float_rows(header, rows, binary):
 
 def _parse(path):
     """The header and the data rows as one float array, the rows through
-    numpy's C parser; None where that parser fails or warns, where the
-    header is missing or repeats a name, or where a line is long enough to
-    hold a field over the `csv` module's size limit."""
+    numpy's C parser, which reads quoted cells as `csv` does; None where
+    that parser fails or warns, where the header is missing or repeats a
+    name, or where a line could hold a field over the `csv` module's size
+    limit: one that long, or one with an odd number of quotes, which may
+    open a cell that spans lines.  The rows are split at LF, or at CR in a
+    file with no LF; an unquoted CR left inside a line fails the parser."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
-            lines = fh.read().split("\n")
+            text = fh.read()
+        lines = text.split("\n" if "\n" in text else "\r")
         if (header is None or len(set(header)) < len(header)
-                or max(map(len, lines)) > csv.field_size_limit()):
+                or max(map(len, lines)) > csv.field_size_limit()
+                or '"' in text and any(s.count('"') % 2 for s in lines)):
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
             return header, np.loadtxt(lines, delimiter=",", ndmin=2,
-                                      comments=None)
+                                      comments=None, quotechar='"')
     except (ValueError, Warning, csv.Error):
         return None
 
@@ -168,7 +167,9 @@ def _read(path, columns):
     """The header and the (rows, columns) float values of a UTF-8,
     header-row CSV.  `columns(header)` checks the header and returns the
     index of the column that may hold only 0 or 1, or None.  `_parse`
-    reads the rows at once; where it fails, or a row has the wrong cell
+    reads the rows of a well-formed file at once; where it fails (a bad
+    row, mixed line ends, a quoted cell spanning lines, or a float
+    spelling numpy refuses such as `1_0`), or a row has the wrong cell
     count, a non-finite or a non-binary value, the `csv.reader` pass of
     `_read_rows` and `_float_rows` reads the file again: it returns the
     values, or raises naming what it finds."""

@@ -1,7 +1,6 @@
 """Experiment driver: coverage/length sweeps over confounding-strength
 grids against the synthetic oracle, plus the diagnostics used to judge
-them (shrinkage sharpness, per-trial coverage law, positivity fractions,
-propensity-estimation slack).
+them (shrinkage sharpness, per-trial coverage law).
 
 Outputs are tidy CSV tables (one row per measurement) and a JSON run
 manifest; no plotting.
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dataset import write_csv
 from .ite import NestedFold, bonferroni_ite, nested_ite_predict
-from .msm import check_alpha, check_gamma, weight_bounds_same_arm
+from .msm import check_alpha, check_gamma
 from .oracle import SyntheticDGP, generate, sample_target_outcomes
 from .pipeline import fit_arms
 
@@ -35,8 +34,6 @@ __all__ = [
     "shrinkage_sharpness",
     "beta_coverage_trials",
     "beta_coverage_check",
-    "positivity_summary",
-    "delta_slack_diagnostic",
 ]
 
 METHODS = ("csa-m", "csa-q", "cssa-m", "ite-nuc", "bonferroni", "nested")
@@ -156,7 +153,8 @@ class _TrialState:
         self.x_target = target_ds.covariates
         self.truth_rng = np.random.default_rng(s_truth)
         self.nested_seed = s_nested
-        self.arms = fit_arms(self.train, self.seed, scale="relevance")
+        self.arms = fit_arms(self.train, self.seed, self.x_target,
+                             scale="relevance")
 
     @cached_property
     def nested(self):
@@ -182,12 +180,10 @@ def _ite_interval(state: _TrialState, gamma, alpha, method):
     solver, score = _ARM_METHODS[method]
     if method == "bonferroni":
         alpha = alpha / 2.0
-    arm1 = state.arms[1].intervals(state.x_target, gamma, alpha, solver,
-                                   score)
+    arm1 = state.arms[1].intervals(gamma, alpha, solver, score)
     if method != "bonferroni" and not state.dgp.two_arm:
         return arm1[:2]
-    arm0 = state.arms[0].intervals(state.x_target, gamma, alpha, solver,
-                                   score)
+    arm0 = state.arms[0].intervals(gamma, alpha, solver, score)
     return bonferroni_ite(arm1, arm0)
 
 
@@ -344,27 +340,3 @@ def beta_coverage_check(coverages, n_cal, alpha, level=0.01):
     stat, pvalue = stats.kstest(coverages, stats.beta(a, b).cdf)
     return float(stat), float(pvalue), bool(pvalue >= level)
 
-
-def positivity_summary(lower, upper):
-    """(fraction of all-positive intervals, fraction of all-negative);
-    intervals with an unbounded side count as neither."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = lower.shape[0]
-    if n == 0:
-        return 0.0, 0.0
-    bounded = np.isfinite(lower) & np.isfinite(upper)
-    pos = bounded & (lower > 0)
-    neg = bounded & (upper < 0)
-    return float(pos.mean()), float(neg.mean())
-
-
-def delta_slack_diagnostic(e_true, e_hat, gamma, t, p_t) -> float:
-    """Monte Carlo slack from propensity estimation:
-    (gamma / 2) * E|w(e_hat) - w(e_true)| over the arm-t covariate draws
-    supplied, with w = p_t / arm_prob the gamma = 1 conformal weight."""
-    if e_true is None:
-        raise ValueError("requires oracle truth records")
-    w_true, _ = weight_bounds_same_arm(e_true, 1.0, t, p_t)
-    w_hat, _ = weight_bounds_same_arm(e_hat, 1.0, t, p_t)
-    return float(gamma / 2.0 * np.mean(np.abs(w_hat - w_true)))

@@ -1,12 +1,14 @@
 """One fitted pipeline per treatment arm, shared by the command line and
 the experiment harness.
 
-`fit_arms` splits the data once and fits one propensity model; each arm
-keeps one neighbour search over its preliminary rows, which its mean
-model and the quantile model of each call's alpha ("cqr" score) share,
-and the scores, propensities and balance constraint of its calibration
-units.  `FittedArm.intervals` then solves all targets in one batch call:
-only the sentinel weight belongs to a target.
+`fit_arms` splits the data once, fits one propensity model and predicts
+it at the calibration units and the targets; each arm keeps one
+neighbour search over its preliminary rows, which its mean model and the
+quantile model of each call's alpha ("cqr" score) share, the
+propensities and balance constraint of its calibration units, and per
+(score, alpha) its calibration scores and band at the targets.
+`FittedArm.intervals` then solves all targets in one batch call: only
+the sentinel weight belongs to a target.
 """
 
 from __future__ import annotations
@@ -26,25 +28,18 @@ __all__ = ["FittedArm", "fit_arms"]
 
 
 class _Fold:
-    """The split and propensity model both arms share, and the predictions
-    made at the latest targets, so each model predicts a target set once."""
+    """The split and propensity model both arms share, and its
+    propensities at the calibration units and at the targets."""
 
-    def __init__(self, ds, seed):
+    def __init__(self, ds, seed, x_target):
         prelim_idx, cal_idx = split(ds, seed)
         self.prelim = ds.subset(prelim_idx)
         self.cal = ds.subset(cal_idx)
         self.propensity = fit_propensity(self.prelim.covariates,
                                          self.prelim.treatment)
         self.e_cal = self.propensity.predict(self.cal.covariates)
-        self._x_target = None
-
-    def at(self, x_target):
-        """Prediction cache for `x_target`, emptied when the targets change."""
-        if self._x_target is None or not np.array_equal(self._x_target,
-                                                        x_target):
-            self._x_target = x_target.copy()
-            self._cache = {"e": self.propensity.predict(x_target)}
-        return self._cache
+        self.x_target = np.asarray(x_target, dtype=float)
+        self.e_target = self.propensity.predict(self.x_target)
 
 
 class FittedArm:
@@ -60,7 +55,7 @@ class FittedArm:
         self.cal_y = fold.cal.outcome[cal_idx]
         self.e_cal = fold.e_cal[cal_idx]
         self.p_t = marginal_treatment_prob(fold.prelim.treatment, t)
-        self._scores = {}
+        self._cache = {}
 
     @cached_property
     def search(self):
@@ -86,8 +81,8 @@ class FittedArm:
                                    cal.treatment, self.e_cal,
                                    self.fold.e_cal, self.t)
 
-    def intervals(self, x_target, gamma, alpha, method, score="mean"):
-        """Intervals for Y(t) at the rows of `x_target`, in one batch.
+    def intervals(self, gamma, alpha, method, score="mean"):
+        """Intervals for Y(t) at the fold's targets, in one batch.
 
         `method` is "nuc" (the unconfounded baseline), "csa" (worst case)
         or "cssa" (sharpened worst case); `score` is "mean" or "cqr".  All
@@ -99,27 +94,25 @@ class FittedArm:
         SensitivitySpec(gamma=gamma, alpha=alpha, t=self.t)  # validates
         if method not in ("nuc", "csa", "cssa"):
             raise ValueError(f"unknown method {method!r}")
-        x_target = np.asarray(x_target, dtype=float)
-        model = self.q_hat(alpha) if score == "cqr" else self.mu_hat
         key = score, alpha  # the quantile model's levels follow alpha
-        if key not in self._scores:
-            self._scores[key] = calibration_scores(score, model, self.cal_x,
-                                                   self.cal_y)
-        scores = self._scores[key]
-        cache = self.fold.at(x_target)
+        if key not in self._cache:
+            model = self.q_hat(alpha) if score == "cqr" else self.mu_hat
+            self._cache[key] = (
+                calibration_scores(score, model, self.cal_x, self.cal_y),
+                score_band(score, model, self.fold.x_target))
+        scores, (lo, hi) = self._cache[key]
         g = 1.0 if method == "nuc" else gamma
         lo_c, hi_c = weight_bounds_same_arm(self.e_cal, g, self.t, self.p_t)
-        _, hi_t = weight_bounds_same_arm(cache["e"], g, self.t, self.p_t)
+        _, hi_t = weight_bounds_same_arm(self.fold.e_target, g, self.t,
+                                         self.p_t)
         rows = self.constraints if method == "cssa" else ()
         thr = cssa_threshold_batch(scores, lo_c, hi_c, rows, alpha, hi_t)
-        if (self.t, key) not in cache:
-            cache[self.t, key] = score_band(score, model, x_target)
-        lo, hi = cache[self.t, key]
         return lo - thr, hi + thr, thr
 
 
-def fit_arms(ds, seed, scale=None):
-    """(arm 0, arm 1) over one split of `ds` seeded by `seed`; models are
-    fitted on first use."""
-    fold = _Fold(ds, seed)
+def fit_arms(ds, seed, x_target, scale=None):
+    """(arm 0, arm 1) over one split of `ds` seeded by `seed`, whose
+    intervals are at the rows of `x_target`; the arms read those rows
+    rather than copy them.  Models are fitted on first use."""
+    fold = _Fold(ds, seed, x_target)
     return tuple(FittedArm(fold, t, scale) for t in (0, 1))

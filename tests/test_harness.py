@@ -10,8 +10,6 @@ from confsens.harness import (
     ExperimentConfig,
     beta_coverage_check,
     beta_coverage_trials,
-    delta_slack_diagnostic,
-    positivity_summary,
     run_sweep,
     run_trial,
     shrinkage_sharpness,
@@ -237,31 +235,3 @@ class TestBetaCoverage:
         b = beta_coverage_trials(50, 60, 0.2, seed=5)
         assert np.array_equal(a, b)
 
-
-class TestPositivity:
-    def test_hand_examples(self):
-        lower = np.array([0.5, -1.0, -2.0, 0.1, -np.inf])
-        upper = np.array([2.0, -0.2, 1.0, np.inf, 3.0])
-        pos, neg = positivity_summary(lower, upper)
-        assert pos == pytest.approx(0.2)  # only [0.5, 2]
-        assert neg == pytest.approx(0.2)  # only [-1, -0.2]
-
-    def test_empty(self):
-        assert positivity_summary([], []) == (0.0, 0.0)
-
-
-class TestDeltaSlack:
-    def test_hand_value(self):
-        # gamma=2, p_t=0.5, t=1, e_true=0.5, e_hat=0.55:
-        # (2/2) * 0.5 * |1/0.55 - 1/0.5| = 0.5 * 0.18181... = 0.0909...
-        got = delta_slack_diagnostic(np.array([0.5]), np.array([0.55]),
-                                     2.0, 1, 0.5)
-        assert got == pytest.approx(0.0909, abs=1e-4)
-
-    def test_zero_when_exact(self):
-        e = np.array([0.3, 0.4])
-        assert delta_slack_diagnostic(e, e, 3.0, 0, 0.5) == 0.0
-
-    def test_requires_truth(self):
-        with pytest.raises(ValueError):
-            delta_slack_diagnostic(None, np.array([0.5]), 2.0, 1, 0.5)

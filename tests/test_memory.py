@@ -41,12 +41,13 @@ def _assert_linear(small, large):
 
 
 def test_fitted_arm_intervals():
-    arm = fit_arms(generate(DGP, 2000, seed=0)[0], 0)[1]
+    ds = generate(DGP, 2000, seed=0)[0]
 
     def run(x):
+        arm = fit_arms(ds, 0, x)[1]
         for method, score in (("nuc", "mean"), ("csa", "mean"),
                               ("cssa", "mean"), ("csa", "cqr")):
-            arm.intervals(x, 2.0, 0.1, method, score)
+            arm.intervals(2.0, 0.1, method, score)
 
     _assert_linear(*_peaks(run))
 

@@ -167,6 +167,30 @@ class TestNeighborSearch:
             harness.run_trial(cfg, 0)
         assert len(calls) == searches
 
+    @pytest.mark.parametrize("methods, predicts", [
+        (harness.METHODS, 6), (("csa-m", "csa-q", "ite-nuc"), 2)])
+    def test_propensity_predicts_per_trial(self, monkeypatch, methods,
+                                           predicts):
+        # the arms' fold: its calibration rows and the targets, once for
+        # every gamma; nested: calibration and query rows per arm
+        calls = []
+        predict = LogisticPropensity.predict
+
+        def counted(self, x):
+            calls.append(x.shape[0])
+            return predict(self, x)
+
+        monkeypatch.setattr(LogisticPropensity, "predict", counted)
+        for gammas in ((1.0, 2.0), (1.0, 1.5, 2.0, 3.0, 4.0)):
+            calls.clear()
+            cfg = harness.ExperimentConfig(methods=methods, gammas=gammas,
+                                           n_train=300, n_target=200,
+                                           n_trials=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the sharpened fallback
+                harness.run_trial(cfg, 0)
+            assert len(calls) == predicts
+
 
 class TestNonFiniteCovariates:
     FITS = {

@@ -19,6 +19,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,6 @@ from confsens.csa import (
 )
 from confsens.cssa import (
     BalanceConstraint,
-    FractionalProgram,
     _probe,
     cssa_interval,
     cssa_threshold,
@@ -68,6 +68,7 @@ from confsens.predictors import (
     fit_propensity,
     fit_quantile,
 )
+from test_cssa import sentinel_program
 
 ETA = CLIP  # the propensity clip of `fit_propensity`
 GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
@@ -256,14 +257,6 @@ def single_row_probes(draw):
     return j, h, lo, hi, A, rhs, slack
 
 
-def sentinel_program(j, h, lo, hi, A, b, slack_rel):
-    """A probe's fractional program from 1-based position j, with the
-    sentinel as one more fixed weight (lo = hi = h) that no row covers."""
-    return FractionalProgram(j - 1, np.append(lo, h), np.append(hi, h),
-                             A_eq=np.column_stack([A, np.zeros(len(A))]),
-                             b_eq=b, slack_rel=slack_rel)
-
-
 @_settings
 @given(single_row_probes())
 def test_single_row_probe_equals_lp(probe):
@@ -301,13 +294,13 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed)[t]
+    arm = fit_arms(ds, seed, x_target)[t]
     for method in ("nuc", "csa", "cssa"):
         for score in ("mean", "cqr"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # infeasible rows fall back
-                lower, upper, thr = arm.intervals(x_target, gamma, alpha,
-                                                  method, score)
+                lower, upper, thr = arm.intervals(gamma, alpha, method,
+                                                  score)
                 single = [_per_target(arm, method, x, gamma, alpha, score)
                           for x in x_target]
             _assert_same_intervals(single, lower, upper, thr)
@@ -327,7 +320,7 @@ def test_cqr_intervals_follow_the_calls_alpha(seed, n, p, m, t, gamma,
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed)[t]
+    arm = fit_arms(ds, seed, x_target)[t]
     for alpha in alphas + alphas:
         q_hat = fit_quantile(arm.pre_x, arm.pre_y,
                              (alpha / 2.0, 1.0 - alpha / 2.0),
@@ -336,8 +329,8 @@ def test_cqr_intervals_follow_the_calls_alpha(seed, n, p, m, t, gamma,
         single = [csa_interval(arm.mu_hat, arm.fold.propensity, arm.cal_x,
                                arm.cal_y, x, spec, arm.p_t, score="cqr",
                                q_hat=q_hat) for x in x_target]
-        _assert_same_intervals(single, *arm.intervals(x_target, gamma,
-                                                      alpha, "csa", "cqr"))
+        _assert_same_intervals(single, *arm.intervals(gamma, alpha, "csa",
+                                                      "cqr"))
 
 
 def _assert_same_intervals(single, lower, upper, thr):
@@ -363,21 +356,20 @@ def test_interval_widths_grow_with_gamma(seed, n, p, m, t, alpha):
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed)[t]
+    arm = fit_arms(ds, seed, x_target)[t]
     for score in ("mean", "cqr"):
-        nuc = [arm.intervals(x_target, g, alpha, "nuc", score)
-               for g in GAMMAS]
+        nuc = [arm.intervals(g, alpha, "nuc", score) for g in GAMMAS]
         assert all(a.tobytes() == b.tobytes()
                    for other in nuc[1:] for a, b in zip(nuc[0], other))
-        _assert_nested_in_gamma([arm.intervals(x_target, g, alpha, "csa",
-                                               score) for g in GAMMAS])
+        _assert_nested_in_gamma([arm.intervals(g, alpha, "csa", score)
+                                 for g in GAMMAS])
         # the fallback to CSA on infeasible balance rows breaks monotonicity,
         # so only gammas whose call did not warn are compared
         sharp = []
         for g in GAMMAS:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                out = arm.intervals(x_target, g, alpha, "cssa", score)
+                out = arm.intervals(g, alpha, "cssa", score)
             if not caught:
                 sharp.append(out)
         _assert_nested_in_gamma(sharp)
@@ -560,6 +552,10 @@ def _read_outcome(read, path):
     return got.shape, got.dtype, got.tobytes()
 
 
+CR_ONLY = "x1,t,y\r0.5,1,2.0\r0.25,0,1.0\r"
+QUOTED = 'x1,t,y\n"0.5","1",2.0\n0.25,0,"1.0"\n'
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(csv_texts())
 # header only: loadtxt's "no data" warning stays inside
@@ -567,10 +563,17 @@ def _read_outcome(read, path):
 @example(("x1\r\n", ["x1"]))
 # a finite field over the `csv` size limit is still refused
 @example((f"x1,t,y\n0.5,1,1.0\n1.{'0' * 140_000},1,1.0\n", ["x1"]))
+# and so is one that spans lines within quotes
+@example(('x1,t,y\n"' + " \n" * 70_001 + '1",1,2.0\n', ["x1"]))
 # a non-binary treatment and non-finite values in plain numbers
 @example(("x1,t,y\n0.5,1,2.0\n0.25,0.5,1.0\n", ["x1"]))
 @example(("t,x1,y\n1,0.5,nan\n", ["x1"]))
 @example(("x1,t,y\n0.5,1,2.0\n1e400,0,1.0\n", ["x1"]))
+# files the C parser reads, and line ends it leaves to the `csv` pass
+@example((CR_ONLY, ["x1"]))
+@example((QUOTED, ["x1"]))
+@example(("x1,t,y\n0.5,1,2.0\r0.25,0,1.0\n", ["x1"]))  # a lone CR
+@example(("x1,t,y\n0.5,1,2.0\x0c0.25,0,1.0\n", ["x1"]))  # a ragged row
 def test_csv_reader_matches_row_by_row(text_covariates):
     text, covariates = text_covariates
     readers = (ingest_csv,
@@ -587,3 +590,17 @@ def test_csv_reader_matches_row_by_row(text_covariates):
             assert not caught
             with mock.patch.object(dataset, "_parse", lambda path: None):
                 assert fast == _read_outcome(read, path)
+
+
+@pytest.mark.parametrize("text", [CR_ONLY, QUOTED])
+def test_well_formed_csv_takes_the_c_parser(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(dataset, "_read_rows",
+                           wraps=dataset._read_rows) as slow:
+        ds = ingest_csv(path)
+        x = ingest_covariates(path, ["x1"])
+    assert slow.call_count == 0
+    assert ds.covariates.tolist() == x.tolist() == [[0.5], [0.25]]
+    assert ds.treatment.tolist() == [1, 0]
+    assert ds.outcome.tolist() == [2.0, 1.0]
