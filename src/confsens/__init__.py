@@ -20,7 +20,7 @@ from .conformal import (
     weighted_quantile,
 )
 from .csa import csa_interval, csa_threshold, greedy_max_quantile
-from .cssa import BalanceConstraint, cssa_interval, cssa_threshold, solve_fractional
+from .cssa import cssa_interval, cssa_threshold, solve_fractional
 from .dataset import (
     ObservationalDataset,
     arm_indices,

@@ -22,8 +22,7 @@ __all__ = [
     "score_cqr",
     "weighted_quantile",
     "wcp_threshold_nuc_batch",
-    "calibration_scores",
-    "score_band",
+    "scores_and_band",
 ]
 
 _NORM_TOL = 1e-12
@@ -127,27 +126,20 @@ def wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha):
 
     w, _ = weight_bounds_same_arm(e_cal, 1.0, t, p_t)
     w_target, _ = weight_bounds_same_arm(e_target, 1.0, t, p_t)
-    return cssa_threshold_batch(scores, w, w, (), alpha, w_target)
+    return cssa_threshold_batch(scores, w, w, None, alpha, w_target)
 
 
-def calibration_scores(score, model, x, y):
-    """Nonconformity scores of `model` on (x, y): the absolute residual of
-    a mean predictor for score "mean", the CQR score of a quantile pair
-    for "cqr"."""
+def scores_and_band(score, model, cal_x, cal_y, x):
+    """Nonconformity scores of `model` on (cal_x, cal_y) and its (lower,
+    upper) band at x that a score threshold Q widens to [lower - Q,
+    upper + Q]: the absolute residual and the mean twice for score "mean",
+    the CQR score and the quantile pair for "cqr"."""
     if score == "mean":
-        return score_abs_residual(model, x, y)
+        scores = score_abs_residual(model, cal_x, cal_y)
+        mu = model.predict(x)
+        return scores, (mu, mu)
     if score == "cqr":
         if model is None:
             raise ValueError("cqr score requires a quantile predictor")
-        return score_cqr(model, x, y)
+        return score_cqr(model, cal_x, cal_y), model.predict(x)
     raise ValueError(f"unknown score kind {score!r}")
-
-
-def score_band(score, model, x):
-    """(lower, upper) predictions of `model` at x that a score threshold Q
-    widens to the interval [lower - Q, upper + Q]: the mean twice for
-    score "mean", the quantile pair for "cqr"."""
-    if score == "mean":
-        mu = model.predict(x)
-        return mu, mu
-    return model.predict(x)

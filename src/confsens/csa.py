@@ -78,7 +78,7 @@ def greedy_threshold_batch(scores_sorted, lo_c, hi_c, hi_target, alpha):
     bounds.  Equal to `greedy_max_quantile` per target; work is
     O(n log n + m log n) for m targets.
     """
-    return cssa_threshold_batch(scores_sorted, lo_c, hi_c, (), alpha,
+    return cssa_threshold_batch(scores_sorted, lo_c, hi_c, None, alpha,
                                 hi_target)
 
 

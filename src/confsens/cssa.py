@@ -20,18 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (
-    _NORM_TOL,
-    PredictiveInterval,
-    _flip_index,
-    calibration_scores,
-    score_band,
-)
+from .conformal import (_NORM_TOL, PredictiveInterval, _flip_index,
+                        scores_and_band)
 from .lp import solve_lp
 from .msm import SensitivitySpec, check_alpha, weight_bounds_same_arm
 
 __all__ = [
-    "BalanceConstraint",
     "FractionalProgram",
     "FractionalResult",
     "balance_rhs",
@@ -39,26 +33,12 @@ __all__ = [
     "solve_fractional",
     "cssa_threshold",
     "cssa_threshold_batch",
+    "arm_intervals",
     "cssa_interval",
 ]
 
 # relative slack of the balance rows in the threshold search
 _SLACK_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class BalanceConstraint:
-    """One equality row sum_i coefficients[i] * w_i = rhs over the
-    calibration units (the target weight is unconstrained)."""
-
-    coefficients: np.ndarray
-    rhs: float
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float)
-        if not np.all(np.isfinite(coef)) or not np.isfinite(self.rhs):
-            raise ValueError("constraint entries must be finite")
-        object.__setattr__(self, "coefficients", coef)
 
 
 @dataclass(frozen=True)
@@ -208,9 +188,9 @@ def cssa_threshold(scores, lo, hi, constraints, alpha) -> float:
     +inf): `cssa_threshold_batch` for a batch of one.
 
     `scores` are ascending with the +inf sentinel last; `lo`/`hi` aligned,
-    the sentinel's upper bound being the target's weight; each
-    constraint's coefficients cover the calibration positions in the same
-    order (the sentinel weight is unconstrained).
+    the sentinel's upper bound being the target's weight; the balance
+    rows' coefficients cover the calibration positions in the same order
+    (the sentinel weight is unconstrained).
     """
     scores = np.asarray(scores, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -226,15 +206,17 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
     the one threshold routine, which every other threshold calls.
 
     `scores`/`lo_c`/`hi_c` cover the n calibration units (unsorted);
-    `hi_target` gives each target's sentinel upper bound h.  A target's
-    threshold sits at the largest 1-based position j, never above its
-    unconstrained greedy flip, whose maximal tail fraction
-    (tail + h) / (total + h) exceeds the level; position 1 always does.
-    The probe at j does not depend on the target (`_probe`), so all
-    targets bisect [1, flip] in lockstep and each distinct midpoint is
-    probed once per batch.  Raises ValueError on an empty calibration
-    set, misaligned bounds or an alpha outside (0, 1), and RuntimeError
-    when the probed tail - level * total, which cannot grow with j, does.
+    `constraints` is None or the balance rows A w = b as one (A, b) pair,
+    A of shape (rows, n) over the same units; `hi_target` gives each
+    target's sentinel upper bound h.  A target's threshold sits at the
+    largest 1-based position j, never above its unconstrained greedy
+    flip, whose maximal tail fraction (tail + h) / (total + h) exceeds
+    the level; position 1 always does.  The probe at j does not depend on
+    the target (`_probe`), so all targets bisect [1, flip] in lockstep and
+    each distinct midpoint is probed once per batch.  Raises ValueError on
+    an empty calibration set, misaligned bounds or rows, non-finite row
+    entries or an alpha outside (0, 1), and RuntimeError when the probed
+    tail - level * total, which cannot grow with j, does.
 
     When every weight box is a point (gamma = 1) or there are no
     constraints, the greedy thresholds are returned; if a probe finds the
@@ -246,14 +228,16 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
     order, ext, lo, hi = _sorted_box(scores, lo_c, hi_c, alpha)
     hi_target = np.atleast_1d(np.asarray(hi_target, dtype=float))
     flips = _flip_index(lo, hi, hi_target, alpha) + 1  # 1-based greedy stops
-    constraints = list(constraints)
-    if not constraints or np.array_equal(lo, hi):
+    if constraints is not None:
+        A, b = (np.asarray(v, dtype=float) for v in constraints)
+        if b.ndim != 1 or A.shape != (b.size, order.size):
+            raise ValueError("balance rows must cover the calibration "
+                             "units, one rhs per row")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("constraint entries must be finite")
+    if constraints is None or np.array_equal(lo, hi):
         return ext[flips - 1]
-    if any(con.coefficients.shape != order.shape for con in constraints):
-        raise ValueError("constraint coefficients must cover the "
-                         "calibration units")
-    A = np.array([con.coefficients[order] for con in constraints])
-    b = np.array([con.rhs for con in constraints], dtype=float)
+    A = A[:, order]
     level = alpha + _NORM_TOL  # decides exact ties as the greedy does
 
     tail, total = np.full((2, ext.shape[0] + 1), np.nan)
@@ -279,7 +263,8 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
 
 
 def balance_constraints(g_kind, cal_x, full_x, full_t, e_cal, e_full, t):
-    """Balancing rows over one arm's calibration units, in their order.
+    """Balancing rows (A, b) over one arm's calibration units, in their
+    order: A is (rows, units) and b is (rows,).
 
     Each row asks that the weighted mean of a balancing function g over
     the arm's units, sum_i w_i g(X_i) / n_arm, equal the inverse-propensity
@@ -289,39 +274,48 @@ def balance_constraints(g_kind, cal_x, full_x, full_t, e_cal, e_full, t):
     coordinate ("identity").
     """
     if g_kind == "propensity":
-        pairs = [(e_full, e_cal)]
+        g_full, g_cal = np.atleast_2d(e_full), np.atleast_2d(e_cal)
     elif g_kind == "identity":
-        pairs = [(full_x[:, j], cal_x[:, j]) for j in range(full_x.shape[1])]
+        g_full, g_cal = full_x.T, cal_x.T
     else:
         raise ValueError(f"unknown balancing function kind {g_kind!r}")
-    n_arm = cal_x.shape[0]
-    return [BalanceConstraint(coefficients=g_cal / n_arm,
-                              rhs=balance_rhs(full_t, e_full, g_full, t))
-            for g_full, g_cal in pairs]
+    return g_cal / cal_x.shape[0], np.array(
+        [balance_rhs(full_t, e_full, g, t) for g in g_full])
+
+
+def arm_intervals(scores, band, e_cal, e_target, gamma, alpha, t, p_t,
+                  constraints=None):
+    """(lower, upper, threshold) arrays for Y(t) at the targets whose
+    propensities are `e_target`: the same-arm weight box at gamma over the
+    calibration `scores`, `cssa_threshold_batch` with the balance rows, and
+    the score's (lower, upper) `band` at the targets widened by the
+    thresholds.  The weight bounds are uniform in y, so each interval is
+    assembled analytically; an infinite threshold gives -inf / +inf."""
+    lo_c, hi_c = weight_bounds_same_arm(e_cal, gamma, t, p_t)
+    _, hi_t = weight_bounds_same_arm(e_target, gamma, t, p_t)
+    thr = cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_t)
+    return band[0] - thr, band[1] + thr, thr
 
 
 def _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y, e_cal,
                      x_target, spec: SensitivitySpec, p_t,
-                     constraints=()) -> PredictiveInterval:
-    """The interval for Y(t) at one target row, shared by `csa_interval`
-    (no rows) and `cssa_interval`: calibration scores, same-arm weight
-    bounds, `cssa_threshold_batch` for a batch of one, and the score's
-    band at the target widened by the threshold, or (None, None, inf) when
-    the threshold is infinite.  The weight bounds are uniform in y, so the
-    interval is assembled analytically."""
-    x_target = np.asarray(x_target, dtype=float).reshape(1, -1)
+                     constraints=None) -> PredictiveInterval:
+    """The interval for Y(t) at one target row, (p,) or (1, p), shared by
+    `csa_interval` (no rows) and `cssa_interval`: `arm_intervals` for a
+    batch of one, or (None, None, inf) when the threshold is infinite."""
+    x_target = np.asarray(x_target, dtype=float)
+    if x_target.ndim == 0 or x_target.shape[:-1] not in ((), (1,)):
+        raise ValueError(f"need one target row, (p,) or (1, p); got an "
+                         f"array of shape {x_target.shape}")
+    x_target = x_target.reshape(1, -1)
     model = q_hat if score == "cqr" else mu_hat
-    scores = calibration_scores(score, model, cal_x, cal_y)
-    lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
-    _, hi_t = weight_bounds_same_arm(propensity.predict(x_target),
-                                     spec.gamma, spec.t, p_t)
-    q = cssa_threshold_batch(scores, lo_c, hi_c, constraints, spec.alpha,
-                             hi_t)
-    lo, hi = score_band(score, model, x_target)
-    if np.isinf(q[0]):
+    (lower,), (upper,), (q,) = arm_intervals(
+        *scores_and_band(score, model, cal_x, cal_y, x_target), e_cal,
+        propensity.predict(x_target), spec.gamma, spec.alpha, spec.t, p_t,
+        constraints)
+    if np.isinf(q):
         return PredictiveInterval(None, None, np.inf)
-    return PredictiveInterval(float(lo[0] - q[0]), float(hi[0] + q[0]),
-                              float(q[0]))
+    return PredictiveInterval(float(lower), float(upper), float(q))
 
 
 def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,

@@ -92,8 +92,9 @@ class ExperimentConfig:
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"repeated method or gamma: {v!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        for name, n in zip(("n_train", "n_target", "n_trials"), self.sizes):
+            if n < 1:
+                raise ValueError(f"{name} must be >= 1")
         check_alpha(self.alpha)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))

@@ -5,10 +5,10 @@ the experiment harness.
 it at the calibration units and the targets; each arm keeps one
 neighbour search over its preliminary rows, which its mean model and the
 quantile model of each call's alpha ("cqr" score) share, the
-propensities and balance constraint of its calibration units, and per
+propensities and balance row of its calibration units, and per
 (score, alpha) its calibration scores and band at the targets.
-`FittedArm.intervals` then solves all targets in one batch call: only
-the sentinel weight belongs to a target.
+`FittedArm.intervals` then solves all targets in one `arm_intervals`
+call: only the sentinel weight belongs to a target.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .conformal import calibration_scores, score_band
-from .cssa import balance_constraints, cssa_threshold_batch
+from .conformal import scores_and_band
+from .cssa import arm_intervals, balance_constraints
 from .dataset import arm_indices, split
-from .msm import SensitivitySpec, weight_bounds_same_arm
+from .msm import SensitivitySpec
 from .predictors import (KNNMean, KNNQuantile, NeighborSearch, fit_propensity,
                          marginal_treatment_prob, metric_weights)
 
@@ -75,7 +75,7 @@ class FittedArm:
 
     @cached_property
     def constraints(self):
-        """The propensity-balance row of the sharpened method."""
+        """The propensity-balance row (A, b) of the sharpened method."""
         cal = self.fold.cal
         return balance_constraints("propensity", self.cal_x, cal.covariates,
                                    cal.treatment, self.e_cal,
@@ -86,8 +86,8 @@ class FittedArm:
 
         `method` is "nuc" (the unconfounded baseline), "csa" (worst case)
         or "cssa" (sharpened worst case); `score` is "mean" or "cqr".  All
-        three are one `cssa_threshold_batch` call: "nuc" over the gamma = 1
-        point box, "csa" over the gamma box without balance rows.
+        three are one `arm_intervals` call: "nuc" over the gamma = 1 point
+        box, "csa" over the gamma box without balance rows.
         Returns (lower, upper, threshold) float arrays; unbounded sides
         are -inf / +inf.
         """
@@ -97,17 +97,12 @@ class FittedArm:
         key = score, alpha  # the quantile model's levels follow alpha
         if key not in self._cache:
             model = self.q_hat(alpha) if score == "cqr" else self.mu_hat
-            self._cache[key] = (
-                calibration_scores(score, model, self.cal_x, self.cal_y),
-                score_band(score, model, self.fold.x_target))
-        scores, (lo, hi) = self._cache[key]
-        g = 1.0 if method == "nuc" else gamma
-        lo_c, hi_c = weight_bounds_same_arm(self.e_cal, g, self.t, self.p_t)
-        _, hi_t = weight_bounds_same_arm(self.fold.e_target, g, self.t,
-                                         self.p_t)
-        rows = self.constraints if method == "cssa" else ()
-        thr = cssa_threshold_batch(scores, lo_c, hi_c, rows, alpha, hi_t)
-        return lo - thr, hi + thr, thr
+            self._cache[key] = scores_and_band(score, model, self.cal_x,
+                                               self.cal_y, self.fold.x_target)
+        rows = self.constraints if method == "cssa" else None
+        return arm_intervals(*self._cache[key], self.e_cal, self.fold.e_target,
+                             1.0 if method == "nuc" else gamma, alpha, self.t,
+                             self.p_t, rows)
 
 
 def fit_arms(ds, seed, x_target, scale=None):

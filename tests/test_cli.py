@@ -586,6 +586,11 @@ _HOSTILE_RUNS = {
                  "both treatment values must be present"),
     "sweep-n8-cqr": (_tiny_sweep(8, "csa-q", "--n-trials", "1"),
                      _CQR_PAIRS),
+    "sweep-n0": (_tiny_sweep(0, "csa-m", "--n-trials", "1"),
+                 "n_train must be >= 1"),
+    "sweep-no-targets": (["sweep", "--n-train", "40", "--n-target", "0",
+                          "--gammas", "1,2", "--methods", "csa-m",
+                          "--n-trials", "1"], "n_target must be >= 1"),
     "sweep-no-trials": (_tiny_sweep(40, "csa-m", "--n-trials", "0"),
                         "n_trials must be >= 1"),
     "sweep-alpha-1": (_tiny_sweep(40, "csa-m", "--n-trials", "1",

@@ -6,7 +6,7 @@ import pytest
 
 from confsens.conformal import (
     WeightedDiscreteDist,
-    score_band,
+    scores_and_band,
     wcp_threshold_nuc_batch,
     weighted_quantile,
 )
@@ -44,7 +44,7 @@ def csa_batch(scores, e_cal, e_target, spec, p_t):
     lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
     _, hi_t = weight_bounds_same_arm(np.asarray(e_target, dtype=float),
                                      spec.gamma, spec.t, p_t)
-    return cssa_threshold_batch(scores, lo_c, hi_c, (), spec.alpha, hi_t)
+    return cssa_threshold_batch(scores, lo_c, hi_c, None, spec.alpha, hi_t)
 
 
 class TestGreedy:
@@ -201,9 +201,9 @@ ENTRY_POINTS = {
     "wcp_threshold_nuc_batch": lambda alpha, extra: wcp_threshold_nuc_batch(
         _SCORES, _e_cal(extra), [0.5], 1, 0.4, alpha)[0],
     "cssa_threshold": lambda alpha, extra: cssa_threshold(
-        _V, *_bounds(extra, sentinel=True), [], alpha),
+        _V, *_bounds(extra, sentinel=True), None, alpha),
     "cssa_threshold_batch": lambda alpha, extra: cssa_threshold_batch(
-        _SCORES, *_bounds(extra), [], alpha, [1.0])[0],
+        _SCORES, *_bounds(extra), None, alpha, [1.0])[0],
 }
 
 
@@ -274,8 +274,8 @@ class TestInterval:
         q_hat = fit_quantile(cal_x[:20], cal_y[:20], (0.1, 0.9))
         cal_x, cal_y = cal_x[20:], cal_y[20:]
         x0 = np.array([0.5, 0.5, 0.5])
-        band_lo, band_hi = score_band(score, q_hat if score == "cqr" else mu,
-                                      x0[None, :])
+        _, (band_lo, band_hi) = scores_and_band(
+            score, q_hat if score == "cqr" else mu, cal_x, cal_y, x0[None, :])
 
         def interval(alpha):
             spec = SensitivitySpec(gamma=2.0, alpha=alpha, t=1)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from confsens import cssa
 from confsens.cssa import (
-    BalanceConstraint,
     FractionalProgram,
+    balance_constraints,
     balance_rhs,
     cssa_interval,
     cssa_threshold,
@@ -53,6 +54,24 @@ class TestBalanceRhs:
         got = balance_rhs(np.array([1, 0]), np.array([0.5, 0.75]),
                           np.array([2.0, 1.0]), t=0)
         assert got == pytest.approx(2.0)  # (0 + 1/0.25) / 2
+
+
+class TestBalanceConstraints:
+    def test_rows_are_one_array_pair(self):
+        # one row per covariate ("identity") or one propensity row, each
+        # the arm's values over n_arm with the inverse-propensity mean as
+        # its rhs, bit for bit
+        x, t, _ = _arm_instance(seed=2)
+        e = fit_propensity(x, t).predict(x)
+        arm = t == 1
+        cal_x, n_arm = x[arm], int(arm.sum())
+        A, b = balance_constraints("identity", cal_x, x, t, e[arm], e, 1)
+        assert np.array_equal(A, cal_x.T / n_arm)
+        assert np.array_equal(b, [balance_rhs(t, e, x[:, j], 1)
+                                  for j in range(x.shape[1])])
+        A, b = balance_constraints("propensity", cal_x, x, t, e[arm], e, 1)
+        assert np.array_equal(A, e[arm][None, :] / n_arm)
+        assert np.array_equal(b, [balance_rhs(t, e, e, 1)])
 
 
 class TestSolveFractional:
@@ -158,47 +177,60 @@ class TestThreshold:
 
     def test_no_constraints_is_greedy(self):
         v, lo, hi, _, _ = self._instance()
-        got = cssa_threshold(v, lo, hi, [], 0.2)
+        got = cssa_threshold(v, lo, hi, None, 0.2)
         assert got == greedy_max_quantile(v, lo, hi, 0.2).threshold
 
     def test_never_exceeds_greedy(self):
         for seed in range(5):
             v, lo, hi, g, _ = self._instance(seed=seed)
             mid = float(g @ ((lo[:-1] + hi[:-1]) / 2))
-            con = BalanceConstraint(coefficients=g, rhs=mid)
-            got = cssa_threshold(v, lo, hi, [con], 0.2)
+            got = cssa_threshold(v, lo, hi, (g[None, :], np.array([mid])),
+                                 0.2)
             assert got <= greedy_max_quantile(v, lo, hi, 0.2).threshold
 
     def test_loose_constraint_recovers_greedy(self):
         v, lo, hi, g, _ = self._instance(seed=7)
         # a constraint satisfied across the whole box changes nothing
-        con = BalanceConstraint(coefficients=g,
-                                rhs=float(g @ ((lo[:-1] + hi[:-1]) / 2)))
-        wide = BalanceConstraint(coefficients=np.zeros_like(g), rhs=0.0)
-        got = cssa_threshold(v, lo, hi, [wide], 0.2)
+        wide = (np.zeros((1, g.size)), np.zeros(1))
+        got = cssa_threshold(v, lo, hi, wide, 0.2)
         assert got == greedy_max_quantile(v, lo, hi, 0.2).threshold
 
     def test_infeasible_falls_back_with_warning(self):
         v, lo, hi, g, _ = self._instance(seed=8)
-        con = BalanceConstraint(coefficients=g, rhs=1e6)
         with pytest.warns(UserWarning, match="infeasible"):
-            got = cssa_threshold(v, lo, hi, [con], 0.2)
+            got = cssa_threshold(v, lo, hi, (g[None, :], np.array([1e6])),
+                                 0.2)
         assert got == greedy_max_quantile(v, lo, hi, 0.2).threshold
 
     def test_misaligned_constraint_error(self):
         v, lo, hi, g, _ = self._instance()
-        con = BalanceConstraint(coefficients=g[:-2], rhs=1.0)
-        with pytest.raises(ValueError):
-            cssa_threshold(v, lo, hi, [con], 0.2)
+        with pytest.raises(ValueError, match="cover the calibration"):
+            cssa_threshold(v, lo, hi, (g[None, :-2], np.array([1.0])), 0.2)
+
+    def test_rhs_count_must_match_rows(self):
+        v, lo, hi, g, _ = self._instance()
+        with pytest.raises(ValueError, match="one rhs per row"):
+            cssa_threshold(v, lo, hi, (np.vstack([g, g]), np.array([1.0])),
+                           0.2)
+
+    @pytest.mark.parametrize("entry", ["coefficient", "rhs"])
+    def test_non_finite_rows_refused_at_gamma_one(self, entry):
+        # checked before the point box returns the greedy thresholds
+        v, _, _, g, e = self._instance()
+        w, _ = weight_bounds_same_arm(e, 1.0, 1, 0.4)
+        A, b = g[None, :].copy(), np.array([1.0])
+        (A[:, 3] if entry == "coefficient" else b)[:] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            cssa_threshold_batch(v[:-1], w, w, (A, b), 0.2, [1.0])
 
     def test_increasing_probe_values_raise(self, monkeypatch):
         v, lo, hi, g, _ = self._instance()
-        con = BalanceConstraint(coefficients=g, rhs=1.0)
+        con = g[None, :], np.array([1.0])
         # tail fractions that grow with the position break the search
         monkeypatch.setattr(cssa, "_probe", lambda j, *args: (0.001 * j,
                                                               1.0))
         with pytest.raises(RuntimeError, match="probe"):
-            cssa_threshold(v, lo, hi, [con], 0.2)
+            cssa_threshold(v, lo, hi, con, 0.2)
 
 
 class TestThresholdBatch:
@@ -227,8 +259,6 @@ class TestThresholdBatch:
         lo_c, hi_c = weight_bounds_same_arm(e, 2.0, 1, 0.4)
         g = rng.uniform(0.25, 0.5, size=(n_rows, n))
         mid = g @ ((lo_c + hi_c) / 2)
-        cons = [BalanceConstraint(coefficients=gr, rhs=float(m))
-                for gr, m in zip(g, mid)]
         order = np.argsort(scores, kind="stable")
         if spread:
             # position j passes for sentinels h above (alpha * total - tail)
@@ -243,7 +273,8 @@ class TestThresholdBatch:
         else:
             e_t = rng.uniform(0.25, 0.5, size=8)
             _, hi_t = weight_bounds_same_arm(e_t, 2.0, 1, 0.4)
-        batch = cssa_threshold_batch(scores, lo_c, hi_c, cons, alpha, hi_t)
+        batch = cssa_threshold_batch(scores, lo_c, hi_c, (g, mid), alpha,
+                                     hi_t)
         v = np.append(scores[order], np.inf)
         answers = set()
         for jt, h in enumerate(hi_t):
@@ -264,7 +295,7 @@ class TestThresholdBatch:
         lo_c = rng.uniform(0.3, 0.6, size=15)
         hi_c = lo_c + 0.5
         h = rng.uniform(0.3, 1.0, size=4)
-        got = cssa_threshold_batch(scores, lo_c, hi_c, [], 0.2, h)
+        got = cssa_threshold_batch(scores, lo_c, hi_c, None, 0.2, h)
         order = np.argsort(scores)
         from confsens.csa import greedy_threshold_batch
         want = greedy_threshold_batch(scores[order], lo_c[order],
@@ -276,9 +307,9 @@ class TestThresholdBatch:
         scores = rng.normal(size=10)
         lo_c = rng.uniform(0.3, 0.6, size=10)
         hi_c = lo_c + 0.2
-        con = BalanceConstraint(coefficients=np.ones(10), rhs=1e6)
+        con = np.ones((1, 10)), np.array([1e6])
         with pytest.warns(UserWarning, match="infeasible"):
-            got = cssa_threshold_batch(scores, lo_c, hi_c, [con], 0.2,
+            got = cssa_threshold_batch(scores, lo_c, hi_c, con, 0.2,
                                        np.array([0.5, 0.8]))
         order = np.argsort(scores)
         from confsens.csa import greedy_threshold_batch
@@ -315,6 +346,25 @@ class TestInterval:
                                       p_t, x, t)
             assert sharp.upper - sharp.lower \
                 <= plain.upper - plain.lower + 1e-9
+
+    def test_one_target_row_only(self):
+        # a (1, p) row answers bit for bit as its (p,) row; a (2, p) block
+        # or a (p, 1) column is refused, not read as one row
+        x, t, y = _arm_instance()
+        idx1 = np.flatnonzero(t == 1)
+        fit_n = len(idx1) // 2
+        mu = fit_mean(x[idx1[:fit_n]], y[idx1[:fit_n]])
+        fit = (mu, fit_propensity(x, t), x[idx1[fit_n:]], y[idx1[fit_n:]])
+        spec = SensitivitySpec(gamma=2.0, alpha=0.2, t=1)
+        row = np.array([0.5, 0.5, 0.5])
+        for per_target in (
+                lambda x0: csa_interval(*fit, x0, spec, t.mean()),
+                lambda x0: cssa_interval(*fit, x0, spec, t.mean(), x, t)):
+            assert per_target(row[None, :]) == per_target(row)
+            for bad in (x[:2], x[:3, :1]):
+                with pytest.raises(ValueError, match="one target row.*"
+                                   + re.escape(str(bad.shape))):
+                    per_target(bad)
 
     def test_unknown_g_kind(self):
         x, t, y = _arm_instance(seed=1)

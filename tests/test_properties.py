@@ -35,7 +35,6 @@ from confsens.csa import (
     greedy_threshold_batch,
 )
 from confsens.cssa import (
-    BalanceConstraint,
     _probe,
     cssa_interval,
     cssa_threshold,
@@ -93,7 +92,7 @@ def csa_batch(scores, e_cal, e_target, spec, p_t):
     gamma box with no balance rows."""
     lo_c, hi_c = weight_bounds_same_arm(e_cal, spec.gamma, spec.t, p_t)
     _, hi_t = weight_bounds_same_arm(e_target, spec.gamma, spec.t, p_t)
-    return cssa_threshold_batch(scores, lo_c, hi_c, (), spec.alpha, hi_t)
+    return cssa_threshold_batch(scores, lo_c, hi_c, None, spec.alpha, hi_t)
 
 
 @st.composite
@@ -131,7 +130,7 @@ def test_gamma_one_is_unconfounded_baseline(inst):
         box = np.append(w, w_t)
         assert (csa_threshold(scores, e_cal, e_t, spec, p_t).threshold
                 == greedy_max_quantile(v, box, box, alpha).threshold
-                == cssa_threshold(v, box, box, [], alpha) == q)
+                == cssa_threshold(v, box, box, None, alpha) == q)
 
 
 @_settings
@@ -212,7 +211,8 @@ def test_cssa_never_exceeds_csa(inst, gamma, where):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an infeasible row falls back to CSA
         sharp = cssa_threshold_batch(scores, lo_c, hi_c,
-                                     [BalanceConstraint(g, rhs)], alpha, hi_t)
+                                     (g[None, :], np.array([rhs])), alpha,
+                                     hi_t)
     plain = csa_batch(scores, e_cal, e_target, spec, p_t)
     assert np.all(sharp <= plain)
 
