@@ -165,32 +165,31 @@ def build_parser():
     p.add_argument("--truth-out", default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("fit", help="fit predictors and report them")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    # the flags shared by subcommands, each declared once
+    io_flags = argparse.ArgumentParser(add_help=False)
+    io_flags.add_argument("--data", required=True)
+    io_flags.add_argument("--out", required=True)
+    target_flags = argparse.ArgumentParser(add_help=False)
+    target_flags.add_argument("--target", required=True)
+    target_flags.add_argument("--gamma", type=float, required=True)
+    target_flags.add_argument("--alpha", type=float, default=0.2)
+    target_flags.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("fit", help="fit predictors and report them",
+                       parents=[io_flags])
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("interval", help="worst-case intervals for Y(t)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p = sub.add_parser("interval", help="worst-case intervals for Y(t)",
+                       parents=[io_flags, target_flags])
     p.add_argument("--t", type=int, default=1, choices=(0, 1))
     p.add_argument("--method", default="csa", choices=("csa", "cssa"))
     p.add_argument("--score", default="mean", choices=("mean", "cqr"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_interval)
 
-    p = sub.add_parser("ite", help="treatment-effect intervals")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p = sub.add_parser("ite", help="treatment-effect intervals",
+                       parents=[io_flags, target_flags])
     p.add_argument("--method", default="nested",
                    choices=("nested", "bonferroni"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ite)
 
     # an absent flag is absent from `args`; each dest names a config field
@@ -206,13 +205,11 @@ def build_parser():
     p.add_argument("--heteroscedastic", action="store_true")
     p.add_argument("--two-arm", action="store_true")
     p.add_argument("--seed", type=int, dest="base_seed")
-    p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--out-dir", dest="output_dir")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("calibrate", help="confounding-strength table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("calibrate", help="confounding-strength table",
+                       parents=[io_flags])
     p.set_defaults(func=_cmd_calibrate)
     return parser
 

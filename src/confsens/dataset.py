@@ -5,14 +5,15 @@ rows.  Treatments must be literal 0/1 and all numbers finite; missing values
 are rejected rather than imputed.  This module is the package's one CSV
 reader and writer: every file is UTF-8 with one header row.  The `csv`
 module reads the header and numpy's C parser the data rows, quoted cells
-and LF, CRLF or CR line ends included; a file that parser cannot read,
-or whose values fail a check, is read again row by row with the `csv`
-module, which names the first offending row.
+and LF, CRLF or CR line ends included; rows that parser cannot read, or
+whose values fail a check, are read again row by row with the `csv`
+module, which names the first offending row.  Each file is opened once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +42,10 @@ class ObservationalDataset:
     names: tuple | None = None
 
     def __post_init__(self):
-        covariates = np.atleast_2d(np.array(self.covariates, dtype=float))
+        covariates = np.array(self.covariates, dtype=float)
+        if covariates.ndim != 2:
+            raise ValueError(f"covariates of shape {covariates.shape}: need "
+                             "a 2-D (units, covariates) array")
         treatment = np.asarray(self.treatment, dtype=float)
         outcome = np.array(self.outcome, dtype=float)
         n, p = covariates.shape
@@ -86,26 +90,6 @@ class ObservationalDataset:
         return f"ObservationalDataset(n={self.n}, p={self.covariate_dim})"
 
 
-def _read_rows(path):
-    """Header and non-blank data rows of a UTF-8, header-row CSV, as
-    strings, in one `csv.reader` pass; a repeated column name, or text the
-    reader cannot parse, is refused."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise ValueError(f"unreadable CSV at line {reader.line_num}: "
-                             f"{exc}") from None
-    if header is None:
-        raise ValueError("empty file: no header row")
-    if len(set(header)) < len(header):
-        name = next(c for i, c in enumerate(header) if c in header[:i])
-        raise ValueError(f"repeated column name {name!r} in the header")
-    return header, rows
-
-
 def _valid(values, width, binary):
     """Whether the rows of `values` have `width` cells and finite values,
     and column `binary` (an index, or None) only 0 or 1."""
@@ -114,7 +98,7 @@ def _valid(values, width, binary):
 
 
 def _float_rows(header, rows, binary):
-    """`_read_rows` output as one (rows, columns) float array, converted
+    """Non-blank `csv` rows as one (rows, columns) float array, converted
     row by row.  Every row must have the header's cell count and finite
     values, and column `binary` (an index, or None) only 0 or 1; the first
     offending 1-based data row is named."""
@@ -138,48 +122,62 @@ def _float_rows(header, rows, binary):
     return np.array(parsed)
 
 
-def _parse(path):
-    """The header and the data rows as one float array, the rows through
-    numpy's C parser, which reads quoted cells as `csv` does; None where
-    that parser fails or warns, where the header is missing or repeats a
-    name, or where a line could hold a field over the `csv` module's size
-    limit: one that long, or one with an odd number of quotes, which may
-    open a cell that spans lines.  The rows are split at LF, or at CR in a
-    file with no LF; an unquoted CR left inside a line fails the parser."""
+def _parse(text):
+    """The data rows after the header as one float array, through numpy's
+    C parser, which reads quoted cells as `csv` does; None where that
+    parser fails or warns, or where a line could hold a field over the
+    `csv` module's size limit: one that long, or one with an odd number of
+    quotes, which may open a cell that spans lines.  The rows are split at
+    LF, or at CR in a text with no LF; an unquoted CR left inside a line
+    fails the parser."""
+    lines = text.split("\n" if "\n" in text else "\r")
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or '"' in text and any(s.count('"') % 2 for s in lines)):
+        return None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            text = fh.read()
-        lines = text.split("\n" if "\n" in text else "\r")
-        if (header is None or len(set(header)) < len(header)
-                or max(map(len, lines)) > csv.field_size_limit()
-                or '"' in text and any(s.count('"') % 2 for s in lines)):
-            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
-            return header, np.loadtxt(lines, delimiter=",", ndmin=2,
-                                      comments=None, quotechar='"')
-    except (ValueError, Warning, csv.Error):
+            return np.loadtxt(lines, delimiter=",", ndmin=2,
+                              comments=None, quotechar='"')
+    except (ValueError, Warning):
         return None
 
 
 def _read(path, columns):
     """The header and the (rows, columns) float values of a UTF-8,
-    header-row CSV.  `columns(header)` checks the header and returns the
-    index of the column that may hold only 0 or 1, or None.  `_parse`
+    header-row CSV, opened once.  The `csv` module reads the header, which
+    must name each column once; `columns(header)` checks it and returns
+    the index of the column that may hold only 0 or 1, or None.  `_parse`
     reads the rows of a well-formed file at once; where it fails (a bad
     row, mixed line ends, a quoted cell spanning lines, or a float
     spelling numpy refuses such as `1_0`), or a row has the wrong cell
-    count, a non-finite or a non-binary value, the `csv.reader` pass of
-    `_read_rows` and `_float_rows` reads the file again: it returns the
-    values, or raises naming what it finds."""
-    parsed = _parse(path)
-    if parsed is not None:
-        header, values = parsed
-        if _valid(values, len(header), columns(header)):
-            return header, values
-    header, rows = _read_rows(path)
-    return header, _float_rows(header, rows, columns(header))
+    count, a non-finite or a non-binary value, a `csv.reader` over the
+    same text and `_float_rows` read it row by row: they return the
+    values, or raise naming what they find."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"unreadable CSV at line {reader.line_num}: "
+                             f"{exc}") from None
+        text = fh.read()
+    if header is None:
+        raise ValueError("empty file: no header row")
+    if len(set(header)) < len(header):
+        name = next(c for i, c in enumerate(header) if c in header[:i])
+        raise ValueError(f"repeated column name {name!r} in the header")
+    binary = columns(header)
+    values = _parse(text)
+    if values is not None and _valid(values, len(header), binary):
+        return header, values
+    body = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in body if row]
+    except csv.Error as exc:
+        raise ValueError(f"unreadable CSV at line "
+                         f"{reader.line_num + body.line_num}: {exc}") from None
+    return header, _float_rows(header, rows, binary)
 
 
 def _dataset_columns(header):

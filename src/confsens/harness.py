@@ -38,8 +38,6 @@ __all__ = [
 
 METHODS = ("csa-m", "csa-q", "cssa-m", "ite-nuc", "bonferroni", "nested")
 
-_PAPER_SIZES = (3000, 10000, 100)
-
 # (solver, score) of each per-arm method; bonferroni spends alpha / 2 per arm
 _ARM_METHODS = {"csa-m": ("csa", "mean"), "csa-q": ("csa", "cqr"),
                 "cssa-m": ("cssa", "mean"), "ite-nuc": ("nuc", "mean"),
@@ -50,7 +48,7 @@ _ARM_METHODS = {"csa-m": ("csa", "mean"), "csa-q": ("csa", "cqr"),
 _FIELD_TYPES = {"methods": (list, tuple), "gammas": (list, tuple),
                 "alpha": Real, "n_train": Integral, "n_target": Integral,
                 "n_trials": Integral, "heteroscedastic": bool,
-                "two_arm": bool, "base_seed": Integral, "paper_scale": bool,
+                "two_arm": bool, "base_seed": Integral,
                 "output_dir": (str, type(None))}
 
 
@@ -74,7 +72,6 @@ class ExperimentConfig:
     heteroscedastic: bool = False
     two_arm: bool = False
     base_seed: int = 0
-    paper_scale: bool = False
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -92,19 +89,12 @@ class ExperimentConfig:
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"repeated method or gamma: {v!r}")
-        for name, n in zip(("n_train", "n_target", "n_trials"), self.sizes):
-            if n < 1:
+        for name in ("n_train", "n_target", "n_trials"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         check_alpha(self.alpha)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-
-    @property
-    def sizes(self):
-        """(n_train, n_target, n_trials) after the paper-scale override."""
-        if self.paper_scale:
-            return _PAPER_SIZES
-        return (self.n_train, self.n_target, self.n_trials)
 
 
 @dataclass(frozen=True)
@@ -140,17 +130,16 @@ class _TrialState:
     """Everything fit once per trial and shared across gammas/methods."""
 
     def __init__(self, cfg: ExperimentConfig, trial: int):
-        n_train, n_target, _ = cfg.sizes
         self.seed = cfg.base_seed + trial
         ss = np.random.SeedSequence(self.seed)
         s_train, s_target, s_truth, s_nested = ss.spawn(4)
         dgp = SyntheticDGP(heteroscedastic=cfg.heteroscedastic,
                            two_arm=cfg.two_arm)
         self.dgp = dgp
-        self.train, _ = generate(dgp, n_train,
+        self.train, _ = generate(dgp, cfg.n_train,
                                  seed=np.random.default_rng(s_train))
         target_ds, self.truth = generate(
-            dgp, n_target, seed=np.random.default_rng(s_target))
+            dgp, cfg.n_target, seed=np.random.default_rng(s_target))
         self.x_target = target_ds.covariates
         self.truth_rng = np.random.default_rng(s_truth)
         self.nested_seed = s_nested
@@ -191,7 +180,6 @@ def _ite_interval(state: _TrialState, gamma, alpha, method):
 def run_trial(cfg: ExperimentConfig, trial: int, keep_targets=False):
     """All (method, gamma) records for one trial; models are fit once."""
     state = _TrialState(cfg, trial)
-    n_target = state.x_target.shape[0]
     records = []
     for gamma in cfg.gammas:
         tau = state.draw_tau(gamma)
@@ -201,7 +189,7 @@ def run_trial(cfg: ExperimentConfig, trial: int, keep_targets=False):
             records.append(TrialRecord(
                 method=method, gamma=gamma, trial=trial, seed=state.seed,
                 coverage=cov, mean_width=width, n_unbounded=n_unb,
-                n_target=n_target,
+                n_target=cfg.n_target,
                 lower=lower if keep_targets else None,
                 upper=upper if keep_targets else None,
                 tau=tau if keep_targets else None))
@@ -210,9 +198,8 @@ def run_trial(cfg: ExperimentConfig, trial: int, keep_targets=False):
 
 def run_sweep(cfg: ExperimentConfig, keep_targets=False):
     """Run all trials; optionally write tidy CSV + manifest outputs."""
-    _, _, n_trials = cfg.sizes
     records = []
-    for trial in range(n_trials):
+    for trial in range(cfg.n_trials):
         records.extend(run_trial(cfg, trial, keep_targets=keep_targets))
     summary = summarize(records)
     if cfg.output_dir is not None:
@@ -256,9 +243,7 @@ def write_outputs(cfg: ExperimentConfig, records, summary):
               ([row[k] for k in header] for row in summary))
     manifest = {
         "config": asdict(cfg),
-        "resolved_sizes": dict(zip(("n_train", "n_target", "n_trials"),
-                                   cfg.sizes)),
-        "seeds": [cfg.base_seed + i for i in range(cfg.sizes[2])],
+        "seeds": [cfg.base_seed + i for i in range(cfg.n_trials)],
         "versions": {
             "confsens": __version__,
             "numpy": np.__version__,

@@ -197,8 +197,7 @@ class NeighborSearch:
 def _empirical_quantile(sorted_vals, tau):
     # inf{y: F_hat(y) >= tau} over k points: order statistic ceil(tau*k)
     k = sorted_vals.shape[-1]
-    j = int(np.ceil(tau * k)) - 1
-    return sorted_vals[..., max(j, 0)]
+    return sorted_vals[..., int(np.ceil(tau * k)) - 1]
 
 
 class _KNN:
@@ -289,13 +288,13 @@ def _standardize(train_x, train_t):
     return z, t, mean, sd
 
 
-def _logistic(z, beta, intercept, out=None, clip=False):
-    """1 / (1 + exp(-(z @ beta + intercept))) into `out`, maybe clipped."""
-    e = np.matmul(z, beta, out=out)
+def _logistic(z, beta, intercept):
+    """1 / (1 + exp(-(z @ beta + intercept))), clipped to [CLIP, 1 - CLIP]."""
+    e = z @ beta
     e += intercept
     np.exp(np.negative(e, out=e), out=e)
     np.divide(1.0, np.add(e, 1.0, out=e), out=e)
-    return np.clip(e, CLIP, 1.0 - CLIP, out=e) if clip else e
+    return np.clip(e, CLIP, 1.0 - CLIP, out=e)
 
 
 def _ascend(z, t, mask=None):
@@ -344,7 +343,7 @@ class LogisticPropensity:
     def predict(self, x):
         x = _covariates(x, self.mean_.shape[0])
         return _logistic((x - self.mean_) / self.sd_, self.beta_,
-                         self.intercept_, clip=True)
+                         self.intercept_)
 
 
 def drop_one_propensities(train_x, train_t):
@@ -353,7 +352,7 @@ def drop_one_propensities(train_x, train_t):
     masked ascent runs the p + 1 fits, with `LogisticPropensity`'s checks."""
     z, t, _, _ = _standardize(train_x, train_t)
     p = z.shape[1]
-    return _logistic(z, *_ascend(z, t, 1.0 - np.eye(p, p + 1)), clip=True)
+    return _logistic(z, *_ascend(z, t, 1.0 - np.eye(p, p + 1)))
 
 
 def metric_weights(scale, train_x, train_y):

@@ -292,7 +292,7 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "ite-nuc" in text and "coverage=" in text
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["resolved_sizes"]["n_trials"] == 1  # flag wins
+        assert manifest["config"]["n_trials"] == 1  # flag wins
 
     @pytest.mark.parametrize("config, text", [
         ({"foo": 1}, "foo"),
@@ -367,6 +367,28 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "run")]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "interval", "ite",
+                                     "sweep", "calibrate"])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: confsens {command}")
+
+
+def test_shared_flags_declared_once():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+    for flags, commands in ((("--data", "--out"),
+                             ("fit", "interval", "ite", "calibrate")),
+                            (("--target", "--gamma", "--alpha", "--seed"),
+                             ("interval", "ite"))):
+        for flag in flags:
+            actions = {id(sub[c]._option_string_actions[flag])
+                       for c in commands}
+            assert len(actions) == 1, flag
 
 
 class TestCalibrate:

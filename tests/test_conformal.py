@@ -4,6 +4,7 @@ import pytest
 from confsens.conformal import (
     WeightedDiscreteDist,
     score_abs_residual,
+    scores_and_band,
     score_cqr,
     wcp_threshold_nuc_batch,
     weighted_quantile,
@@ -150,3 +151,12 @@ class TestWeightedDiscreteDist:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 WeightedDiscreteDist([1.0, 2.0], [1.0, bad])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            WeightedDiscreteDist([1.0, 2.0], [1.0])
+
+
+def test_scores_and_band_refuses_unknown_score():
+    with pytest.raises(ValueError, match="unknown score kind 'median'"):
+        scores_and_band("median", _Const(0.0), [[0.0]], [1.0], [[0.0]])

@@ -90,6 +90,11 @@ class TestGreedy:
             greedy_max_quantile(np.array([1.0, 2.0]), np.ones(2),
                                 np.ones(2), 0.2)
 
+    def test_needs_sorted_scores(self):
+        with pytest.raises(ValueError, match="sorted ascending"):
+            greedy_max_quantile(np.array([2.0, 1.0, np.inf]), np.ones(3),
+                                np.ones(3), 0.2)
+
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(0)
         for _ in range(300):

@@ -75,6 +75,24 @@ class TestBalanceConstraints:
 
 
 class TestSolveFractional:
+    @pytest.mark.parametrize("tail_index, lo, hi, match", [
+        (0, [0.5, 2.0], [1.0, 1.0], "lo <= hi"),
+        (0, [0.5, 0.5], [1.0], "lo <= hi"),
+        (2, [0.5, 0.5], [1.0, 1.0], "tail_index out of range"),
+        (-1, [0.5, 0.5], [1.0, 1.0], "tail_index out of range"),
+    ])
+    def test_program_refused(self, tail_index, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            FractionalProgram(tail_index=tail_index, lo=np.array(lo),
+                              hi=np.array(hi))
+
+    def test_constraint_width_refused(self):
+        fp = FractionalProgram(tail_index=0, lo=np.array([0.5, 0.5]),
+                               hi=np.array([1.0, 2.0]),
+                               A_eq=np.ones((1, 3)), b_eq=np.ones(1))
+        with pytest.raises(ValueError, match="number of variables"):
+            solve_fractional(fp)
+
     def test_whole_range_tail_is_one(self):
         fp = FractionalProgram(tail_index=0, lo=np.array([0.5, 0.5]),
                                hi=np.array([1.0, 2.0]))
@@ -201,6 +219,11 @@ class TestThreshold:
             got = cssa_threshold(v, lo, hi, (g[None, :], np.array([1e6])),
                                  0.2)
         assert got == greedy_max_quantile(v, lo, hi, 0.2).threshold
+
+    def test_needs_sentinel(self):
+        v, lo, hi, _, _ = self._instance()
+        with pytest.raises(ValueError, match="sentinel"):
+            cssa_threshold(v[:-1], lo[:-1], hi[:-1], None, 0.2)
 
     def test_misaligned_constraint_error(self):
         v, lo, hi, g, _ = self._instance()

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +57,27 @@ class TestObservationalDataset:
         # equality and hashing stay by identity
         assert ds == ds and ds != ObservationalDataset(x, t, y)
         assert hash(ds) == object.__hash__(ds)
+
+    @pytest.mark.parametrize("x, t", [
+        (np.array([0.1, 0.2, 0.3]), [1]),  # used to be 1 unit, 3 covariates
+        (np.array([0.1, 0.2, 0.3]), [1, 0, 1]),  # "lengths disagree"
+        (np.zeros((3, 1, 1)), [1, 0, 1]),  # "too many values to unpack"
+    ])
+    def test_rejects_covariates_not_2d(self, x, t):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"covariates of shape {x.shape}")):
+            ObservationalDataset(x, t, np.zeros(len(t)))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="lengths disagree"):
+            ObservationalDataset(np.zeros((3, 2)), [1, 0], np.zeros(3))
+        with pytest.raises(ValueError, match="lengths disagree"):
+            ObservationalDataset(np.zeros((3, 2)), [1, 0, 1], np.zeros(4))
+
+    def test_rejects_name_count(self):
+        with pytest.raises(ValueError, match="name count"):
+            ObservationalDataset(np.zeros((3, 2)), [1, 0, 1], np.zeros(3),
+                                 names=["a"])
 
     def test_subset_preserves_order(self):
         ds = make_ds()
@@ -128,6 +151,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="non-binary"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("reader", _READERS)
+    def test_empty_file_refused(self, reader, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file: no header row"):
+            reader(path)
+
     def test_empty_data_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x1,t,y\n")
@@ -162,6 +192,27 @@ class TestCsvRoundTrip:
                             raising=False)
         assert ingest_covariates(path, ["a", "b"]).tolist() == [[0.5, 2.0]]
         assert reads == [path]
+
+    @pytest.mark.parametrize("text, fallback", [
+        ("x1,t,y\n0.5,1,2.0\n0.25,0,1.0\n", 0),
+        ("x1,t,y\n0.5,1,2.0\r0.25,0,1.0\r\n", 1),  # mixed line ends
+    ])
+    @pytest.mark.parametrize("reader", _READERS)
+    def test_file_opened_once(self, reader, text, fallback, tmp_path,
+                              monkeypatch):
+        # the row-by-row pass reads the text already read, not the file
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        reads = []
+        monkeypatch.setattr(dataset, "open", lambda p, *args, **kwargs:
+                            reads.append(p) or open(p, *args, **kwargs),
+                            raising=False)
+        with mock.patch.object(dataset, "_float_rows",
+                               wraps=dataset._float_rows) as slow:
+            got = reader(path)
+        assert reads == [path] and slow.call_count == fallback
+        x = got.covariates if isinstance(got, ObservationalDataset) else got
+        assert x.tolist() == [[0.5], [0.25]]
 
     @pytest.mark.parametrize("reader", _READERS)
     def test_unparsable_csv_refused(self, reader, tmp_path):

@@ -47,13 +47,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="empty"):
             ExperimentConfig(gammas=())
 
-    def test_paper_scale_override(self):
-        cfg = ExperimentConfig(n_train=10, n_target=10, n_trials=1,
-                               paper_scale=True)
-        assert cfg.sizes == (3000, 10000, 100)
-        cfg = ExperimentConfig(n_train=10, n_target=11, n_trials=2)
-        assert cfg.sizes == (10, 11, 2)
-
 
 def _tiny_cfg(**kw):
     base = dict(methods=("csa-m", "ite-nuc"), gammas=(1.0, 2.0),
@@ -104,7 +97,8 @@ class TestSweep:
         assert (out / "records.csv").exists()
         assert (out / "summary.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["resolved_sizes"] == {
+        assert {k: manifest["config"][k]
+                for k in ("n_train", "n_target", "n_trials")} == {
             "n_train": 300, "n_target": 80, "n_trials": 2}
         assert manifest["seeds"] == [0, 1]
         assert "numpy" in manifest["versions"]

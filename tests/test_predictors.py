@@ -22,6 +22,7 @@ from confsens.predictors import (
     fit_propensity,
     fit_quantile,
     marginal_treatment_prob,
+    metric_weights,
     relevance_weights,
 )
 
@@ -435,6 +436,12 @@ class TestLogisticPropensity:
         a = fit_propensity(x, t).predict(x)
         b = fit_propensity(x, t).predict(x)
         assert np.array_equal(a, b)
+
+
+def test_metric_weights_refuses_unknown_scaling():
+    x = np.random.default_rng(9).uniform(size=(10, 2))
+    with pytest.raises(ValueError, match="unknown metric scaling 'l1'"):
+        metric_weights("l1", x, x[:, 0])
 
 
 class TestRelevanceWeights:

@@ -3,7 +3,7 @@ thresholds against the weighted-quantile reference, of the CSSA probe
 against the fractional program solved as one LP, of interval widths in
 gamma, of the batch interval route against the per-target API (with the
 quantile model at each call's alpha), of the shared nested fold against a
-fresh nested fit, of the batched leave-one-covariate-out propensity fits
+fresh nested fit and of its endpoints never crossing, of the batched leave-one-covariate-out propensity fits
 against separate fits, of the propensity ascent against a copy of its
 former arithmetic, and of the C-parsed CSV readers against the row-by-row
 pass, over generated inputs.
@@ -395,6 +395,24 @@ def test_nested_fold_equals_fresh_fit(seed, n, p, two_arm, gammas, alpha):
             assert a.tobytes() == b.tobytes()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(60, 300),
+       p=st.integers(3, 5), two_arm=st.booleans(),
+       alpha=st.sampled_from([0.1, 0.2, 0.3]))
+# at gamma 2, 48 of its 75 val intervals are unbounded
+@example(seed=0, n=150, p=3, two_arm=True, alpha=0.1)
+def test_nested_endpoints_never_cross(seed, n, p, two_arm, alpha):
+    # GAMMAS run from no val interval unbounded to every one unbounded
+    dgp = SyntheticDGP(covariate_dim=p, two_arm=two_arm)
+    ds, _ = generate(dgp, n, seed=seed)
+    fold = NestedFold(ds, seed)
+    x = np.vstack([generate(dgp, 20, seed=seed + 1)[0].covariates,
+                   fold.val_x])
+    for gamma in GAMMAS:
+        model = fold.model(gamma, alpha)
+        assert np.all(model.lo_model.predict(x) <= model.hi_model.predict(x))
+
+
 def _calibrate_by_loop(ds):
     """`calibrate_gamma` as p + 1 separate fits on column-subset copies:
     the reference for the batched fit."""
@@ -588,7 +606,7 @@ def test_csv_reader_matches_row_by_row(text_covariates):
                 warnings.simplefilter("always")
                 fast = _read_outcome(read, path)
             assert not caught
-            with mock.patch.object(dataset, "_parse", lambda path: None):
+            with mock.patch.object(dataset, "_parse", lambda text: None):
                 assert fast == _read_outcome(read, path)
 
 
@@ -596,8 +614,8 @@ def test_csv_reader_matches_row_by_row(text_covariates):
 def test_well_formed_csv_takes_the_c_parser(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(dataset, "_read_rows",
-                           wraps=dataset._read_rows) as slow:
+    with mock.patch.object(dataset, "_float_rows",
+                           wraps=dataset._float_rows) as slow:
         ds = ingest_csv(path)
         x = ingest_covariates(path, ["x1"])
     assert slow.call_count == 0
