@@ -103,14 +103,20 @@ def _flip_index(lo_c, hi_c, hi_target, alpha):
     is nondecreasing in j (rounding is monotone), so the largest such j is
     one `searchsorted` away; 0 when there is none.  a = alpha + _NORM_TOL
     decides exact ties the way `weighted_quantile` does.  A point box
-    (lo_c = hi_c) gives the plain weighted quantile.
+    (lo_c = hi_c) gives the plain weighted quantile.  (G, n) bounds with
+    (G, m) sentinel masses give one row of stops per gamma.
     """
     a = alpha + _NORM_TOL
-    pre_lo = np.concatenate([[0.0], np.cumsum(lo_c)])
-    suf_hi = np.concatenate([np.cumsum(hi_c[::-1])[::-1], [0.0]])
+    zero = np.zeros(np.shape(lo_c)[:-1] + (1,))
+    pre_lo = np.concatenate([zero, np.cumsum(lo_c, axis=-1)], axis=-1)
+    suf_hi = np.concatenate(
+        [np.cumsum(hi_c[..., ::-1], axis=-1)[..., ::-1], zero], axis=-1)
     key = a * pre_lo - (1.0 - a) * suf_hi
-    j = np.searchsorted(key, (1.0 - a) * np.asarray(hi_target), side="left")
-    return np.maximum(j - 1, 0)
+    need = (1.0 - a) * np.asarray(hi_target)
+    keys = np.atleast_2d(key)
+    j = np.array([np.searchsorted(k, v, side="left") for k, v in
+                  zip(keys, need.reshape(keys.shape[0], -1))])
+    return np.maximum(j.reshape(need.shape) - 1, 0)
 
 
 def wcp_threshold_nuc_batch(scores, e_cal, e_target, t, p_t, alpha):

@@ -7,8 +7,11 @@ normalized tail mass exceeds the level.  By Dinkelbach's lemma that test
 needs only the weights maximizing tail - level * total, which do not
 depend on the target's sentinel mass: one target-free probe per position,
 shared by every target of a batch, which bisect their positions in
-lockstep.  With a single positive balance constraint a probe is one
-greedy pass; any other set is one LP.  `solve_fractional` solves the
+lockstep.  Gamma is a batch axis too: a grid of gammas gives one weight
+box per gamma, every (gamma, target) pair bisects in the same lockstep,
+and one round's probes are one array pass.  With a single positive
+balance constraint that pass is a vectorized greedy over the probe rows;
+any other set is one LP per probe.  `solve_fractional` solves the
 fractional program itself as one LP through the Charnes-Cooper change of
 variables.
 """
@@ -115,72 +118,105 @@ def solve_fractional(fp: FractionalProgram) -> FractionalResult:
                             weights=res.x[:n] / res.x[n])
 
 
-def _probe(j, lo, hi, A, b, level, slack_rel):
-    """(tail, total) = (c @ w, w.sum()) for the weights w that maximize
-    c @ w - level * w.sum() over the calibration box and the balance rows
+def _probe(j, lo, hi, A, b, level, slack_rel, perm=None):
+    """(tail, total), the weight at positions >= j and the total weight,
+    per probe row, for the weights w that maximize c @ w - level * w.sum()
+    over the row's box lo <= w <= hi and the balance rows
     |A w - b| <= slack_rel * |b|, with c the indicator of the 1-based
-    positions >= j; None when the rows are infeasible.
+    positions >= j; NaN where the balance rows are infeasible.  `j` holds
+    P positions and `lo`/`hi` are (P, n).
 
     By Dinkelbach's lemma, for any sentinel mass h > 0 some w in the set
     has (c @ w + h) / (w.sum() + h) > level exactly when this w does, and
     w does not depend on h: one probe serves every target of a batch.
 
-    A single all-positive row is solved by one greedy pass.  The box
-    optimum puts the tail at `hi` and the rest at `lo`; if the row cuts
-    that corner off, Dantzig's knapsack repair lowers the tail weights (or
-    raises the rest) by (1 - level)/a (or level/a) per unit of the row,
-    i.e. in decreasing a whatever the level, and at most one weight ends
-    fractional.  A row below the corner is the mirror image on -w
-    (negation is exact).  Any other row set is one LP.
+    A single all-positive row is solved by one greedy pass over all P
+    rows at once.  The box optimum puts the tail at `hi` and the rest at
+    `lo`; if the row cuts that corner off, Dantzig's knapsack repair
+    lowers the tail weights (or raises the rest) by (1 - level)/a (or
+    level/a) per unit of the row, i.e. in decreasing a whatever the level
+    (`perm`, the stable argsort of -a, which a caller may compute once),
+    and at most one weight ends fractional.  A row below the corner is
+    the mirror image on -w (negation is exact).  The repair's running
+    row value is one subtract-accumulate per row over all positions in
+    that order, the positions that do not move subtracting an exact 0.
+    Row-wise sums equal the 1-D sum bit for bit, so a pass gives each row
+    what a pass of one row gives it.  Any other row set is one LP per row.
     """
-    c = np.zeros(lo.shape[0])
-    c[j - 1:] = 1.0
+    j = np.asarray(j)
+    n = lo.shape[1]
+    tail = np.arange(n) >= j[:, None] - 1
     if A.shape[0] != 1 or not np.all(A[0] > 0.0):
         delta = slack_rel * np.abs(b)
-        res = solve_lp(c - level, A_ub=np.vstack([A, -A]),
-                       b_ub=np.concatenate([b + delta, delta - b]),
-                       bounds=np.column_stack([lo, hi]), maximize=True)
-        if not res.optimal:
-            return None
-        return float(c @ res.x), float(res.x.sum())
+        out = np.full((2, j.size), np.nan)
+        for r, c in enumerate(tail.astype(float)):
+            res = solve_lp(c - level, A_ub=np.vstack([A, -A]),
+                           b_ub=np.concatenate([b + delta, delta - b]),
+                           bounds=np.column_stack([lo[r], hi[r]]),
+                           maximize=True)
+            if res.optimal:
+                out[:, r] = c @ res.x, res.x.sum()
+        return out
     a, b = A[0], b[0]
-    tail = c > 0.0
+    if perm is None:
+        perm = np.argsort(-a, kind="stable")
     w = np.where(tail, hi, lo)
     lower, upper = b - slack_rel * abs(b), b + slack_rel * abs(b)
-    total = float(a @ w)
-    if not lower - 1e-12 <= total <= upper + 1e-12:
-        # row above the corner: lower the tail weights; below: raise the rest
-        s, bound, move = ((1.0, upper, tail) if total > upper
-                          else (-1.0, -lower, ~tail))
-        v, floor = s * w, s * np.where(tail, lo, hi)
-        order = np.flatnonzero(move)[np.argsort(-a[move], kind="stable")]
-        run = np.subtract.accumulate(
-            np.append(s * total, a[order] * (v[order] - floor[order])))
-        short = np.flatnonzero(run[1:] < bound)
-        if short.size == 0 and run[-1] > bound + 1e-12:
-            return None
-        k = short[0] if short.size else order.size
-        v[order[:k]] = floor[order[:k]]
-        if short.size:
-            v[order[k]] -= (run[k] - bound) / a[order[k]]
-        w = s * v
-    return float(c @ w), float(w.sum())
+    total = (a * w).sum(axis=1)
+    infeasible = []
+    fix = np.flatnonzero((total < lower - 1e-12) | (total > upper + 1e-12))
+    if fix.size:
+        # row above the corner: lower the tail weights; below: raise the
+        # rest.  Columns from here on run in decreasing a (`perm`).
+        above = total[fix] > upper
+        s = np.where(above, 1.0, -1.0)[:, None]
+        bound = np.where(above, upper, -lower)[:, None]
+        tail_p = perm >= j[fix, None] - 1
+        floor, hi_p = lo[fix][:, perm], hi[fix][:, perm]
+        v = np.where(tail_p, hi_p, floor)
+        v *= s
+        np.copyto(floor, hi_p, where=~tail_p)
+        floor *= s
+        del hi_p  # freed before the running sums are allocated
+        move = tail_p == above[:, None]
+        a_p = a[perm]
+        run = np.empty((fix.size, n + 1))
+        run[:, :1] = s * total[fix, None]
+        np.subtract(v, floor, out=run[:, 1:])
+        run[:, 1:] *= a_p
+        run[:, 1:][~move] = 0.0
+        np.subtract.accumulate(run, axis=1, out=run)
+        short = run[:, 1:] < bound
+        k = short.argmax(axis=1)
+        cut = short[np.arange(fix.size), k]
+        k[~cut] = n
+        infeasible = fix[~cut & (run[:, -1] > bound[:, 0] + 1e-12)]
+        done = move & (np.arange(n) < k[:, None])
+        v[done] = floor[done]
+        r = np.flatnonzero(cut)
+        v[r, k[r]] -= (run[r, k[r]] - bound[r, 0]) / a_p[k[r]]
+        w[fix[:, None], perm] = s * v
+    out = np.stack([np.where(tail, w, 0.0).sum(axis=1), w.sum(axis=1)])
+    out[:, infeasible] = np.nan
+    return out
 
 
 def _sorted_box(scores, lo_c, hi_c, alpha):
     """The checks every threshold shares, then the stable sort: the
     calibration order, the sorted scores with the +inf sentinel appended,
-    and the sorted weight bounds."""
+    and the sorted weight bounds, (n,) or one (G, n) row per gamma."""
     scores = np.asarray(scores, dtype=float)
     lo_c = np.asarray(lo_c, dtype=float)
     hi_c = np.asarray(hi_c, dtype=float)
     if scores.size == 0:
         raise ValueError("empty calibration set")
-    if lo_c.shape != scores.shape or hi_c.shape != scores.shape:
+    if (scores.ndim != 1 or lo_c.ndim > 2 or hi_c.shape != lo_c.shape
+            or lo_c.shape[-1:] != scores.shape):
         raise ValueError("bounds are misaligned with scores")
     check_alpha(alpha)
     order = np.argsort(scores, kind="stable")
-    return order, np.append(scores[order], np.inf), lo_c[order], hi_c[order]
+    return (order, np.append(scores[order], np.inf), lo_c[..., order],
+            hi_c[..., order])
 
 
 def cssa_threshold(scores, lo, hi, constraints, alpha) -> float:
@@ -201,33 +237,45 @@ def cssa_threshold(scores, lo, hi, constraints, alpha) -> float:
                                       hi[-1:])[0])
 
 
+# probe rows per greedy pass: a pass holds a few (64, n) float arrays
+_PASS_ROWS = 64
+
+
 def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
     """Constrained thresholds for many targets over one calibration set:
     the one threshold routine, which every other threshold calls.
 
-    `scores`/`lo_c`/`hi_c` cover the n calibration units (unsorted);
+    `scores` covers the n calibration units (unsorted); `lo_c`/`hi_c` are
+    their (n,) weight bounds, or (G, n) with one row per gamma of a grid;
     `constraints` is None or the balance rows A w = b as one (A, b) pair,
     A of shape (rows, n) over the same units; `hi_target` gives each
-    target's sentinel upper bound h.  A target's threshold sits at the
-    largest 1-based position j, never above its unconstrained greedy
-    flip, whose maximal tail fraction (tail + h) / (total + h) exceeds
-    the level; position 1 always does.  The probe at j does not depend on
-    the target (`_probe`), so all targets bisect [1, flip] in lockstep and
-    each distinct midpoint is probed once per batch.  Raises ValueError on
-    an empty calibration set, misaligned bounds or rows, non-finite row
-    entries or an alpha outside (0, 1), and RuntimeError when the probed
-    tail - level * total, which cannot grow with j, does.
+    target's sentinel upper bound h, (m,) or (G, m).  The thresholds have
+    the shape of `hi_target`.  A target's threshold sits at the largest
+    1-based position j, never above its unconstrained greedy flip, whose
+    maximal tail fraction (tail + h) / (total + h) exceeds the level;
+    position 1 always does.  The probe at j does not depend on the target
+    (`_probe`), so every (gamma, target) pair bisects [1, flip] in
+    lockstep, and each round probes its distinct (gamma, position) pairs
+    once, in passes of at most `_PASS_ROWS` rows.  Raises ValueError on an
+    empty calibration set, misaligned bounds or rows, non-finite row
+    entries or an alpha outside (0, 1), and RuntimeError when a gamma's
+    probed tail - level * total, which cannot grow with j, does.
 
-    When every weight box is a point (gamma = 1) or there are no
-    constraints, the greedy thresholds are returned; if a probe finds the
-    constraints infeasible, they are returned with a warning.  Such a
-    fallback breaks monotonicity in gamma: the CSA thresholds at a gamma
-    whose balance row is infeasible can exceed the sharpened thresholds
-    at a larger gamma.
+    A gamma whose weight box is a point (gamma = 1), or any gamma when
+    there are no constraints, gets the greedy thresholds; so does a gamma
+    for which a probe finds the constraints infeasible, with one warning,
+    leaving the other gammas' rows untouched.  Such a fallback breaks
+    monotonicity in gamma: the CSA thresholds at a gamma whose balance row
+    is infeasible can exceed the sharpened thresholds at a larger gamma.
     """
     order, ext, lo, hi = _sorted_box(scores, lo_c, hi_c, alpha)
-    hi_target = np.atleast_1d(np.asarray(hi_target, dtype=float))
-    flips = _flip_index(lo, hi, hi_target, alpha) + 1  # 1-based greedy stops
+    grid = lo.ndim == 2
+    lo, hi = np.atleast_2d(lo), np.atleast_2d(hi)
+    h = np.asarray(hi_target, dtype=float)
+    h = h if grid else np.atleast_1d(h)[None]
+    if h.ndim != 2 or h.shape[0] != lo.shape[0]:
+        raise ValueError("need one row of target weights per gamma")
+    flips = _flip_index(lo, hi, h, alpha) + 1  # 1-based greedy stops
     if constraints is not None:
         A, b = (np.asarray(v, dtype=float) for v in constraints)
         if b.ndim != 1 or A.shape != (b.size, order.size):
@@ -235,31 +283,55 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
                              "units, one rhs per row")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("constraint entries must be finite")
-    if constraints is None or np.array_equal(lo, hi):
-        return ext[flips - 1]
-    A = A[:, order]
-    level = alpha + _NORM_TOL  # decides exact ties as the greedy does
+        flips = _bisect(flips, lo, hi, h, A[:, order], b, alpha)
+    thr = ext[flips - 1]
+    return thr if grid else thr[0]
 
-    tail, total = np.full((2, ext.shape[0] + 1), np.nan)
-    left, right = np.ones_like(flips), flips.copy()
-    while np.any(left < right):
-        live = np.flatnonzero(left < right)
-        mid = (left[live] + right[live] + 1) // 2
-        for j in np.unique(mid[np.isnan(tail[mid])]):
-            probe = _probe(j, lo, hi, A, b, level, _SLACK_REL)
-            if probe is None:
+
+def _bisect(flips, lo, hi, h, A, b, alpha):
+    """The lockstep bisection of `cssa_threshold_batch` over its (gamma,
+    target) pairs, the balance columns in sorted order: the 1-based
+    positions, which stay the greedy `flips` for a gamma whose box is a
+    point or whose probe is infeasible (warned about once)."""
+    level = alpha + _NORM_TOL  # decides exact ties as the greedy does
+    n_g, width = lo.shape[0], lo.shape[1] + 2  # positions 0..n + 1
+    probes = np.full((2, n_g, width), np.nan)  # (tail, total) by position
+    rows = np.arange(n_g)[:, None]
+    search = ~np.all(lo == hi, axis=1)  # the gammas still searched
+    left = np.ones_like(flips)
+    right = np.where(search[:, None], flips, 1)
+    greedy = A.shape[0] == 1 and np.all(A[0] > 0.0)
+    perm = np.argsort(-A[0], kind="stable") if greedy else None
+    step = _PASS_ROWS if greedy else 1  # the LP stops at an infeasible row
+    live = left < right
+    while live.any():
+        mid = (left + right + 1) // 2
+        fresh = np.zeros(n_g * width, dtype=bool)
+        fresh[(rows * width + mid)[live]] = True
+        need = np.flatnonzero(fresh & np.isnan(probes[0].reshape(-1)))
+        for start in range(0, need.size, step):
+            gr, jr = np.divmod(need[start:start + step], width)
+            on = search[gr]  # a gamma that fell back is probed no more
+            gr, jr = gr[on], jr[on]
+            if gr.size:
+                probes[:, gr, jr] = _probe(jr, lo[gr], hi[gr], A, b, level,
+                                           _SLACK_REL, perm)
+            for g in np.unique(gr[np.isnan(probes[0, gr, jr])]):
                 warnings.warn("balancing constraints infeasible; falling "
                               "back to the unconstrained thresholds")
-                return ext[flips - 1]
-            tail[j], total[j] = probe
-        h = hi_target[live]
-        above = (tail[mid] + h) / (total[mid] + h) > level
-        left[live] = np.where(above, mid, left[live])
-        right[live] = np.where(above, right[live], mid - 1)
-    gap = (tail - level * total)[~np.isnan(tail)]
-    if np.any(np.diff(gap) > 1e-9):
-        raise RuntimeError("probe values increase with the tail position")
-    return ext[left - 1]
+                search[g] = False
+        live &= search[:, None]
+        tail, total = probes[:, rows, mid]
+        above = (tail + h) / (total + h) > level
+        left = np.where(live & above, mid, left)
+        right = np.where(live & ~above, mid - 1, right)
+        live = (left < right) & search[:, None]
+    for row_tail, row_total in zip(*probes[:, search]):
+        probed = ~np.isnan(row_tail)
+        gap = row_tail[probed] - level * row_total[probed]
+        if np.any(np.diff(gap) > 1e-9):
+            raise RuntimeError("probe values increase with the tail position")
+    return np.where(search[:, None], left, flips)
 
 
 def balance_constraints(g_kind, cal_x, full_x, full_t, e_cal, e_full, t):
@@ -290,7 +362,8 @@ def arm_intervals(scores, band, e_cal, e_target, gamma, alpha, t, p_t,
     calibration `scores`, `cssa_threshold_batch` with the balance rows, and
     the score's (lower, upper) `band` at the targets widened by the
     thresholds.  The weight bounds are uniform in y, so each interval is
-    assembled analytically; an infinite threshold gives -inf / +inf."""
+    assembled analytically; an infinite threshold gives -inf / +inf.  A
+    1-D gamma grid gives (gammas, targets) arrays from one threshold call."""
     lo_c, hi_c = weight_bounds_same_arm(e_cal, gamma, t, p_t)
     _, hi_t = weight_bounds_same_arm(e_target, gamma, t, p_t)
     thr = cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_t)

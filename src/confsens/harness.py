@@ -160,31 +160,37 @@ class _TrialState:
         return y1 - y0
 
 
-def _ite_interval(state: _TrialState, gamma, alpha, method):
-    """(lower, upper) arrays over the targets.  A per-arm method gives the
-    interval for Y(1), or the difference of the two arms' intervals when
-    the outcome has two arms; bonferroni always takes the difference."""
+def _ite_interval(state: _TrialState, gammas, alpha, method):
+    """(lower, upper) arrays over the gamma grid and the targets, one row
+    per gamma.  A per-arm method gives the interval for Y(1), or the
+    difference of the two arms' intervals when the outcome has two arms;
+    bonferroni always takes the difference."""
     if method == "nested":
-        return nested_ite_predict(state.nested.model(gamma, alpha),
-                                  state.x_target)
+        rows = [nested_ite_predict(model, state.x_target)
+                for model in state.nested.model(gammas, alpha)]
+        return tuple(np.stack(side) for side in zip(*rows))
     solver, score = _ARM_METHODS[method]
     if method == "bonferroni":
         alpha = alpha / 2.0
-    arm1 = state.arms[1].intervals(gamma, alpha, solver, score)
+    arm1 = state.arms[1].intervals(gammas, alpha, solver, score)
     if method != "bonferroni" and not state.dgp.two_arm:
         return arm1[:2]
-    arm0 = state.arms[0].intervals(gamma, alpha, solver, score)
+    arm0 = state.arms[0].intervals(gammas, alpha, solver, score)
     return bonferroni_ite(arm1, arm0)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, keep_targets=False):
-    """All (method, gamma) records for one trial; models are fit once."""
+    """All (method, gamma) records for one trial; models are fit once, and
+    each method's intervals are solved for the whole gamma grid at once.
+    The records then walk the grid in order, one outcome draw per gamma."""
     state = _TrialState(cfg, trial)
+    intervals = {method: _ite_interval(state, cfg.gammas, cfg.alpha, method)
+                 for method in cfg.methods}
     records = []
-    for gamma in cfg.gammas:
+    for g, gamma in enumerate(cfg.gammas):
         tau = state.draw_tau(gamma)
         for method in cfg.methods:
-            lower, upper = _ite_interval(state, gamma, cfg.alpha, method)
+            lower, upper = (side[g] for side in intervals[method])
             cov, width, n_unb = _coverage_and_width(lower, upper, tau)
             records.append(TrialRecord(
                 method=method, gamma=gamma, trial=trial, seed=state.seed,

@@ -96,21 +96,29 @@ class NestedFold:
             self._arms.append((scores, propensity.predict(cal_x), mask,
                                propensity.predict(x_q), mu_hat.predict(x_q)))
 
-    def model(self, gamma, alpha) -> NestedIteModel:
+    def model(self, gamma, alpha):
         """Endpoint regressions of the val units' effect intervals: the
-        observed outcome minus the worst-case counterfactual interval."""
-        lower, upper = np.empty((2, self.n_val))
+        observed outcome minus the worst-case counterfactual interval.
+        A 1-D gamma grid takes each arm's thresholds from one greedy call
+        and gives a tuple of one `NestedIteModel` per gamma."""
+        grid = np.atleast_1d(gamma)
+        lower, upper = np.empty((2, grid.size, self.n_val))
         for t, (scores, e_cal, mask, e_q, mu_q) in enumerate(self._arms):
-            lo_c, hi_c = weight_bounds_cross_arm(e_cal, gamma, t)
-            _, hi_t = weight_bounds_cross_arm(e_q, gamma, t)
+            lo_c, hi_c = weight_bounds_cross_arm(e_cal, grid, t)
+            _, hi_t = weight_bounds_cross_arm(e_q, grid, t)
             thresholds = greedy_threshold_batch(scores, lo_c, hi_c, hi_t,
                                                 alpha)
             cf_lo, cf_hi = mu_q - thresholds, mu_q + thresholds
             y = self.val_y[mask]
             if t == 0:  # treated val units: effect = Y - [L0, U0]
-                lower[mask], upper[mask] = y - cf_hi, y - cf_lo
+                lower[:, mask], upper[:, mask] = y - cf_hi, y - cf_lo
             else:  # control val units: effect = [L1, U1] - Y
-                lower[mask], upper[mask] = cf_lo - y, cf_hi - y
+                lower[:, mask], upper[:, mask] = cf_lo - y, cf_hi - y
+        models = tuple(self._endpoints(lo, up) for lo, up in zip(lower, upper))
+        return models if np.ndim(gamma) else models[0]
+
+    def _endpoints(self, lower, upper):
+        """The endpoint regressions of one gamma's val-unit intervals."""
         n_unbounded = int(np.sum(~np.isfinite(lower) | ~np.isfinite(upper)))
         lo_model, hi_model = (KNNSingleQuantile(self._search, y, level)
                               for y, level in zip((lower, upper),

@@ -26,10 +26,12 @@ __all__ = [
 
 
 def check_gamma(gamma):
-    """Raise ValueError unless gamma is a finite number >= 1 (NaN and inf
-    are rejected: an infinite gamma bounds no weight)."""
-    if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise ValueError(f"gamma must be a finite number >= 1, got {gamma}")
+    """Raise ValueError unless gamma, a number or a grid of them, holds
+    only finite numbers >= 1 (NaN and inf are rejected: an infinite gamma
+    bounds no weight)."""
+    for g in np.ravel(gamma):
+        if not (math.isfinite(g) and g >= 1.0):
+            raise ValueError(f"gamma must be a finite number >= 1, got {g}")
 
 
 def check_alpha(alpha):
@@ -60,6 +62,14 @@ def _check_e(e_hat):
     return e_hat
 
 
+def _gamma_axis(gamma):
+    """Checked gamma with a trailing unit axis when it is a grid, so the
+    bounds broadcast to (G, n): one row per gamma."""
+    check_gamma(gamma)
+    gamma = np.asarray(gamma, dtype=float)
+    return gamma[..., None] if gamma.ndim else gamma
+
+
 def weight_bounds_same_arm(e_hat, gamma, t, p_t):
     """Bounds on the conformal weight when training and target share arm t.
 
@@ -67,9 +77,10 @@ def weight_bounds_same_arm(e_hat, gamma, t, p_t):
     with odds = ((1 - e)/e)^(2t-1).  The bounds are uniform in y.  At
     gamma = 1 both equal the weighted-conformal weight p_t / P(T=t | x) of
     the unconfounded baseline: the package's only conformal-weight formula.
+    A 1-D gamma grid gives (G, n) bounds, one row per gamma.
     """
     e_hat = _check_e(e_hat)
-    check_gamma(gamma)
+    gamma = _gamma_axis(gamma)
     odds = ((1.0 - e_hat) / e_hat) ** (2 * t - 1)
     w_lo = (1.0 + odds / gamma) * p_t
     w_hi = (1.0 + gamma * odds) * p_t
@@ -78,9 +89,10 @@ def weight_bounds_same_arm(e_hat, gamma, t, p_t):
 
 def weight_bounds_cross_arm(e_hat, gamma, t):
     """Bounds when training on arm 1-t and predicting Y(t) of the opposite
-    group: [odds/gamma, gamma*odds] with odds = (e/(1-e))^(2t-1)."""
+    group: [odds/gamma, gamma*odds] with odds = (e/(1-e))^(2t-1); a 1-D
+    gamma grid gives one row per gamma."""
     e_hat = _check_e(e_hat)
-    check_gamma(gamma)
+    gamma = _gamma_axis(gamma)
     odds = (e_hat / (1.0 - e_hat)) ** (2 * t - 1)
     return odds / gamma, gamma * odds
 

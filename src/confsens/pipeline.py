@@ -7,8 +7,9 @@ neighbour search over its preliminary rows, which its mean model and the
 quantile model of each call's alpha ("cqr" score) share, the
 propensities and balance row of its calibration units, and per
 (score, alpha) its calibration scores and band at the targets.
-`FittedArm.intervals` then solves all targets in one `arm_intervals`
-call: only the sentinel weight belongs to a target.
+`FittedArm.intervals` then solves all targets, at one gamma or a whole
+gamma grid, in one `arm_intervals` call: only the sentinel weight belongs
+to a target, and only the weight box to a gamma.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .conformal import scores_and_band
 from .cssa import arm_intervals, balance_constraints
 from .dataset import arm_indices, split
-from .msm import SensitivitySpec
+from .msm import check_alpha, check_gamma
 from .predictors import (KNNMean, KNNQuantile, NeighborSearch, fit_propensity,
                          marginal_treatment_prob, metric_weights)
 
@@ -84,14 +85,19 @@ class FittedArm:
     def intervals(self, gamma, alpha, method, score="mean"):
         """Intervals for Y(t) at the fold's targets, in one batch.
 
-        `method` is "nuc" (the unconfounded baseline), "csa" (worst case)
-        or "cssa" (sharpened worst case); `score` is "mean" or "cqr".  All
-        three are one `arm_intervals` call: "nuc" over the gamma = 1 point
-        box, "csa" over the gamma box without balance rows.
-        Returns (lower, upper, threshold) float arrays; unbounded sides
-        are -inf / +inf.
+        `gamma` is a number or a 1-D grid; `method` is "nuc" (the
+        unconfounded baseline), "csa" (worst case) or "cssa" (sharpened
+        worst case); `score` is "mean" or "cqr".  Each is one
+        `arm_intervals` call over the whole grid: "csa" over the gamma
+        boxes without balance rows, and "nuc" once, over the gamma = 1
+        point box, its intervals repeated for every gamma.
+        Returns (lower, upper, threshold) float arrays of shape
+        gamma's shape + (targets,); unbounded sides are -inf / +inf.
         """
-        SensitivitySpec(gamma=gamma, alpha=alpha, t=self.t)  # validates
+        if np.ndim(gamma) > 1:
+            raise ValueError("gamma must be a number or a 1-D grid")
+        check_gamma(gamma)
+        check_alpha(alpha)
         if method not in ("nuc", "csa", "cssa"):
             raise ValueError(f"unknown method {method!r}")
         key = score, alpha  # the quantile model's levels follow alpha
@@ -100,9 +106,13 @@ class FittedArm:
             self._cache[key] = scores_and_band(score, model, self.cal_x,
                                                self.cal_y, self.fold.x_target)
         rows = self.constraints if method == "cssa" else None
-        return arm_intervals(*self._cache[key], self.e_cal, self.fold.e_target,
-                             1.0 if method == "nuc" else gamma, alpha, self.t,
-                             self.p_t, rows)
+        out = arm_intervals(*self._cache[key], self.e_cal, self.fold.e_target,
+                            1.0 if method == "nuc" else gamma, alpha, self.t,
+                            self.p_t, rows)
+        if method == "nuc":
+            out = tuple(np.broadcast_to(v, np.shape(gamma) + v.shape).copy()
+                        for v in out)
+        return out
 
 
 def fit_arms(ds, seed, x_target, scale=None):

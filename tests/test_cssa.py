@@ -43,6 +43,14 @@ def sentinel_program(j, h, lo, hi, A, b, slack_rel):
                              b_eq=b, slack_rel=slack_rel)
 
 
+def probe_one(j, lo, hi, A, b, level, slack_rel):
+    """The probe pass with one row at position j: (tail, total), or None
+    when the balance rows are infeasible."""
+    tail, total = cssa._probe(np.array([j]), lo[None, :], hi[None, :], A, b,
+                              level, slack_rel)[:, 0]
+    return None if np.isnan(tail) else (tail, total)
+
+
 class TestBalanceRhs:
     def test_hand_value(self):
         # units: (t=1, e=0.5, g=2) and (t=0, e=0.5, g=7)
@@ -170,7 +178,7 @@ class TestBreakpointWalk:
             h = rng.uniform(0.2, 1.0)
             j = int(rng.integers(1, n + 2))
             A, rhs = a.reshape(1, -1), np.array([b])
-            got = cssa._probe(j, lo, hi, A, rhs, 0.2, 1e-6)
+            got = probe_one(j, lo, hi, A, rhs, 0.2, 1e-6)
             lp = solve_fractional(sentinel_program(j, h, lo, hi, A, rhs,
                                                    1e-6))
             assert (got is not None) == lp.feasible
@@ -250,8 +258,8 @@ class TestThreshold:
         v, lo, hi, g, _ = self._instance()
         con = g[None, :], np.array([1.0])
         # tail fractions that grow with the position break the search
-        monkeypatch.setattr(cssa, "_probe", lambda j, *args: (0.001 * j,
-                                                              1.0))
+        monkeypatch.setattr(cssa, "_probe", lambda j, *args: (
+            0.001 * j, np.ones(j.size)))
         with pytest.raises(RuntimeError, match="probe"):
             cssa_threshold(v, lo, hi, con, 0.2)
 
@@ -288,7 +296,7 @@ class TestThresholdBatch:
             # / (1 - alpha) of its probe; one h between each two cut-offs
             cuts = np.array([
                 (alpha * total - tail) / (1.0 - alpha)
-                for tail, total in (cssa._probe(
+                for tail, total in (probe_one(
                     j, lo_c[order], hi_c[order], g[:, order], mid, alpha,
                     1e-6) for j in range(1, n + 2))])
             hi_t = (np.maximum(cuts, 0.0)

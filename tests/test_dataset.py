@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,24 @@ class TestObservationalDataset:
         ds = make_ds()
         sub = ds.subset([4, 1])
         assert np.array_equal(sub.outcome, ds.outcome[[4, 1]])
+
+    def test_subset_copies_its_rows_once(self):
+        # the rows of a checked dataset skip the constructor's second copy
+        rng = np.random.default_rng(0)
+        ds = ObservationalDataset(rng.normal(size=(3000, 20)),
+                                  rng.integers(0, 2, size=3000),
+                                  rng.normal(size=3000), names=range(20))
+        idx = np.arange(0, 3000, 2)
+        tracemalloc.start()
+        sub = ds.subset(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        arrays = (sub.covariates, sub.treatment, sub.outcome)
+        assert peak < 1.3 * sum(a.nbytes for a in arrays)
+        for a, full in zip(arrays, (ds.covariates, ds.treatment, ds.outcome)):
+            assert a.dtype == full.dtype and not a.flags.writeable
+            assert np.array_equal(a, full[idx])
+        assert sub.names == ds.names and sub.n == 1500
 
 
 # both readers; the target reader takes the data's covariate names

@@ -1,16 +1,19 @@
 """Peak memory of the interval paths: at a fixed training size n it grows
 at most linearly in the number of targets m, and by a bounded number of
-bytes per target, so no (n, m) array is built; a sharpened interval's
-linear program builds no (n, n) array."""
+bytes per target, so no (n, m) array is built, for one gamma or a grid of
+five; a sharpened interval's linear program builds no (n, n) array, and
+neither does a pass of the sharpened threshold's greedy probes."""
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 
-from confsens.cssa import cssa_interval
+from confsens import cssa
+from confsens.cssa import cssa_interval, cssa_threshold_batch
 from confsens.ite import NestedFold, nested_ite_predict
-from confsens.msm import SensitivitySpec
+from confsens.msm import SensitivitySpec, weight_bounds_same_arm
 from confsens.oracle import SyntheticDGP, generate
 from confsens.pipeline import fit_arms
 from confsens.predictors import fit_mean, fit_propensity
@@ -18,6 +21,7 @@ from confsens.predictors import fit_mean, fit_propensity
 DGP = SyntheticDGP(covariate_dim=20)
 M = 2000
 PER_TARGET = 2048  # bytes; an (n, m) float array costs 8 n per target
+GAMMAS = np.array([1.0, 1.5, 2.0, 3.0, 4.0])
 
 
 def _peaks(run):
@@ -50,6 +54,50 @@ def test_fitted_arm_intervals():
             arm.intervals(2.0, 0.1, method, score)
 
     _assert_linear(*_peaks(run))
+
+
+def test_fitted_arm_gamma_grid():
+    # each method solves the five gammas in one call
+    ds = generate(DGP, 2000, seed=0)[0]
+
+    def run(x):
+        arm = fit_arms(ds, 0, x)[1]
+        for method in ("nuc", "csa", "cssa"):
+            arm.intervals(GAMMAS, 0.1, method)
+
+    _assert_linear(*_peaks(run))
+
+
+def test_probe_passes_at_a_large_arm():
+    # 1000 calibration units, five gammas and target weights spread so
+    # that each round probes many positions: the passes hold at most
+    # _PASS_ROWS rows, never one (gammas * n, n) array (38 MiB here) or an
+    # (n, n) one (7.6 MiB)
+    rng = np.random.default_rng(0)
+    n = 1000
+    e = rng.uniform(0.2, 0.8, size=n)
+    lo, hi = weight_bounds_same_arm(e, GAMMAS, 1, 0.5)
+    w, _ = weight_bounds_same_arm(e, 1.0, 1, 0.5)  # inside every box
+    rows = (e / n)[None, :], np.array([(e / n) @ w])
+    h = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), size=(5, 2000)))
+    args = rng.normal(size=n), lo, hi, rows, 0.2, h
+    sizes = []
+
+    def counted(j, *rest):
+        sizes.append(len(j))
+        return probe(j, *rest)
+
+    probe = cssa._probe
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a fallback would skip the probes
+        with mock.patch.object(cssa, "_probe", counted):
+            cssa_threshold_batch(*args)
+        tracemalloc.start()
+        cssa_threshold_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert max(sizes) == cssa._PASS_ROWS and sum(sizes) > 10 * max(sizes)
+    assert peak < 6 * 2**20
 
 
 def test_nested_fold_model():

@@ -1,12 +1,15 @@
 """Property tests of the threshold engine's invariants, of the unconfounded
 thresholds against the weighted-quantile reference, of the CSSA probe
-against the fractional program solved as one LP, of interval widths in
-gamma, of the batch interval route against the per-target API (with the
-quantile model at each call's alpha), of the shared nested fold against a
-fresh nested fit and of its endpoints never crossing, of the batched leave-one-covariate-out propensity fits
-against separate fits, of the propensity ascent against a copy of its
-former arithmetic, and of the C-parsed CSV readers against the row-by-row
-pass, over generated inputs.
+against the fractional program solved as one LP and of a many-row probe
+pass against one-row passes and the former scalar probe, of interval
+widths in gamma, of the batch interval route against the per-target API
+(with the quantile model at each call's alpha), of a gamma grid against
+one call per gamma, of the shared nested fold, one gamma or a grid at a
+time, against a fresh nested fit and of its endpoints never crossing, of
+the batched leave-one-covariate-out propensity fits against separate
+fits, of the propensity ascent against a copy of its former arithmetic,
+and of the C-parsed CSV readers against the row-by-row pass, over
+generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -35,13 +38,12 @@ from confsens.csa import (
     greedy_threshold_batch,
 )
 from confsens.cssa import (
-    _probe,
     cssa_interval,
     cssa_threshold,
     cssa_threshold_batch,
     solve_fractional,
 )
-from confsens import dataset
+from confsens import cssa, dataset
 from confsens.dataset import (
     ObservationalDataset,
     ingest_covariates,
@@ -67,7 +69,7 @@ from confsens.predictors import (
     fit_propensity,
     fit_quantile,
 )
-from test_cssa import sentinel_program
+from test_cssa import probe_one, sentinel_program
 
 ETA = CLIP  # the propensity clip of `fit_propensity`
 GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0)
@@ -263,12 +265,92 @@ def test_single_row_probe_equals_lp(probe):
     # at the optimal ratio as the level, the probe's weights attain it
     j, h, lo, hi, A, b, slack = probe
     want = solve_fractional(sentinel_program(*probe))
-    got = _probe(j, lo, hi, A, b, want.value if want.feasible else 0.5,
-                 slack)
+    got = probe_one(j, lo, hi, A, b, want.value if want.feasible else 0.5,
+                    slack)
     assert (got is not None) == want.feasible
     if got is not None:
         tail, total = got
         assert abs((tail + h) / (total + h) - want.value) <= 1e-7
+
+
+@st.composite
+def probe_passes(draw):
+    """Probe rows over one positive balance row, each with a 1-based
+    position and one of two boxes, the second holding the first as a
+    larger gamma's box does, and a level.  Entries are free floats or
+    quarters, which tie in a, lo and hi; the right-hand side is a start
+    corner of the first box, between its extremes, or a margin outside
+    them, so that rows of one pass may be feasible or not, above or below
+    their corners."""
+    n = draw(st.integers(1, 20))
+    rows = draw(st.integers(1, 6))
+    entry = (st.integers(1, 8).map(lambda k: k / 4.0) if draw(st.booleans())
+             else st.floats(0.05, 2.0))
+    a, lo, width = (np.array(draw(st.lists(s, min_size=n, max_size=n)))
+                    for s in (entry, entry, entry | st.just(0.0)))
+    hi = lo + width
+    box = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=rows,
+                                 max_size=rows)))
+    j = np.array(draw(st.lists(st.integers(1, n + 1), min_size=rows,
+                               max_size=rows)))
+    corner = float(a @ np.where(np.arange(n) >= j[0] - 1, hi, lo))
+    low, high = float(a @ lo), float(a @ hi)
+    b = draw(st.one_of(
+        st.just(corner),
+        st.floats(0.0, 1.0).map(lambda u: low + u * (high - low)),
+        st.floats(0.2, 0.9).map(lambda u: u * low),
+        st.floats(1.1, 2.0).map(lambda u: u * high)))
+    level = draw(st.floats(0.01, 0.99))
+    slack = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+    lo_rows = np.where(box[:, None] == 1, lo / 2.0, lo)
+    hi_rows = np.where(box[:, None] == 1, 2.0 * hi, hi)
+    return j, lo_rows, hi_rows, a[None, :], np.array([b]), level, slack
+
+
+def _probe_reference(j, lo, hi, a, b, level, slack_rel):
+    """One position's greedy probe as the scalar code computed it, with
+    its row value and tail weight as sums: (tail, total), or None when
+    the balance row is infeasible."""
+    c = np.zeros(lo.shape[0])
+    c[j - 1:] = 1.0
+    tail = c > 0.0
+    w = np.where(tail, hi, lo)
+    lower, upper = b - slack_rel * abs(b), b + slack_rel * abs(b)
+    total = float((a * w).sum())
+    if not lower - 1e-12 <= total <= upper + 1e-12:
+        s, bound, move = ((1.0, upper, tail) if total > upper
+                          else (-1.0, -lower, ~tail))
+        v, floor = s * w, s * np.where(tail, lo, hi)
+        order = np.flatnonzero(move)[np.argsort(-a[move], kind="stable")]
+        run = np.subtract.accumulate(
+            np.append(s * total, a[order] * (v[order] - floor[order])))
+        short = np.flatnonzero(run[1:] < bound)
+        if short.size == 0 and run[-1] > bound + 1e-12:
+            return None
+        k = short[0] if short.size else order.size
+        v[order[:k]] = floor[order[:k]]
+        if short.size:
+            v[order[k]] -= (run[k] - bound) / a[order[k]]
+        w = s * v
+    return float((c * w).sum()), float(w.sum())
+
+
+@_settings
+@given(probe_passes())
+def test_probe_pass_equals_scalar_probe(probe):
+    # a pass over many rows gives each row, feasible or not, the bits a
+    # pass of that row alone and the scalar reference give it
+    j, lo, hi, A, b, level, slack = probe
+    got = cssa._probe(j, lo, hi, A, b, level, slack)
+    for r in range(j.size):
+        one = cssa._probe(j[r:r + 1], lo[r:r + 1], hi[r:r + 1], A, b, level,
+                          slack)
+        assert got[:, r].tobytes() == one[:, 0].tobytes()
+        want = _probe_reference(j[r], lo[r], hi[r], A[0], b[0], level, slack)
+        if want is None:
+            assert np.all(np.isnan(got[:, r]))
+        else:
+            assert tuple(got[:, r]) == want
 
 
 def _per_target(arm, method, x, gamma, alpha, score):
@@ -333,6 +415,74 @@ def test_cqr_intervals_follow_the_calls_alpha(seed, n, p, m, t, gamma,
                                                       "cqr"))
 
 
+def _grid_and_per_gamma(arm, gammas, alpha, method, score):
+    """`arm.intervals` over the grid and once per gamma, each with its
+    warnings recorded: (grid result, grid warnings, per-gamma results,
+    per-gamma warning counts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid = arm.intervals(np.array(gammas), alpha, method, score)
+    single, counts = [], []
+    for gamma in gammas:
+        with warnings.catch_warnings(record=True) as one:
+            warnings.simplefilter("always")
+            single.append(arm.intervals(gamma, alpha, method, score))
+        counts.append(len(one))
+    return grid, len(caught), single, counts
+
+
+def _assert_grid_rows(grid, single):
+    """Row g of every grid array is the per-gamma array, bit for bit."""
+    for got in grid:
+        assert got.shape == (len(single),) + single[0][0].shape
+    for g, one in enumerate(single):
+        for got, want in zip(grid, one):
+            assert got[g].tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
+       p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
+       gammas=st.lists(st.sampled_from(GAMMAS), min_size=1, max_size=4,
+                       unique=True),
+       alpha=st.sampled_from([0.2, 0.3]))
+def test_gamma_grid_equals_one_call_per_gamma(seed, n, p, m, t, gammas,
+                                              alpha):
+    dgp = SyntheticDGP(covariate_dim=p)
+    ds, _ = generate(dgp, n, seed=seed)
+    x_target = generate(dgp, m, seed=seed + 1)[0].covariates
+    arm = fit_arms(ds, seed, x_target)[t]
+    for method in ("nuc", "csa", "cssa"):
+        for score in ("mean", "cqr"):
+            grid, n_warned, single, counts = _grid_and_per_gamma(
+                arm, gammas, alpha, method, score)
+            _assert_grid_rows(grid, single)
+            # each gamma that falls back warns once, in either route
+            assert all(c <= 1 for c in counts) and n_warned == sum(counts)
+
+
+def test_infeasible_gamma_alone_falls_back():
+    # treatment almost separated by x1: arm 1's propensity-balance row is
+    # infeasible at gamma 1.5 and feasible at 2, 3 and 4
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(300, 3))
+    t = (x[:, 0] + 0.05 * rng.normal(size=300) > 0.5).astype(int)
+    ds = ObservationalDataset(x, t, x[:, 1] + rng.normal(size=300))
+    arm = fit_arms(ds, 2, x[:7])[1]
+    gammas = (1.0, 1.5, 2.0, 3.0, 4.0)
+    for score in ("mean", "cqr"):
+        grid, n_warned, single, counts = _grid_and_per_gamma(
+            arm, gammas, 0.2, "cssa", score)
+        assert counts == [0, 1, 0, 0, 0] and n_warned == 1
+        _assert_grid_rows(grid, single)
+        plain = arm.intervals(np.array(gammas), 0.2, "csa", score)
+        # the fallen-back gamma is CSA's row; the sharpened rows are not
+        assert all(a[1].tobytes() == b[1].tobytes()
+                   for a, b in zip(grid, plain))
+        assert any(a[g].tobytes() != b[g].tobytes()
+                   for g in (2, 3, 4) for a, b in zip(grid, plain))
+
+
 def _assert_same_intervals(single, lower, upper, thr):
     """Per-target intervals equal the batch arrays bit for bit."""
     assert [c.threshold for c in single] == list(thr)
@@ -384,15 +534,18 @@ def test_nested_fold_equals_fresh_fit(seed, n, p, two_arm, gammas, alpha):
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, 7, seed=seed + 1)[0].covariates
     fold = NestedFold(ds, seed)
-    for gamma in gammas:
-        shared = fold.model(gamma, alpha)
+    # the models of the whole grid come from one call
+    grid = fold.model(np.array(gammas), alpha)
+    assert len(grid) == len(gammas)
+    for gamma, from_grid in zip(gammas, grid):
         fresh = nested_ite_fit(ds, gamma, alpha, seed=seed)
-        assert shared.lo_model.y.tobytes() == fresh.lo_model.y.tobytes()
-        assert shared.hi_model.y.tobytes() == fresh.hi_model.y.tobytes()
-        assert shared.n_unbounded == fresh.n_unbounded
-        for a, b in zip(nested_ite_predict(shared, x_target),
-                        nested_ite_predict(fresh, x_target)):
-            assert a.tobytes() == b.tobytes()
+        for shared in (fold.model(gamma, alpha), from_grid):
+            assert shared.lo_model.y.tobytes() == fresh.lo_model.y.tobytes()
+            assert shared.hi_model.y.tobytes() == fresh.hi_model.y.tobytes()
+            assert shared.n_unbounded == fresh.n_unbounded
+            for a, b in zip(nested_ite_predict(shared, x_target),
+                            nested_ite_predict(fresh, x_target)):
+                assert a.tobytes() == b.tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
