@@ -52,6 +52,5 @@ from .predictors import (
     NeighborSearch,
     fit_mean,
     fit_propensity,
-    fit_quantile,
     marginal_treatment_prob,
 )

@@ -137,7 +137,7 @@ def _cmd_sweep(args):
 def _cmd_calibrate(args):
     ds = ingest_csv(args.data)
     matrix = calibrate_gamma(ds)
-    rows = gamma_summary(matrix, names=ds.names)
+    rows = gamma_summary(matrix, ds.names)
     emit_gamma_summary_csv(rows, args.out)
     print(f"wrote confounding-strength summary for "
           f"{len(rows)} covariates to {args.out}")

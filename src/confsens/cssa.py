@@ -110,8 +110,7 @@ def solve_fractional(fp: FractionalProgram) -> FractionalResult:
     c = np.zeros(n + 1)
     c[fp.tail_index:n] = 1.0
     res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
-                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
-                   maximize=True)
+                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0])
     if not res.optimal or res.x[n] <= 0:
         return FractionalResult(feasible=False)
     return FractionalResult(feasible=True, value=res.value,
@@ -152,8 +151,7 @@ def _probe(j, lo, hi, A, b, level, slack_rel, perm=None):
         for r, c in enumerate(tail.astype(float)):
             res = solve_lp(c - level, A_ub=np.vstack([A, -A]),
                            b_ub=np.concatenate([b + delta, delta - b]),
-                           bounds=np.column_stack([lo[r], hi[r]]),
-                           maximize=True)
+                           bounds=np.column_stack([lo[r], hi[r]]))
             if res.optimal:
                 out[:, r] = c @ res.x, res.x.sum()
         return out

@@ -42,12 +42,16 @@ class ObservationalDataset:
     names: tuple | None = None
 
     def __post_init__(self):
-        covariates = np.array(self.covariates, dtype=float)
+        self._hold(np.array(self.covariates, dtype=float),
+                   np.asarray(self.treatment, dtype=float),
+                   np.array(self.outcome, dtype=float), self.names)
+
+    def _hold(self, covariates, treatment, outcome, names):
+        """Check the arrays and hold them read-only, uncopied: `covariates`
+        and `outcome` must be float arrays no one else holds."""
         if covariates.ndim != 2:
             raise ValueError(f"covariates of shape {covariates.shape}: need "
                              "a 2-D (units, covariates) array")
-        treatment = np.asarray(self.treatment, dtype=float)
-        outcome = np.array(self.outcome, dtype=float)
         n, p = covariates.shape
         if treatment.shape != (n,) or outcome.shape != (n,):
             raise ValueError("covariates, treatment, outcome lengths disagree")
@@ -58,8 +62,8 @@ class ObservationalDataset:
         if not np.all((treatment == 0.0) | (treatment == 1.0)):
             bad = int(np.flatnonzero((treatment != 0.0) & (treatment != 1.0))[0])
             raise ValueError(f"treatment must be 0 or 1 (unit {bad})")
-        if self.names is not None:
-            names = tuple(str(s) for s in self.names)
+        if names is not None:
+            names = tuple(str(s) for s in names)
             if len(names) != p:
                 raise ValueError("covariate name count != covariate_dim")
             object.__setattr__(self, "names", names)
@@ -207,9 +211,12 @@ def ingest_csv(path) -> ObservationalDataset:
     """
     header, values = _read(path, _dataset_columns)
     names = [c for c in header if c not in ("t", "y")]
-    x = np.ascontiguousarray(values[:, [header.index(c) for c in names]])
-    return ObservationalDataset(x, values[:, header.index("t")],
-                                values[:, header.index("y")], names=names)
+    # `take` copies the covariates once, in C order, and the dataset keeps it
+    ds = object.__new__(ObservationalDataset)
+    ds._hold(values.take([header.index(c) for c in names], axis=1),
+             values[:, header.index("t")], values[:, header.index("y")].copy(),
+             names)
+    return ds
 
 
 def ingest_covariates(path, names) -> np.ndarray:

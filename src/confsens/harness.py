@@ -315,12 +315,12 @@ def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False):
     return coverages
 
 
-def beta_coverage_check(coverages, n_cal, alpha, level=0.01):
+def beta_coverage_check(coverages, n_cal, alpha):
     """Kolmogorov-Smirnov test of per-trial coverages against
     Beta(n_cal + 1 - floor((n_cal+1) alpha), floor((n_cal+1) alpha)).
 
-    Returns (statistic, p_value, passed); requires >= 50 trials, each with
-    an independent calibration draw.
+    Returns (statistic, p_value, passed), passed at a p-value of at least
+    1 %; requires >= 50 trials, each with an independent calibration draw.
     """
     from scipy import stats
 
@@ -330,5 +330,5 @@ def beta_coverage_check(coverages, n_cal, alpha, level=0.01):
     b = int(np.floor((n_cal + 1) * alpha))
     a = n_cal + 1 - b
     stat, pvalue = stats.kstest(coverages, stats.beta(a, b).cdf)
-    return float(stat), float(pvalue), bool(pvalue >= level)
+    return float(stat), float(pvalue), bool(pvalue >= 0.01)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import score_abs_residual
+from .conformal import scores_and_band
 from .csa import greedy_threshold_batch
 from .dataset import ObservationalDataset, arm_indices
 from .msm import weight_bounds_cross_arm
@@ -90,22 +90,22 @@ class NestedFold:
             pre, cal = idx[:idx.size // 2], idx[idx.size // 2:]
             mu_hat = fit_mean(ds_fit.covariates[pre], ds_fit.outcome[pre])
             cal_x = ds_fit.covariates[cal]
-            scores = score_abs_residual(mu_hat, cal_x, ds_fit.outcome[cal])
             mask = ds_val.treatment == 1 - t
             x_q = self.val_x[mask]
+            scores, (mu_q, _) = scores_and_band("mean", mu_hat, cal_x,
+                                                ds_fit.outcome[cal], x_q)
             self._arms.append((scores, propensity.predict(cal_x), mask,
-                               propensity.predict(x_q), mu_hat.predict(x_q)))
+                               propensity.predict(x_q), mu_q))
 
     def model(self, gamma, alpha):
         """Endpoint regressions of the val units' effect intervals: the
         observed outcome minus the worst-case counterfactual interval.
         A 1-D gamma grid takes each arm's thresholds from one greedy call
         and gives a tuple of one `NestedIteModel` per gamma."""
-        grid = np.atleast_1d(gamma)
-        lower, upper = np.empty((2, grid.size, self.n_val))
+        lower, upper = np.empty((2, np.size(gamma), self.n_val))
         for t, (scores, e_cal, mask, e_q, mu_q) in enumerate(self._arms):
-            lo_c, hi_c = weight_bounds_cross_arm(e_cal, grid, t)
-            _, hi_t = weight_bounds_cross_arm(e_q, grid, t)
+            lo_c, hi_c = weight_bounds_cross_arm(e_cal, gamma, t)
+            _, hi_t = weight_bounds_cross_arm(e_q, gamma, t)
             thresholds = greedy_threshold_batch(scores, lo_c, hi_c, hi_t,
                                                 alpha)
             cf_lo, cf_hi = mu_q - thresholds, mu_q + thresholds

@@ -32,9 +32,9 @@ class LpResult:
         return self.status == "optimal"
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
-             maximize=False) -> LpResult:
-    """Solve min (or max) c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+             bounds=(0, None)) -> LpResult:
+    """Solve max c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
     the variable bounds, given as `linprog` takes them: one (lo, hi) pair
     for every variable or one row per variable, None for no bound."""
     from scipy.optimize import linprog
@@ -42,7 +42,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
     c = np.asarray(c, dtype=float)
     if A_ub is None and A_eq is None:
         raise ValueError("no constraints")
-    res = linprog(-c if maximize else c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+    res = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
                   b_eq=b_eq, bounds=bounds, method="highs")
     if res.status not in _STATUS:
         raise RuntimeError(f"LP solve failed: {res.message}")

@@ -25,13 +25,26 @@ __all__ = [
 ]
 
 
+# Largest gamma accepted.  1e8 lies between the 1e7 that tests sweep and
+# sample and 1e14, the largest gamma at which the CSSA probe's greedy and
+# LP routes were seen to agree (from about 2e15 its probe values can rise
+# with the tail position by rounding), and far past any confounding
+# strength a study would posit.
+GAMMA_MAX = 1e8
+
+
 def check_gamma(gamma):
-    """Raise ValueError unless gamma, a number or a grid of them, holds
-    only finite numbers >= 1 (NaN and inf are rejected: an infinite gamma
-    bounds no weight)."""
-    for g in np.ravel(gamma):
-        if not (math.isfinite(g) and g >= 1.0):
-            raise ValueError(f"gamma must be a finite number >= 1, got {g}")
+    """Raise ValueError unless gamma is a number or a non-empty 1-D grid of
+    finite numbers in [1, GAMMA_MAX]: NaN, inf (which bounds no weight)
+    and bools are refused."""
+    grid = np.asarray(gamma)
+    if grid.dtype == bool or grid.ndim > 1 or grid.size == 0:
+        raise ValueError("gamma must be a number or a non-empty 1-D grid "
+                         f"of numbers, got {gamma!r}")
+    for g in grid.ravel():
+        if not (math.isfinite(g) and 1.0 <= g <= GAMMA_MAX):
+            raise ValueError("gamma must be a finite number >= 1 and <= "
+                             f"{GAMMA_MAX:g}, got {g}")
 
 
 def check_alpha(alpha):
@@ -55,45 +68,29 @@ class SensitivitySpec:
             raise ValueError("t must be 0 or 1")
 
 
-def _check_e(e_hat):
-    e_hat = np.asarray(e_hat, dtype=float)
-    if np.any(e_hat <= 0.0) or np.any(e_hat >= 1.0):
-        raise ValueError("propensities must be pre-clipped into (0, 1)")
-    return e_hat
-
-
-def _gamma_axis(gamma):
-    """Checked gamma with a trailing unit axis when it is a grid, so the
-    bounds broadcast to (G, n): one row per gamma."""
-    check_gamma(gamma)
-    gamma = np.asarray(gamma, dtype=float)
-    return gamma[..., None] if gamma.ndim else gamma
-
-
 def weight_bounds_same_arm(e_hat, gamma, t, p_t):
-    """Bounds on the conformal weight when training and target share arm t.
-
-    w_lo = (1 + (1/gamma) * odds) * p_t, w_hi = (1 + gamma * odds) * p_t
-    with odds = ((1 - e)/e)^(2t-1).  The bounds are uniform in y.  At
-    gamma = 1 both equal the weighted-conformal weight p_t / P(T=t | x) of
-    the unconfounded baseline: the package's only conformal-weight formula.
-    A 1-D gamma grid gives (G, n) bounds, one row per gamma.
-    """
-    e_hat = _check_e(e_hat)
-    gamma = _gamma_axis(gamma)
-    odds = ((1.0 - e_hat) / e_hat) ** (2 * t - 1)
-    w_lo = (1.0 + odds / gamma) * p_t
-    w_hi = (1.0 + gamma * odds) * p_t
-    return w_lo, w_hi
+    """Bounds on the conformal weight when training and target share arm t:
+    p_t * (1 + the cross-arm bounds of arm 1 - t), i.e. (1 + odds/gamma) p_t
+    and (1 + gamma odds) p_t with odds = ((1 - e)/e)^(2t-1), uniform in y.
+    At gamma = 1 both equal the weighted-conformal weight p_t / P(T=t | x)
+    of the unconfounded baseline: the package's only conformal-weight
+    formula.  A 1-D gamma grid gives (G, n) bounds, one row per gamma."""
+    lo, hi = weight_bounds_cross_arm(e_hat, gamma, 1 - t)
+    return (1.0 + lo) * p_t, (1.0 + hi) * p_t
 
 
 def weight_bounds_cross_arm(e_hat, gamma, t):
     """Bounds when training on arm 1-t and predicting Y(t) of the opposite
-    group: [odds/gamma, gamma*odds] with odds = (e/(1-e))^(2t-1); a 1-D
-    gamma grid gives one row per gamma."""
-    e_hat = _check_e(e_hat)
-    gamma = _gamma_axis(gamma)
-    odds = (e_hat / (1.0 - e_hat)) ** (2 * t - 1)
+    group: [odds/gamma, gamma*odds] with odds = ((1-e)/e)^(1-2t), the
+    package's one statement of the sensitivity model's odds; a 1-D gamma
+    grid gives one row per gamma."""
+    e_hat = np.asarray(e_hat, dtype=float)
+    if np.any(e_hat <= 0.0) or np.any(e_hat >= 1.0):
+        raise ValueError("propensities must be pre-clipped into (0, 1)")
+    check_gamma(gamma)
+    if np.ndim(gamma):  # a grid's column broadcasts to one row per gamma
+        gamma = np.reshape(gamma, (-1, 1))
+    odds = ((1.0 - e_hat) / e_hat) ** (1 - 2 * t)
     return odds / gamma, gamma * odds
 
 
@@ -110,16 +107,14 @@ def calibrate_gamma(ds):
     return np.where(ratio >= 1.0, ratio, 1.0 / ratio)
 
 
-def gamma_summary(gamma_matrix, names=None):
-    """Per-covariate (label, median, p90, p99) rows for reporting."""
+def gamma_summary(gamma_matrix, names):
+    """Per-covariate (name, median, p90, p99) rows for reporting."""
     gamma_matrix = np.asarray(gamma_matrix, dtype=float)
-    p = gamma_matrix.shape[1]
-    labels = names or [f"x{j + 1}" for j in range(p)]
     rows = []
-    for j in range(p):
+    for j, name in enumerate(names):
         col = gamma_matrix[:, j]
         rows.append({
-            "covariate": labels[j],
+            "covariate": name,
             "median": float(np.median(col)),
             "p90": float(np.percentile(col, 90)),
             "p99": float(np.percentile(col, 99)),

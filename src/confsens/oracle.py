@@ -112,7 +112,6 @@ class TiltSpec:
     gamma: float
     q_l: float
     q_r: float
-    normalizer: float = 1.0
 
     def eta(self, y):
         y = np.asarray(y, dtype=float)
@@ -120,7 +119,7 @@ class TiltSpec:
         return np.where(inside, 1.0 / self.gamma, self.gamma)
 
     def accept_prob(self, y):
-        return self.eta(y) / (self.gamma * self.normalizer)
+        return self.eta(y) / self.gamma
 
 
 def tilt_two_sided(gamma, mean, sigma) -> TiltSpec:
@@ -160,10 +159,11 @@ def sample_counterfactual_batch(gamma, mean, sigma, rng) -> np.ndarray:
     adversarial two-sided tilt at its own (mean, sigma).  Rejection
     sampling runs for a fixed number of rounds; entries still unaccepted
     after them are drawn by inverse CDF from the same tilted law, so any
-    gamma >= 1 succeeds.
+    gamma that `check_gamma` accepts succeeds.
     """
     from scipy.special import ndtri
 
+    check_gamma(gamma)
     mean = np.asarray(mean, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     n = mean.shape[0]

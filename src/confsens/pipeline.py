@@ -94,8 +94,6 @@ class FittedArm:
         Returns (lower, upper, threshold) float arrays of shape
         gamma's shape + (targets,); unbounded sides are -inf / +inf.
         """
-        if np.ndim(gamma) > 1:
-            raise ValueError("gamma must be a number or a 1-D grid")
         check_gamma(gamma)
         check_alpha(alpha)
         if method not in ("nuc", "csa", "cssa"):

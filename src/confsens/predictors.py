@@ -24,7 +24,6 @@ __all__ = [
     "relevance_weights",
     "metric_weights",
     "fit_mean",
-    "fit_quantile",
     "fit_propensity",
     "drop_one_propensities",
     "marginal_treatment_prob",
@@ -363,14 +362,9 @@ def metric_weights(scale, train_x, train_y):
     return None if scale is None else relevance_weights(train_x, train_y)
 
 
-def fit_mean(train_x, train_y, k=None, scale=None) -> KNNMean:
+def fit_mean(train_x, train_y, scale=None) -> KNNMean:
     weights = metric_weights(scale, train_x, train_y)
-    return KNNMean(NeighborSearch(train_x, k, weights), train_y)
-
-
-def fit_quantile(train_x, train_y, levels, k=None, scale=None) -> KNNQuantile:
-    weights = metric_weights(scale, train_x, train_y)
-    return KNNQuantile(NeighborSearch(train_x, k, weights), train_y, levels)
+    return KNNMean(NeighborSearch(train_x, feature_weights=weights), train_y)
 
 
 def fit_propensity(train_x, train_t) -> LogisticPropensity:

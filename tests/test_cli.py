@@ -597,9 +597,10 @@ def _tiny_sweep(n_train, methods, *flags):
             "--gammas", "1,2", "--methods", methods, *flags]
 
 
-# The `generate` and tiny `sweep` columns: hand-written outcome of each
-# cell, "ok" (exit 0 with output rows, nothing on stderr) or the text of
-# the one `error:` line of exit 1.
+# The `generate`, tiny `sweep` and out-of-range gamma columns: hand-written
+# outcome of each cell, "ok" (exit 0 with output rows, nothing on stderr)
+# or the text of the one `error:` line of exit 1; "{data}" and "{target}"
+# stand for the module's data and target files.
 _HOSTILE_RUNS = {
     "generate-n0": (["generate", "--n", "0"], "n must be >= 1"),
     "generate-n1": (["generate", "--n", "1", "--dim", "3", "--two-arm"],
@@ -628,12 +629,21 @@ _HOSTILE_RUNS = {
     "sweep-nested": (_tiny_sweep(40, "nested", "--n-trials", "1"), "ok"),
     "sweep-cssa-two-arm": (_tiny_sweep(40, "cssa-m", "--n-trials", "1",
                                        "--two-arm"), "ok"),
+    # used to print a traceback: 1 / gamma ** 2 overflowed in the oracle
+    "sweep-gamma-1e300": (["sweep", "--n-train", "40", "--n-target", "5",
+                           "--gammas", "1e300", "--methods", "csa-m",
+                           "--n-trials", "1"], "<= 1e+08, got 1e+300"),
+    "interval-cssa-gamma-1e20": (["interval", "--method", "cssa", "--gamma",
+                                  "1e20", "--data", "{data}", "--target",
+                                  "{target}"], "<= 1e+08, got 1e+20"),
 }
 
 
 @pytest.mark.parametrize("cell", list(_HOSTILE_RUNS))
-def test_hostile_generate_and_sweep(cell, tmp_path, capsys):
+def test_hostile_generate_and_sweep(cell, data_csv, target_csv, tmp_path,
+                                   capsys):
     args, expected = _HOSTILE_RUNS[cell]
+    args = [a.format(data=data_csv, target=target_csv) for a in args]
     out = tmp_path / "out"
     code = _run([*args, "--out-dir" if args[0] == "sweep" else "--out",
                  str(out)])

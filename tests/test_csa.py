@@ -22,7 +22,8 @@ from confsens.msm import (
     min_miscoverage,
     weight_bounds_same_arm,
 )
-from confsens.predictors import fit_mean, fit_propensity, fit_quantile
+from confsens.predictors import (KNNQuantile, NeighborSearch, fit_mean,
+                                 fit_propensity)
 
 
 def brute_force_max_quantile(scores, lo, hi, alpha):
@@ -276,7 +277,7 @@ class TestInterval:
         # bit; (None, None, inf) when alpha is below alpha* (at alpha*
         # the sentinel's mass ties the level and the quantile stays finite)
         mu, prop, cal_x, cal_y = _fitted_instance(seed=3)
-        q_hat = fit_quantile(cal_x[:20], cal_y[:20], (0.1, 0.9))
+        q_hat = KNNQuantile(NeighborSearch(cal_x[:20]), cal_y[:20], (0.1, 0.9))
         cal_x, cal_y = cal_x[20:], cal_y[20:]
         x0 = np.array([0.5, 0.5, 0.5])
         _, (band_lo, band_hi) = scores_and_band(

@@ -103,6 +103,26 @@ class TestObservationalDataset:
             assert np.array_equal(a, full[idx])
         assert sub.names == ds.names and sub.n == 1500
 
+    def test_ingest_copies_the_covariates_once(self, tmp_path):
+        # beyond the parsed values, ingest holds one covariate block: the
+        # column copy that the dataset keeps
+        rng = np.random.default_rng(1)
+        path = tmp_path / "d.csv"
+        emit_csv(ObservationalDataset(rng.normal(size=(3000, 20)),
+                                      rng.integers(0, 2, size=3000),
+                                      rng.normal(size=3000)), path)
+        parsed = dataset._read(path, dataset._dataset_columns)
+        with mock.patch.object(dataset, "_read", return_value=parsed):
+            tracemalloc.start()
+            ds = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.covariates.nbytes
+        assert ds.covariates.flags.c_contiguous
+        assert not ds.covariates.flags.writeable
+        assert np.array_equal(ds.covariates, parsed[1][:, :20])
+        assert np.array_equal(ds.outcome, parsed[1][:, 21])
+
 
 # both readers; the target reader takes the data's covariate names
 _READERS = [ingest_csv,

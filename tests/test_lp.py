@@ -7,13 +7,13 @@ import pytest
 from confsens.lp import solve_lp
 
 
-def rational_reference(c, A_ub, b_ub, A_eq, b_eq, maximize):
+def rational_reference(c, A_ub, b_ub, A_eq, b_eq):
     """Exact LP solve in rational arithmetic by vertex enumeration.
 
     Collects all constraints (inequalities, equalities, nonnegativity),
     enumerates every basis of size n, solves each square system with
     Fraction Gaussian elimination, keeps feasible vertices, and returns
-    the best objective value.  Exponential, so only for tiny instances.
+    the largest objective value.  Exponential, so only for tiny instances.
     """
     n = len(c)
     c = [Fraction(v).limit_denominator(10**6) for v in c]
@@ -67,7 +67,7 @@ def rational_reference(c, A_ub, b_ub, A_eq, b_eq, maximize):
         if not ok:
             continue
         val = sum(ci * xi for ci, xi in zip(c, x))
-        if best is None or (val > best if maximize else val < best):
+        if best is None or val > best:
             best = val
     return None if best is None else float(best)
 
@@ -77,7 +77,7 @@ class TestKnownInstances:
         # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2, 6)
         res = solve_lp([3, 5],
                        A_ub=[[1, 0], [0, 2], [3, 2]],
-                       b_ub=[4, 12, 18], maximize=True)
+                       b_ub=[4, 12, 18])
         assert res.optimal
         assert res.value == pytest.approx(36.0)
         assert np.allclose(res.x, [2.0, 6.0])
@@ -85,14 +85,14 @@ class TestKnownInstances:
     def test_variable_bounds(self):
         # the same program with x <= 4 given as x's upper bound
         res = solve_lp([3, 5], A_ub=[[0, 2], [3, 2]], b_ub=[12, 18],
-                       bounds=[(0, 4), (0, None)], maximize=True)
+                       bounds=[(0, 4), (0, None)])
         assert res.optimal and res.value == pytest.approx(36.0)
         assert np.allclose(res.x, [2.0, 6.0])
 
     def test_equality_only(self):
-        # min x + 2y s.t. x + y = 4 -> 4 at (4, 0)
-        res = solve_lp([1, 2], A_eq=[[1, 1]], b_eq=[4])
-        assert res.optimal and res.value == pytest.approx(4.0)
+        # max -x - 2y s.t. x + y = 4 -> -4 at (4, 0)
+        res = solve_lp([-1, -2], A_eq=[[1, 1]], b_eq=[4])
+        assert res.optimal and res.value == pytest.approx(-4.0)
 
     def test_infeasible(self):
         # x + y <= 1 and x + y = 3 cannot both hold
@@ -103,23 +103,24 @@ class TestKnownInstances:
 
     def test_unbounded(self):
         # max x s.t. y <= 1: x is free to grow
-        res = solve_lp([1, 0], A_ub=[[0, 1]], b_ub=[1], maximize=True)
+        res = solve_lp([1, 0], A_ub=[[0, 1]], b_ub=[1])
         assert res.status == "unbounded"
 
     def test_degenerate_no_cycle(self):
-        # classic instance on which a naive simplex cycles
-        res = solve_lp([-0.75, 150, -0.02, 6],
+        # classic instance on which a naive simplex cycles (as a
+        # minimization; here its negated objective is maximized)
+        res = solve_lp([0.75, -150, 0.02, -6],
                        A_ub=[[0.25, -60, -0.04, 9],
                              [0.5, -90, -0.02, 3],
                              [0, 0, 1, 0]],
                        b_ub=[0, 0, 1])
         assert res.optimal
-        assert res.value == pytest.approx(-0.05)
+        assert res.value == pytest.approx(0.05)
 
     def test_negative_rhs_handled(self):
-        # -x <= -2 means x >= 2
-        res = solve_lp([1], A_ub=[[-1]], b_ub=[-2])
-        assert res.optimal and res.value == pytest.approx(2.0)
+        # -x <= -2 means x >= 2, so max -x is -2
+        res = solve_lp([-1], A_ub=[[-1]], b_ub=[-2])
+        assert res.optimal and res.value == pytest.approx(-2.0)
 
     def test_no_constraints_error(self):
         with pytest.raises(ValueError):
@@ -140,11 +141,12 @@ def test_matches_rational_reference():
         b_ub = rng.integers(0, 8, size=n_ub).astype(float)
         A_eq = rng.integers(-3, 4, size=(n_eq, n)).astype(float)
         b_eq = rng.integers(0, 5, size=n_eq).astype(float)
-        maximize = bool(rng.integers(0, 2))
+        if not rng.integers(0, 2):  # a minimization: max -c
+            c = -c
         res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
                        A_eq=A_eq if n_eq else None,
-                       b_eq=b_eq if n_eq else None, maximize=maximize)
-        want = rational_reference(c, A_ub, b_ub, A_eq, b_eq, maximize)
+                       b_eq=b_eq if n_eq else None)
+        want = rational_reference(c, A_ub, b_ub, A_eq, b_eq)
         if res.status == "infeasible":
             assert want is None
         elif res.status == "optimal":

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from confsens.dataset import ObservationalDataset
 from confsens.harness import ExperimentConfig
+from confsens.ite import NestedFold
 from confsens.msm import (
+    GAMMA_MAX,
     SensitivitySpec,
     calibrate_gamma,
     emit_gamma_summary_csv,
@@ -14,7 +17,9 @@ from confsens.msm import (
     weight_bounds_cross_arm,
     weight_bounds_same_arm,
 )
-from confsens.oracle import tilt_two_sided
+from confsens.oracle import (SyntheticDGP, generate,
+                             sample_counterfactual_batch, tilt_two_sided)
+from confsens.pipeline import fit_arms
 
 
 class TestSensitivitySpec:
@@ -46,6 +51,51 @@ class TestSensitivitySpec:
         for check in checks:
             with pytest.raises(ValueError, match="finite number >= 1"):
                 check()
+
+
+# each gamma the contract refuses, with the text its error names
+_REFUSED = {
+    "empty": (np.array([]), "non-empty 1-D grid of numbers, got array([]"),
+    "bool": (True, "non-empty 1-D grid of numbers, got True"),
+    "bool-grid": (np.array([True, True]), "1-D grid of numbers, got array(["),
+    "2-D": (np.array([[1.0, 2.0]]), "1-D grid of numbers, got array([["),
+    "above-bound": (np.nextafter(GAMMA_MAX, np.inf), "<= 1e+08, got"),
+    "1e300": (1e300, "<= 1e+08, got 1e+300"),  # overflowed the oracle
+}
+
+
+@pytest.fixture(scope="module")
+def gamma_entry_points():
+    """Every public call that takes gamma, as a function of gamma alone."""
+    ds, _ = generate(SyntheticDGP(covariate_dim=3), 200, seed=0)
+    arm = fit_arms(ds, 0, ds.covariates[:5])[1]
+    fold = NestedFold(ds, 0)
+    e = np.array([0.3, 0.6])
+    return {
+        "SensitivitySpec": lambda g: SensitivitySpec(gamma=g, alpha=0.2, t=1),
+        "same-arm": lambda g: weight_bounds_same_arm(e, g, 1, 0.5),
+        "cross-arm": lambda g: weight_bounds_cross_arm(e, g, 1),
+        "FittedArm.intervals": lambda g: arm.intervals(g, 0.2, "csa"),
+        "NestedFold.model": lambda g: fold.model(g, 0.2),
+        "oracle": lambda g: sample_counterfactual_batch(
+            g, np.zeros(50), np.ones(50), np.random.default_rng(0)),
+    }
+
+
+@pytest.mark.parametrize("call", ["SensitivitySpec", "same-arm", "cross-arm",
+                                  "FittedArm.intervals", "NestedFold.model",
+                                  "oracle"])
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_gamma_refused_by_name(case, call, gamma_entry_points):
+    gamma, text = _REFUSED[case]
+    with pytest.raises(ValueError, match=re.escape(text)):
+        gamma_entry_points[call](gamma)
+
+
+def test_gamma_bound_is_accepted(gamma_entry_points):
+    for call in gamma_entry_points.values():
+        call(GAMMA_MAX)
+    assert np.all(np.isfinite(gamma_entry_points["oracle"](GAMMA_MAX)))
 
 
 class TestSameArmBounds:
@@ -177,7 +227,7 @@ class TestCalibrateGamma:
 
 def test_gamma_summary_and_csv(tmp_path):
     m = np.array([[1.0, 2.0], [1.5, 4.0], [2.0, 8.0]])
-    rows = gamma_summary(m, names=("a", "b"))
+    rows = gamma_summary(m, ("a", "b"))
     assert rows[0]["covariate"] == "a"
     assert rows[0]["median"] == 1.5
     path = tmp_path / "gamma.csv"

@@ -96,7 +96,10 @@ class TestTilt:
             p_in = 1.0 - 2.0 * tau
             mass = (1.0 / gamma) * p_in + gamma * (2.0 * tau)
             assert mass == pytest.approx(1.0)
-            assert tilt.normalizer == 1.0
+            # so eta / gamma is the acceptance probability, 1 outside the
+            # cut points and 1 / gamma ** 2 between them
+            inside, outside = tilt.accept_prob([0.0, tilt.q_r + 1.0])
+            assert outside == 1.0 and inside == pytest.approx(gamma ** -2)
 
     def test_cut_points_symmetric(self):
         tilt = tilt_two_sided(2.0, mean=3.0, sigma=2.0)
@@ -184,11 +187,13 @@ class TestRejectionSampling:
         assert stats.ks_2samp(scalar, batch).pvalue > 0.01
 
     def test_exhaustion_raises(self):
-        tilt = TiltSpec(gamma=2.0, q_l=-1.0, q_r=1.0, normalizer=1e12)
+        # every proposal lands between the cuts, where the acceptance
+        # probability is 1 / gamma ** 2
+        tilt = TiltSpec(gamma=1e8, q_l=-1.0, q_r=1.0)
         rng = np.random.default_rng(11)
         with pytest.raises(RuntimeError):
-            sample_counterfactual(tilt, lambda r, k: r.standard_normal(k),
-                                  rng, max_proposals=256)
+            sample_counterfactual(tilt, lambda r, k: np.zeros(k), rng,
+                                  max_proposals=256)
 
     @pytest.mark.parametrize("gamma", [50.0, 1e6])
     def test_draws_past_the_round_budget_follow_the_tilt(self, gamma):

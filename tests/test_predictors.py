@@ -20,7 +20,6 @@ from confsens.predictors import (
     drop_one_propensities,
     fit_mean,
     fit_propensity,
-    fit_quantile,
     marginal_treatment_prob,
     metric_weights,
     relevance_weights,
@@ -36,18 +35,19 @@ class TestKNNMean:
     def test_one_nn_interpolates(self):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([5.0, 7.0, 9.0])
-        model = fit_mean(x, y, k=1)
+        model = KNNMean(NeighborSearch(x, k=1), y)
         assert model.predict(np.array([[1.0]]))[0] == 7.0
 
     def test_two_nn_hand_average(self):
-        model = fit_mean(np.array([[0.0], [1.0]]), np.array([0.0, 2.0]), k=2)
+        model = KNNMean(NeighborSearch(np.array([[0.0], [1.0]]), k=2),
+                        np.array([0.0, 2.0]))
         assert model.predict(np.array([[0.5]]))[0] == pytest.approx(1.0)
 
     def test_k_equals_n_is_global_mean(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(30, 3))
         y = rng.normal(size=30)
-        model = fit_mean(x, y, k=30)
+        model = KNNMean(NeighborSearch(x, k=30), y)
         assert np.allclose(model.predict(x[:4]), y.mean())
 
     def test_too_few_pairs_error(self):
@@ -56,7 +56,7 @@ class TestKNNMean:
 
     def test_k_below_one_error(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
-            fit_mean(np.zeros((5, 1)), np.zeros(5), k=-1)
+            NeighborSearch(np.zeros((5, 1)), k=-1)
 
 
 def _adversarial(kind, rng, n, m, p):
@@ -197,9 +197,11 @@ class TestNonFiniteCovariates:
     FITS = {
         "mean": lambda x, y: fit_mean(x, y),
         "mean-relevance": lambda x, y: fit_mean(x, y, scale="relevance"),
-        "quantile": lambda x, y: fit_quantile(x, y, (0.1, 0.9)),
-        "quantile-relevance": lambda x, y: fit_quantile(
-            x, y, (0.1, 0.9), scale="relevance"),
+        "quantile": lambda x, y: KNNQuantile(NeighborSearch(x), y,
+                                             (0.1, 0.9)),
+        "quantile-relevance": lambda x, y: KNNQuantile(
+            NeighborSearch(x, feature_weights=relevance_weights(x, y)), y,
+            (0.1, 0.9)),
         "propensity": lambda x, y: fit_propensity(x, y > 0),
     }
 
@@ -230,7 +232,7 @@ class TestNonFiniteCovariates:
         x, y = self._data()
         y[:] = np.inf
         assert np.all(fit_mean(x, y).predict(x[:5]) == np.inf)
-        lo, hi = fit_quantile(x, y, (0.1, 0.9)).predict(x[:5])
+        lo, hi = KNNQuantile(NeighborSearch(x), y, (0.1, 0.9)).predict(x[:5])
         assert np.all(lo == np.inf) and np.all(hi == np.inf)
 
 
@@ -268,7 +270,6 @@ class TestOneDimensionalCovariates:
                for name, build in BUILDS.items()},
             "LogisticPropensity": lambda x, y: LogisticPropensity(x, y > 0),
             "fit_mean": fit_mean,
-            "fit_quantile": lambda x, y: fit_quantile(x, y, (0.1, 0.9)),
             "fit_propensity": lambda x, y: fit_propensity(x, y > 0)}
 
     @staticmethod
@@ -313,7 +314,8 @@ def test_models_share_one_search():
 class TestKNNQuantile:
     def test_constant_outcome(self):
         x = np.random.default_rng(0).uniform(size=(20, 2))
-        model = fit_quantile(x, np.full(20, 3.0), (0.1, 0.9))
+        model = KNNQuantile(NeighborSearch(x), np.full(20, 3.0),
+                            (0.1, 0.9))
         lo, hi = model.predict(x[:3])
         assert np.allclose(lo, 3.0) and np.allclose(hi, 3.0)
 
@@ -321,7 +323,7 @@ class TestKNNQuantile:
         # neighbor outcomes 0..19, level 0.5 under inf{y: F(y) >= tau} -> 9
         x = np.arange(20.0).reshape(-1, 1) * 1e-6
         y = np.arange(20.0)
-        model = fit_quantile(x, y, (0.5, 0.9), k=20)
+        model = KNNQuantile(NeighborSearch(x, k=20), y, (0.5, 0.9))
         lo, hi = model.predict(np.array([[0.0]]))
         assert lo[0] == 9.0
         assert hi[0] == 17.0  # ceil(0.9*20) - 1 = 17
@@ -329,13 +331,13 @@ class TestKNNQuantile:
     def test_levels_must_be_ordered(self):
         x = np.random.default_rng(0).uniform(size=(20, 1))
         with pytest.raises(ValueError, match="lo < hi"):
-            fit_quantile(x, np.zeros(20), (0.4, 0.4))
+            KNNQuantile(NeighborSearch(x), np.zeros(20), (0.4, 0.4))
 
     def test_monotone_pair(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(size=(50, 2))
         y = rng.normal(size=50)
-        model = fit_quantile(x, y, (0.3, 0.7))
+        model = KNNQuantile(NeighborSearch(x), y, (0.3, 0.7))
         lo, hi = model.predict(rng.uniform(size=(40, 2)))
         assert np.all(lo <= hi)
 

@@ -51,6 +51,7 @@ from confsens.dataset import (
 )
 from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
 from confsens.msm import (
+    GAMMA_MAX,
     SensitivitySpec,
     calibrate_gamma,
     min_miscoverage,
@@ -63,11 +64,12 @@ from confsens.predictors import (
     N_ITER,
     PENALTY,
     STEP,
+    KNNQuantile,
     LogisticPropensity,
+    NeighborSearch,
     _standardize,
     drop_one_propensities,
     fit_propensity,
-    fit_quantile,
 )
 from test_cssa import probe_one, sentinel_program
 
@@ -404,9 +406,8 @@ def test_cqr_intervals_follow_the_calls_alpha(seed, n, p, m, t, gamma,
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
     arm = fit_arms(ds, seed, x_target)[t]
     for alpha in alphas + alphas:
-        q_hat = fit_quantile(arm.pre_x, arm.pre_y,
-                             (alpha / 2.0, 1.0 - alpha / 2.0),
-                             scale=arm.scale)
+        q_hat = KNNQuantile(NeighborSearch(arm.pre_x), arm.pre_y,
+                            (alpha / 2.0, 1.0 - alpha / 2.0))
         spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
         single = [csa_interval(arm.mu_hat, arm.fold.propensity, arm.cal_x,
                                arm.cal_y, x, spec, arm.p_t, score="cqr",
@@ -523,6 +524,39 @@ def test_interval_widths_grow_with_gamma(seed, n, p, m, t, alpha):
             if not caught:
                 sharp.append(out)
         _assert_nested_in_gamma(sharp)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 240),
+       p=st.integers(2, 4), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
+       log_gamma=st.floats(0.0, 300.0))
+# the bound itself, one rounding above it, and gammas far inside it
+@example(seed=0, n=200, p=3, m=4, t=1, log_gamma=8.0)
+@example(seed=0, n=200, p=3, m=4, t=1, log_gamma=8.0 + 1e-12)
+@example(seed=1, n=160, p=2, m=5, t=0, log_gamma=4.0)
+@example(seed=2, n=240, p=4, m=3, t=1, log_gamma=6.5)
+def test_any_gamma_is_solved_or_named(seed, n, p, m, t, log_gamma):
+    # gamma log-uniform in [1, 1e300]: every method and score returns
+    # intervals with lower <= upper and CSSA inside CSA, or refuses gamma
+    # by name, exactly when gamma is above the bound
+    gamma = 10.0 ** log_gamma
+    dgp = SyntheticDGP(covariate_dim=p)
+    ds, _ = generate(dgp, n, seed=seed)
+    x_target = generate(dgp, m, seed=seed + 1)[0].covariates
+    arm = fit_arms(ds, seed, x_target)[t]
+    for score in ("mean", "cqr"):
+        out = {}
+        for method in ("nuc", "csa", "cssa"):
+            if gamma > GAMMA_MAX:
+                with pytest.raises(ValueError, match="gamma must be"):
+                    arm.intervals(gamma, 0.2, method, score)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # infeasible rows fall back
+                out[method] = arm.intervals(gamma, 0.2, method, score)
+            assert np.all(out[method][0] <= out[method][1])
+        if out:
+            assert np.all(out["cssa"][2] <= out["csa"][2])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
