@@ -117,30 +117,30 @@ def solve_fractional(fp: FractionalProgram) -> FractionalResult:
                             weights=res.x[:n] / res.x[n])
 
 
-def _probe(j, lo, hi, A, b, level, slack_rel, perm=None):
+def _probe(j, lo, hi, A, b, level, slack_rel, perm):
     """(tail, total), the weight at positions >= j and the total weight,
     per probe row, for the weights w that maximize c @ w - level * w.sum()
     over the row's box lo <= w <= hi and the balance rows
     |A w - b| <= slack_rel * |b|, with c the indicator of the 1-based
-    positions >= j; NaN where the balance rows are infeasible.  `j` holds
-    P positions and `lo`/`hi` are (P, n).
+    positions >= j; NaN where the balance rows are infeasible, which does
+    not depend on j.  `j` holds P positions and `lo`/`hi` are (P, n).
 
     By Dinkelbach's lemma, for any sentinel mass h > 0 some w in the set
     has (c @ w + h) / (w.sum() + h) > level exactly when this w does, and
     w does not depend on h: one probe serves every target of a batch.
 
-    A single all-positive row is solved by one greedy pass over all P
-    rows at once.  The box optimum puts the tail at `hi` and the rest at
-    `lo`; if the row cuts that corner off, Dantzig's knapsack repair
-    lowers the tail weights (or raises the rest) by (1 - level)/a (or
+    The route is decided here: one all-positive row is solved by one greedy
+    pass over all P rows at once.  The box optimum puts the tail at `hi` and
+    the rest at `lo`; if the row cuts that corner off, Dantzig's knapsack
+    repair lowers the tail weights (or raises the rest) by (1 - level)/a (or
     level/a) per unit of the row, i.e. in decreasing a whatever the level
-    (`perm`, the stable argsort of -a, which a caller may compute once),
-    and at most one weight ends fractional.  A row below the corner is
-    the mirror image on -w (negation is exact).  The repair's running
-    row value is one subtract-accumulate per row over all positions in
-    that order, the positions that do not move subtracting an exact 0.
-    Row-wise sums equal the 1-D sum bit for bit, so a pass gives each row
-    what a pass of one row gives it.  Any other row set is one LP per row.
+    (`perm`, the stable argsort of -a, which the caller computes once), and at
+    most one weight ends fractional.  A row below the corner is the mirror
+    image on -w (negation is exact).  The repair's running row value is one
+    subtract-accumulate per row over all positions in that order, the
+    positions that do not move subtracting an exact 0.  Row-wise sums equal
+    the 1-D sum bit for bit, so a pass gives each row what a pass of one row
+    gives it.  Other rows: one LP per probe row.
     """
     j = np.asarray(j)
     n = lo.shape[1]
@@ -156,8 +156,6 @@ def _probe(j, lo, hi, A, b, level, slack_rel, perm=None):
                 out[:, r] = c @ res.x, res.x.sum()
         return out
     a, b = A[0], b[0]
-    if perm is None:
-        perm = np.argsort(-a, kind="stable")
     w = np.where(tail, hi, lo)
     lower, upper = b - slack_rel * abs(b), b + slack_rel * abs(b)
     total = (a * w).sum(axis=1)
@@ -235,7 +233,7 @@ def cssa_threshold(scores, lo, hi, constraints, alpha) -> float:
                                       hi[-1:])[0])
 
 
-# probe rows per greedy pass: a pass holds a few (64, n) float arrays
+# probe rows per pass: a greedy pass holds a few (64, n) float arrays
 _PASS_ROWS = 64
 
 
@@ -261,10 +259,11 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
 
     A gamma whose weight box is a point (gamma = 1), or any gamma when
     there are no constraints, gets the greedy thresholds; so does a gamma
-    for which a probe finds the constraints infeasible, with one warning,
-    leaving the other gammas' rows untouched.  Such a fallback breaks
-    monotonicity in gamma: the CSA thresholds at a gamma whose balance row
-    is infeasible can exceed the sharpened thresholds at a larger gamma.
+    whose constraints a probe finds infeasible, decided after the search,
+    with one warning, leaving the other gammas' rows untouched.  Such a
+    fallback breaks monotonicity in gamma: the CSA thresholds at a gamma
+    whose balance row is infeasible can exceed the sharpened thresholds at
+    a larger gamma.
     """
     order, ext, lo, hi = _sorted_box(scores, lo_c, hi_c, alpha)
     grid = lo.ndim == 2
@@ -289,41 +288,37 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
 def _bisect(flips, lo, hi, h, A, b, alpha):
     """The lockstep bisection of `cssa_threshold_batch` over its (gamma,
     target) pairs, the balance columns in sorted order: the 1-based
-    positions, which stay the greedy `flips` for a gamma whose box is a
-    point or whose probe is infeasible (warned about once)."""
+    positions, or the greedy `flips` for a gamma whose box is a point or
+    whose rows a probe finds infeasible (warned about after the search)."""
     level = alpha + _NORM_TOL  # decides exact ties as the greedy does
     n_g, width = lo.shape[0], lo.shape[1] + 2  # positions 0..n + 1
     probes = np.full((2, n_g, width), np.nan)  # (tail, total) by position
     rows = np.arange(n_g)[:, None]
-    search = ~np.all(lo == hi, axis=1)  # the gammas still searched
+    search = ~np.all(lo == hi, axis=1)  # the gammas searched
+    bad = np.zeros(n_g, dtype=bool)  # the gammas whose rows are infeasible
     left = np.ones_like(flips)
     right = np.where(search[:, None], flips, 1)
-    greedy = A.shape[0] == 1 and np.all(A[0] > 0.0)
-    perm = np.argsort(-A[0], kind="stable") if greedy else None
-    step = _PASS_ROWS if greedy else 1  # the LP stops at an infeasible row
+    perm = np.argsort(-A[0], kind="stable")
     live = left < right
     while live.any():
         mid = (left + right + 1) // 2
         fresh = np.zeros(n_g * width, dtype=bool)
         fresh[(rows * width + mid)[live]] = True
         need = np.flatnonzero(fresh & np.isnan(probes[0].reshape(-1)))
-        for start in range(0, need.size, step):
-            gr, jr = np.divmod(need[start:start + step], width)
-            on = search[gr]  # a gamma that fell back is probed no more
-            gr, jr = gr[on], jr[on]
-            if gr.size:
-                probes[:, gr, jr] = _probe(jr, lo[gr], hi[gr], A, b, level,
-                                           _SLACK_REL, perm)
-            for g in np.unique(gr[np.isnan(probes[0, gr, jr])]):
-                warnings.warn("balancing constraints infeasible; falling "
-                              "back to the unconstrained thresholds")
-                search[g] = False
-        live &= search[:, None]
+        for start in range(0, need.size, _PASS_ROWS):
+            gr, jr = np.divmod(need[start:start + _PASS_ROWS], width)
+            probes[:, gr, jr] = _probe(jr, lo[gr], hi[gr], A, b, level,
+                                       _SLACK_REL, perm)
+            bad[gr[np.isnan(probes[0, gr, jr])]] = True
         tail, total = probes[:, rows, mid]
         above = (tail + h) / (total + h) > level
         left = np.where(live & above, mid, left)
         right = np.where(live & ~above, mid - 1, right)
-        live = (left < right) & search[:, None]
+        live = (left < right) & ~bad[:, None]
+    for _ in np.flatnonzero(bad):
+        warnings.warn("balancing constraints infeasible; falling back to "
+                      "the unconstrained thresholds")
+    search &= ~bad
     for row_tail, row_total in zip(*probes[:, search]):
         probed = ~np.isnan(row_tail)
         gap = row_tail[probed] - level * row_total[probed]

@@ -82,16 +82,12 @@ class ObservationalDataset:
         return self.covariates.shape[1]
 
     def subset(self, idx):
-        """New dataset holding the given rows, order preserved.  The rows
-        come from a checked dataset, so they are copied once, by the
-        indexing, and set read-only without the constructor's checks."""
+        """New dataset holding the given rows, order preserved: the
+        indexing copies them, then the constructor's checks run on them."""
         idx = np.asarray(idx, dtype=np.int64)
         sub = object.__new__(ObservationalDataset)
-        for field in ("covariates", "treatment", "outcome"):
-            rows = getattr(self, field)[idx]
-            rows.setflags(write=False)
-            object.__setattr__(sub, field, rows)
-        object.__setattr__(sub, "names", self.names)
+        sub._hold(self.covariates[idx], self.treatment[idx],
+                  self.outcome[idx], self.names)
         return sub
 
     def __len__(self):

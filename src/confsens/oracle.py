@@ -65,7 +65,7 @@ class SyntheticDGP:
         x = np.atleast_2d(x)
         if not self.two_arm:
             return np.zeros(x.shape[0])
-        return (_logistic_bump(x[:, 0]) * _logistic_bump(x[:, 1])
+        return (self.mean_treated(x)
                 + 10.0 * np.sin(x[:, 2]) / (1.0 + np.exp(-5.0 * x[:, 2])))
 
 

@@ -47,7 +47,8 @@ def probe_one(j, lo, hi, A, b, level, slack_rel):
     """The probe pass with one row at position j: (tail, total), or None
     when the balance rows are infeasible."""
     tail, total = cssa._probe(np.array([j]), lo[None, :], hi[None, :], A, b,
-                              level, slack_rel)[:, 0]
+                              level, slack_rel,
+                              np.argsort(-A[0], kind="stable"))[:, 0]
     return None if np.isnan(tail) else (tail, total)
 
 

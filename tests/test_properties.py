@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from confsens.conformal import (
     WeightedDiscreteDist,
+    scores_and_band,
     wcp_threshold_nuc_batch,
     weighted_quantile,
 )
@@ -38,6 +39,8 @@ from confsens.csa import (
     greedy_threshold_batch,
 )
 from confsens.cssa import (
+    arm_intervals,
+    balance_constraints,
     cssa_interval,
     cssa_threshold,
     cssa_threshold_batch,
@@ -275,6 +278,21 @@ def test_single_row_probe_equals_lp(probe):
         assert abs((tail + h) / (total + h) - want.value) <= 1e-7
 
 
+@_settings
+@given(single_row_probes(), st.floats(0.01, 0.99))
+def test_feasibility_does_not_depend_on_the_position(probe, level):
+    # a gamma falls back on its first infeasible probe, wherever that
+    # probe sits, so every position 2..n+1 (one pass, either route) must
+    # agree on whether the box meets the balance rows
+    _, _, lo, hi, A, b, slack = probe
+    j = np.arange(2, lo.size + 2)
+    tail, total = cssa._probe(j, np.tile(lo, (j.size, 1)),
+                              np.tile(hi, (j.size, 1)), A, b, level, slack,
+                              np.argsort(-A[0], kind="stable"))
+    assert np.array_equal(np.isnan(tail), np.isnan(total))
+    assert np.isnan(tail).all() or not np.isnan(tail).any()
+
+
 @st.composite
 def probe_passes(draw):
     """Probe rows over one positive balance row, each with a 1-based
@@ -343,10 +361,11 @@ def test_probe_pass_equals_scalar_probe(probe):
     # a pass over many rows gives each row, feasible or not, the bits a
     # pass of that row alone and the scalar reference give it
     j, lo, hi, A, b, level, slack = probe
-    got = cssa._probe(j, lo, hi, A, b, level, slack)
+    perm = np.argsort(-A[0], kind="stable")
+    got = cssa._probe(j, lo, hi, A, b, level, slack, perm)
     for r in range(j.size):
         one = cssa._probe(j[r:r + 1], lo[r:r + 1], hi[r:r + 1], A, b, level,
-                          slack)
+                          slack, perm)
         assert got[:, r].tobytes() == one[:, 0].tobytes()
         want = _probe_reference(j[r], lo[r], hi[r], A[0], b[0], level, slack)
         if want is None:
@@ -482,6 +501,41 @@ def test_infeasible_gamma_alone_falls_back():
                    for a, b in zip(grid, plain))
         assert any(a[g].tobytes() != b[g].tobytes()
                    for g in (2, 3, 4) for a, b in zip(grid, plain))
+
+
+def test_infeasible_gamma_alone_falls_back_on_the_lp_route():
+    # the same near-separated data with one identity row per covariate,
+    # which takes the LP route: arm 1's rows are infeasible at gamma 1.5
+    # and feasible at 2 and 3
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(300, 3))
+    t = (x[:, 0] + 0.05 * rng.normal(size=300) > 0.5).astype(int)
+    ds = ObservationalDataset(x, t, x[:, 1] + rng.normal(size=300))
+    arm = fit_arms(ds, 2, x[:7])[1]
+    cal = arm.fold.cal
+    rows = balance_constraints("identity", arm.cal_x, cal.covariates,
+                               cal.treatment, arm.e_cal, arm.fold.e_cal, 1)
+    assert rows[0].shape[0] == 3
+    band = scores_and_band("mean", arm.mu_hat, arm.cal_x, arm.cal_y,
+                           arm.fold.x_target)
+    gammas = (1.0, 1.5, 2.0, 3.0)
+
+    def run(gamma, constraints):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = arm_intervals(*band, arm.e_cal, arm.fold.e_target, gamma,
+                                0.2, 1, arm.p_t, constraints)
+        return out, len(caught)
+
+    grid, n_warned = run(np.array(gammas), rows)
+    single = [run(g, rows) for g in gammas]
+    assert n_warned == 1 and [c for _, c in single] == [0, 1, 0, 0]
+    _assert_grid_rows(grid, [one for one, _ in single])
+    plain, _ = run(np.array(gammas), None)
+    # the fallen-back gamma is CSA's row; the sharpened rows are not
+    assert all(a[1].tobytes() == b[1].tobytes() for a, b in zip(grid, plain))
+    assert any(a[g].tobytes() != b[g].tobytes()
+               for g in (2, 3) for a, b in zip(grid, plain))
 
 
 def _assert_same_intervals(single, lower, upper, thr):
