@@ -58,17 +58,36 @@ def test_only_cssa_builds_intervals():
 THRESHOLD_STAGE = {"conformal", "csa", "cssa"}
 
 
+def _private_imports(target=None):
+    """`file: module.name` for each `_`-prefixed name one package module
+    imports from another outside the threshold stage; with `target`,
+    only the names imported from that module."""
+    return [f"{path.name}: {module}.{name}"
+            for path in SOURCES
+            for module, names in _imports(path)
+            if module.startswith((".", "confsens."))
+            and not {path.stem, module.split(".")[-1]} <= THRESHOLD_STAGE
+            and target in (None, module.split(".")[-1])
+            for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
 def test_no_private_imports():
     # a `_`-prefixed name stays in its module, so the k-NN models, the
     # dataset checks and the CSSA probes are each built in one place
-    found = [f"{path.name}: {module}.{name}"
-             for path in SOURCES
-             for module, names in _imports(path)
-             if module.startswith((".", "confsens."))
-             and not {path.stem, module.split(".")[-1]} <= THRESHOLD_STAGE
-             for name in names
-             if name.startswith("_") and not name.endswith("__")]
+    found = _private_imports()
     assert not found, f"private names imported: {found}"
+
+
+def test_no_private_dataset_imports():
+    found = _private_imports("dataset")
+    assert not found, f"private dataset names imported: {found}"
+
+
+def test_no_private_predictors_imports():
+    # the k-NN models and their neighbour search are built in one module
+    found = _private_imports("predictors")
+    assert not found, f"private predictors names imported: {found}"
 
 
 def _span_targets():
