@@ -5,8 +5,9 @@ the experiment harness.
 it at the calibration units and the targets; each arm keeps one
 neighbour search over its preliminary rows, which its mean model and the
 quantile model of each call's alpha ("cqr" score) share, the
-propensities and balance row of its calibration units, and per
-(score, alpha) its calibration scores and band at the targets.
+propensities and balance row of its calibration units, and its
+calibration scores and band at the targets: once for the "mean" score,
+per alpha for "cqr".
 `FittedArm.intervals` then solves all targets, at one gamma or a whole
 gamma grid, in one `arm_intervals` call: only the sentinel weight belongs
 to a target, and only the weight box to a gamma.
@@ -98,7 +99,8 @@ class FittedArm:
         check_alpha(alpha)
         if method not in ("nuc", "csa", "cssa"):
             raise ValueError(f"unknown method {method!r}")
-        key = score, alpha  # the quantile model's levels follow alpha
+        # the quantile model's levels follow alpha; the mean model has none
+        key = (score, alpha) if score == "cqr" else score
         if key not in self._cache:
             model = self.q_hat(alpha) if score == "cqr" else self.mu_hat
             self._cache[key] = scores_and_band(score, model, self.cal_x,

@@ -107,26 +107,31 @@ _TINY = np.finfo(float).smallest_subnormal
 _EPS = np.finfo(float).eps
 
 
-def _candidates(query_x, c, tc2, tn, k):
+def _candidates(query_x, c, tc2, tn, k, work):
     """Per query row, in ascending order, the training columns whose
     approximate distance is within 2 delta of the row's k-th smallest,
-    padded with column n; all n columns where the bound does not apply."""
+    padded with column n; all n columns where the bound does not apply.
+    `work` is a (2, rows, n) buffer for the approximations and their
+    partitioned copy."""
     n, p = tc2.shape
-    every = np.broadcast_to(np.arange(n), (query_x.shape[0], n))
-    if k == n or query_x.shape[0] == 0:
+    m = query_x.shape[0]
+    every = np.broadcast_to(np.arange(n), (m, n))
+    if k == n or m == 0:
         return every
+    approx, part = work[0, :m], work[1, :m]
     with np.errstate(over="ignore", invalid="ignore"):
         qc = query_x - c
         s = (qc ** 2).sum(axis=1).max() + tn.max()
         if not np.isfinite(4.0 * s):
             return every
-        approx = qc @ tc2.T
+        np.matmul(qc, tc2.T, out=approx)
     approx += tn
     delta = 8 * (p + 4) * (_EPS * s + _TINY)
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
-    keep = approx <= kth + 2 * delta
+    part[...] = approx
+    part.partition(k - 1, axis=1)
+    keep = approx <= part[:, k - 1:k] + 2 * delta
     count = keep.sum(axis=1)
-    cols = np.full((query_x.shape[0], count.max()), n)
+    cols = np.full((m, count.max()), n)
     cols[np.arange(cols.shape[1]) < count[:, None]] = np.flatnonzero(keep) % n
     return cols
 
@@ -149,9 +154,11 @@ def _neighbor_idx(train_x, query_x, k):
     `_BLOCK` query rows at a time; zero query rows still give one (empty)
     block.  Per block, one matrix product of train-centred coordinates
     picks a few candidate columns per row, and the exact per-element
-    distances of those columns alone decide the list."""
+    distances of those columns alone decide the list.  The blocks share
+    one work buffer, so its pages are faulted in once per search."""
     n, p = train_x.shape
     k = min(k, n)
+    work = np.empty((2, min(_BLOCK, query_x.shape[0]), n))
     # column n pads rows with fewer candidates than the widest, at +inf
     padded = np.vstack([train_x, np.full((1, p), np.inf)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,8 +167,9 @@ def _neighbor_idx(train_x, query_x, k):
         tc2, tn = -2.0 * tc, (tc ** 2).sum(axis=1)
     blocks = (query_x[start:start + _BLOCK]
               for start in range(0, max(query_x.shape[0], 1), _BLOCK))
-    return np.concatenate([_select(q, padded, _candidates(q, c, tc2, tn, k), k)
-                           for q in blocks])
+    return np.concatenate([
+        _select(q, padded, _candidates(q, c, tc2, tn, k, work), k)
+        for q in blocks])
 
 
 class NeighborSearch:
@@ -307,13 +315,15 @@ def _ascend(z, t, mask=None):
     intercept unpenalized)."""
     n, p = z.shape
     free = np.ones((p, 1)) if mask is None else mask
-    z1 = np.hstack([z, np.ones((n, 1))])
-    gain = np.vstack([free, np.ones(free.shape[1])]) * (STEP / n)
+    m = free.shape[1]
+    # column-major, so both products stream down contiguous columns
+    z1 = np.asfortranarray(np.hstack([z, np.ones((n, 1))]))
+    gain = np.vstack([free, np.ones(m)]) * (STEP / n)
     decay = np.full((p + 1, 1), 1.0 - 2.0 * STEP * PENALTY)
     decay[p] = 1.0
     nb = np.zeros(gain.shape)
-    t = t[:, None]
-    resid, grad = np.empty((n, gain.shape[1])), np.empty(gain.shape)
+    t = np.repeat(t[:, None], m, axis=1)
+    resid, grad = np.empty((n, m)), np.empty(gain.shape)
     for _ in range(N_ITER):
         np.exp(np.matmul(z1, nb, out=resid), out=resid)
         resid += 1.0

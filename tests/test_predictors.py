@@ -94,6 +94,8 @@ class TestNeighborSearch:
              k_over_n=3, seed=2)
     @example(kind="normal", magnitude="unit", n=40, p=2, m=0, k_over_n=-20,
              seed=3)
+    @example(kind="normal", magnitude="unit", n=40, p=2, m=_BLOCK + 1,
+             k_over_n=-34, seed=4)
     def test_matches_full_stable_argsort(self, kind, magnitude, n, p, m,
                                          k_over_n, seed):
         # k runs from 1 through n to n + 3.  The Gram prefilter must keep
@@ -114,6 +116,25 @@ class TestNeighborSearch:
         with np.errstate(over="ignore" if overflows else "raise"):
             got = _neighbor_idx(x, q, k)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_results_do_not_alias_the_work_buffer(self):
+        # the second, shorter search ends on a partial block; the first
+        # result, which the memo holds, must not change under it
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(200, 3))
+        search = NeighborSearch(x)
+        queries = [rng.normal(size=(m, 3)) for m in (3 * _BLOCK,
+                                                     _BLOCK + 7)]
+
+        def brute(q):
+            d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+            return np.argsort(d2, axis=1, kind="stable")[:, :search.k]
+
+        first = search(queries[0])
+        second = search(queries[1])
+        assert search(queries[0]) is first
+        assert np.array_equal(first, brute(queries[0]))
+        assert np.array_equal(second, brute(queries[1]))
 
     def test_predict_memory_is_bounded_in_query_rows(self):
         rng = np.random.default_rng(10)
