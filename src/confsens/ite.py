@@ -5,12 +5,15 @@ Bonferroni difference of the two potential-outcome intervals, and a
 nested two-stage procedure that turns counterfactual intervals on held
 out units into a pair of endpoint regressions, avoiding the Bonferroni
 split of the error budget.  The endpoint regressions are
-`predictors.KNNSingleQuantile` models over one neighbour search.
+`predictors.KNNSingleQuantile` models over one neighbour search.  A
+`NestedFold` halves its data when made and fits on first use, so a sweep
+can fit the propensities of many folds in one batch first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,35 +70,53 @@ class NestedFold:
     `model` turns them into counterfactual intervals for Y(t) through the
     cross-arm weight bounds at a given gamma.  The endpoint regressions of
     every gamma share one neighbour search over the val units.
+
+    `fit_rows` are the fit half's covariates and treatment.  The
+    propensity is fit on them on first use, unless a batch fit set it
+    before (`harness.run_sweep` fits many folds in one ascent); the rest
+    of the fit half, with its refusal of too few units in an arm, is
+    built at the first `model` call.
     """
 
     def __init__(self, ds: ObservationalDataset, seed=0):
         perm = np.random.default_rng(seed).permutation(ds.n)
         half = ds.n // 2
-        ds_fit = ds.subset(perm[:half])
-        ds_val = ds.subset(perm[half:])
+        self._fit, self._val = ds.subset(perm[:half]), ds.subset(perm[half:])
+        self.fit_rows = self._fit.covariates, self._fit.treatment
+        self.val_x, self.val_y = self._val.covariates, self._val.outcome
+        self.n_val = self._val.n
+
+    @cached_property
+    def propensity(self):
+        return fit_propensity(*self.fit_rows)
+
+    @cached_property
+    def _search(self):
+        return NeighborSearch(self.val_x)
+
+    @cached_property
+    def _arms(self):
+        """Per arm t: calibration scores and their propensities, then the
+        mask, propensities and mean predictions of val units in 1 - t."""
+        ds_fit = self._fit
         fit_idx = [arm_indices(ds_fit, t) for t in (0, 1)]
         for t, idx in enumerate(fit_idx):
             if idx.size < 4:
                 raise ValueError(
                     f"too few units in arm {t} for the nested stage")
-        self.val_x, self.val_y = ds_val.covariates, ds_val.outcome
-        self.n_val = ds_val.n
-        self._search = NeighborSearch(self.val_x)
-        propensity = fit_propensity(ds_fit.covariates, ds_fit.treatment)
-        # per arm t: calibration scores and their propensities, then the
-        # mask, propensities and mean predictions of val units in 1 - t
-        self._arms = []
+        propensity = self.propensity
+        arms = []
         for t, idx in enumerate(fit_idx):
             pre, cal = idx[:idx.size // 2], idx[idx.size // 2:]
             mu_hat = fit_mean(ds_fit.covariates[pre], ds_fit.outcome[pre])
             cal_x = ds_fit.covariates[cal]
-            mask = ds_val.treatment == 1 - t
+            mask = self._val.treatment == 1 - t
             x_q = self.val_x[mask]
             scores, (mu_q, _) = scores_and_band("mean", mu_hat, cal_x,
                                                 ds_fit.outcome[cal], x_q)
-            self._arms.append((scores, propensity.predict(cal_x), mask,
-                               propensity.predict(x_q), mu_q))
+            arms.append((scores, propensity.predict(cal_x), mask,
+                         propensity.predict(x_q), mu_q))
+        return arms
 
     def model(self, gamma, alpha):
         """Endpoint regressions of the val units' effect intervals: the

@@ -1,11 +1,13 @@
 """One fitted pipeline per treatment arm, shared by the command line and
 the experiment harness.
 
-`fit_arms` splits the data once, fits one propensity model and predicts
-it at the calibration units and the targets; each arm keeps one
-neighbour search over its preliminary rows, which its mean model and the
-quantile model of each call's alpha ("cqr" score) share, the
-propensities and balance row of its calibration units, and its
+`fit_arms` splits the data once into a `Fold`, fits one propensity model
+and predicts it at the calibration units and the targets.  A fold's
+propensity is fit on its `fit_rows` on first use, so a caller holding many
+folds (`harness.run_sweep`) may fit them in one batch first.  Each arm
+keeps one neighbour search over its preliminary rows, which its mean
+model and the quantile model of each call's alpha ("cqr" score) share,
+the propensities and balance row of its calibration units, and its
 calibration scores and band at the targets: once for the "mean" score,
 per alpha for "cqr".
 `FittedArm.intervals` then solves all targets, at one gamma or a whole
@@ -26,29 +28,49 @@ from .msm import check_alpha, check_gamma
 from .predictors import (KNNMean, KNNQuantile, NeighborSearch, fit_propensity,
                          marginal_treatment_prob, metric_weights)
 
-__all__ = ["FittedArm", "fit_arms"]
+__all__ = ["Fold", "FittedArm", "fit_arms"]
 
 
-class _Fold:
-    """The split and propensity model both arms share, and its
-    propensities at the calibration units and at the targets."""
+class Fold:
+    """One seeded split of a dataset (`dataset.split`) and the propensity
+    model both arms share, with its propensities at the calibration units.
 
-    def __init__(self, ds, seed, x_target):
+    `fit_rows` are the preliminary half's covariates and treatment.  The
+    propensity is fit on them on first use, unless a batch fit set it
+    before (`harness.run_sweep` fits many folds in one ascent); so is
+    everything that reads it."""
+
+    def __init__(self, ds, seed):
         prelim_idx, cal_idx = split(ds, seed)
         self.prelim = ds.subset(prelim_idx)
         self.cal = ds.subset(cal_idx)
-        self.propensity = fit_propensity(self.prelim.covariates,
-                                         self.prelim.treatment)
-        self.e_cal = self.propensity.predict(self.cal.covariates)
-        self.x_target = np.asarray(x_target, dtype=float)
-        self.e_target = self.propensity.predict(self.x_target)
+        self.fit_rows = self.prelim.covariates, self.prelim.treatment
+
+    @cached_property
+    def propensity(self):
+        return fit_propensity(*self.fit_rows)
+
+    @cached_property
+    def e_cal(self):
+        return self.propensity.predict(self.cal.covariates)
+
+    def arms(self, x_target, scale=None):
+        """(arm 0, arm 1), whose intervals are at the rows of `x_target`;
+        the arms read those rows rather than copy them, and share their
+        propensities."""
+        x_target = np.asarray(x_target, dtype=float)
+        e_target = self.propensity.predict(x_target)
+        return tuple(FittedArm(self, t, x_target, e_target, scale)
+                     for t in (0, 1))
 
 
 class FittedArm:
-    """Arm t of a fold; `scale` is the k-NN metric scaling."""
+    """Arm t of a fold, with its targets and their propensities; `scale`
+    is the k-NN metric scaling."""
 
-    def __init__(self, fold: _Fold, t, scale=None):
+    def __init__(self, fold: Fold, t, x_target, e_target, scale=None):
         self.fold, self.t, self.scale = fold, t, scale
+        self.x_target, self.e_target = x_target, e_target
         pre_idx = arm_indices(fold.prelim, t)
         cal_idx = arm_indices(fold.cal, t)
         self.pre_x = fold.prelim.covariates[pre_idx]
@@ -104,9 +126,9 @@ class FittedArm:
         if key not in self._cache:
             model = self.q_hat(alpha) if score == "cqr" else self.mu_hat
             self._cache[key] = scores_and_band(score, model, self.cal_x,
-                                               self.cal_y, self.fold.x_target)
+                                               self.cal_y, self.x_target)
         rows = self.constraints if method == "cssa" else None
-        out = arm_intervals(*self._cache[key], self.e_cal, self.fold.e_target,
+        out = arm_intervals(*self._cache[key], self.e_cal, self.e_target,
                             1.0 if method == "nuc" else gamma, alpha, self.t,
                             self.p_t, rows)
         if method == "nuc":
@@ -117,7 +139,6 @@ class FittedArm:
 
 def fit_arms(ds, seed, x_target, scale=None):
     """(arm 0, arm 1) over one split of `ds` seeded by `seed`, whose
-    intervals are at the rows of `x_target`; the arms read those rows
-    rather than copy them.  Models are fitted on first use."""
-    fold = _Fold(ds, seed, x_target)
-    return tuple(FittedArm(fold, t, scale) for t in (0, 1))
+    intervals are at the rows of `x_target`.  Models are fitted on first
+    use."""
+    return Fold(ds, seed).arms(x_target, scale)

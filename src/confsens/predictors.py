@@ -5,10 +5,12 @@ mean and quantile models are views of one `NeighborSearch`, which owns
 the training rows, k and the metric weights; the propensity is an
 L2-penalized logistic regression (full-batch gradient ascent on the
 design [z, 1] of standardized features and an intercept column, one
-fused update per step), and `drop_one_propensities` runs the p + 1
-leave-one-covariate-out fits of `msm.calibrate_gamma` as one masked
-ascent on the same path.  Any object with the same ``predict`` surface
-can be substituted.
+fused update per step).  The ascent has a leading batch axis:
+`fit_propensities` fits many same-shaped training sets in one ascent,
+`fit_propensity` is a batch of one, and `drop_one_propensities` runs the
+p + 1 leave-one-covariate-out fits of `msm.calibrate_gamma` as one masked
+ascent of a batch of one.  An item's fit is bit for bit the same in any
+batch.  Any object with the same ``predict`` surface can be substituted.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "metric_weights",
     "fit_mean",
     "fit_propensity",
+    "fit_propensities",
     "drop_one_propensities",
     "marginal_treatment_prob",
 ]
@@ -305,40 +308,47 @@ def _logistic(z, beta, intercept):
 
 
 def _ascend(z, t, mask=None):
-    """Gradient ascent of the L2-penalized logistic likelihood of t on z:
-    (beta, intercept) of one model, or, with a (p, m) 0/1 mask, of m models
-    at once, model k holding coefficient j at 0 where mask[j, k] is 0; one
-    model is the one-column mask.  The design is [z, 1] and the loop holds
-    nb = -(beta, intercept), so z1 @ nb is the negated logit and a step is
-    nb <- nb * decay - gain * z1.T @ (t - 1 / (1 + exp(z1 @ nb))), with
-    STEP, PENALTY, 1 / n and the mask folded into decay and gain (the
-    intercept unpenalized)."""
-    n, p = z.shape
+    """Gradient ascent of the L2-penalized logistic likelihood of t on z,
+    for a stacked (B, n, p) design z and (B, n) outcomes t: (beta,
+    intercept) of B independent models, shapes (B, p) and (B,), or, with a
+    (p, m) 0/1 mask, of m models per item at once, shapes (B, p, m) and
+    (B, m), model k holding coefficient j at 0 where mask[j, k] is 0.  The
+    design is [z, 1] and the loop holds nb = -(beta, intercept), so z1 @ nb
+    is the negated logit and a step is nb <- nb * decay - gain * z1.T @
+    (t - 1 / (1 + exp(z1 @ nb))), with STEP, PENALTY, 1 / n and the mask
+    folded into decay and gain (the intercept unpenalized).  The stacked
+    products run the same BLAS kernel per item as a 2-D product, and the
+    other steps are elementwise, so an item's fit does not depend on the
+    batch it is in, bit for bit."""
+    b, n, p = z.shape
     free = np.ones((p, 1)) if mask is None else mask
     m = free.shape[1]
-    # column-major, so both products stream down contiguous columns
-    z1 = np.asfortranarray(np.hstack([z, np.ones((n, 1))]))
+    # each item column-major, so both products stream down contiguous columns
+    z1 = np.ones((b, p + 1, n)).transpose(0, 2, 1)
+    z1[..., :p] = z
+    z1t = z1.transpose(0, 2, 1)
     gain = np.vstack([free, np.ones(m)]) * (STEP / n)
     decay = np.full((p + 1, 1), 1.0 - 2.0 * STEP * PENALTY)
     decay[p] = 1.0
-    nb = np.zeros(gain.shape)
-    t = np.repeat(t[:, None], m, axis=1)
-    resid, grad = np.empty((n, m)), np.empty(gain.shape)
+    nb = np.zeros((b,) + gain.shape)
+    t = np.repeat(t[..., None], m, axis=-1)
+    resid, grad = np.empty((b, n, m)), np.empty(nb.shape)
     for _ in range(N_ITER):
         np.exp(np.matmul(z1, nb, out=resid), out=resid)
         resid += 1.0
         np.subtract(t, np.reciprocal(resid, out=resid), out=resid)
-        np.matmul(z1.T, resid, out=grad)
+        np.matmul(z1t, resid, out=grad)
         grad *= gain
         nb *= decay
         nb -= grad
     if mask is None:
-        nb = nb[:, 0]
-    return -nb[:p], -nb[p]
+        nb = nb[..., 0]
+    return -nb[:, :p], -nb[:, p]
 
 
 class LogisticPropensity:
-    """Logistic-regression treatment model with clipped outputs.
+    """Logistic-regression treatment model with clipped outputs; a batch
+    of one `fit_propensities`.
 
     Standardization statistics are stored in the fitted model so query
     features are transformed exactly as the training features were.
@@ -346,8 +356,15 @@ class LogisticPropensity:
     """
 
     def __init__(self, train_x, train_t):
-        z, t, self.mean_, self.sd_ = _standardize(train_x, train_t)
-        self.beta_, self.intercept_ = _ascend(z, t)
+        (fit,) = _fit([_standardize(train_x, train_t)])
+        self.mean_, self.sd_, self.beta_, self.intercept_ = fit
+
+    @classmethod
+    def _of(cls, fit):
+        """The model of one (mean, sd, beta, intercept) fit."""
+        model = cls.__new__(cls)
+        model.mean_, model.sd_, model.beta_, model.intercept_ = fit
+        return model
 
     def predict(self, x):
         x = _covariates(x, self.mean_.shape[0])
@@ -355,13 +372,37 @@ class LogisticPropensity:
                          self.intercept_)
 
 
+def _fit(sets):
+    """(mean, sd, beta, intercept) of each standardized (z, t, mean, sd)
+    set, from one ascent over their stacked designs."""
+    shapes = [z.shape for z, _, _, _ in sets]
+    if not sets or shapes.count(shapes[0]) != len(shapes):
+        raise ValueError("need one or more training sets of one shape, "
+                         f"got shapes {shapes}")
+    zs, ts, means, sds = zip(*sets)
+    beta, intercept = _ascend(np.stack(zs), np.stack(ts))
+    return list(zip(means, sds, beta, intercept))
+
+
+def fit_propensities(xs, ts):
+    """One `LogisticPropensity` per training set (xs[i], ts[i]), all fitted
+    in one batched ascent, each bit for bit the model of its own fit.  The
+    sets must share one (rows, covariates) shape, and each passes
+    `fit_propensity`'s checks.  The stacked design of B sets of shape
+    (n, p) takes 8 B n (p + 1) bytes."""
+    return [LogisticPropensity._of(fit)
+            for fit in _fit([_standardize(x, t) for x, t in zip(xs, ts)])]
+
+
 def drop_one_propensities(train_x, train_t):
     """(n, p + 1) clipped propensities at the training rows: column j of
     the fit without covariate j, the last column of the full fit.  One
-    masked ascent runs the p + 1 fits, with `LogisticPropensity`'s checks."""
+    masked ascent, a batch of one, runs the p + 1 fits, with
+    `LogisticPropensity`'s checks."""
     z, t, _, _ = _standardize(train_x, train_t)
     p = z.shape[1]
-    return _logistic(z, *_ascend(z, t, 1.0 - np.eye(p, p + 1)))
+    (beta,), (intercept,) = _ascend(z[None], t[None], 1.0 - np.eye(p, p + 1))
+    return _logistic(z, beta, intercept)
 
 
 def metric_weights(scale, train_x, train_y):

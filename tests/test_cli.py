@@ -609,6 +609,12 @@ _HOSTILE_RUNS = {
                  "both treatment values must be present"),
     "sweep-n8-cqr": (_tiny_sweep(8, "csa-q", "--n-trials", "1"),
                      _CQR_PAIRS),
+    # trial 1's fit rows lack a treatment value, but trial 0's quantile
+    # model refuses first, as it does when the trials run one at a time
+    "sweep-n6-cqr-nested": (_tiny_sweep(6, "csa-q,nested", "--n-trials",
+                                        "2"), _CQR_PAIRS),
+    "sweep-n8-cqr-nested": (_tiny_sweep(8, "csa-q,nested", "--n-trials",
+                                        "2"), _CQR_PAIRS),
     "sweep-n0": (_tiny_sweep(0, "csa-m", "--n-trials", "1"),
                  "n_train must be >= 1"),
     "sweep-no-targets": (["sweep", "--n-train", "40", "--n-target", "0",

@@ -1,13 +1,16 @@
 import json
 import os
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from confsens import ite
+from confsens import harness, ite, pipeline, predictors
 from confsens.harness import (
     METHODS,
     ExperimentConfig,
+    TrialRecord,
     beta_coverage_check,
     beta_coverage_trials,
     run_sweep,
@@ -110,18 +113,65 @@ class TestSweep:
                                                (("csa-m",), 0)])
     def test_nested_propensity_fit_once_per_trial(self, methods, fits,
                                                   monkeypatch):
-        # the nested fold is fit lazily, once, and shared by every gamma
-        calls = []
-        original = ite.fit_propensity
+        # the nested fold's propensity is fit once, in the trial's batch
+        # fit beside the arms' fold, and shared by every gamma; no fold
+        # fits its own
+        batches, own = [], []
+        batch_fit = harness.fit_propensities
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(xs, ts):
+            batches.append(len(xs))
+            return batch_fit(xs, ts)
 
-        monkeypatch.setattr(ite, "fit_propensity", counting)
+        monkeypatch.setattr(harness, "fit_propensities", counting)
+        for module in (ite, pipeline):
+            monkeypatch.setattr(module, "fit_propensity",
+                                lambda *args: own.append(1))
         run_sweep(_tiny_cfg(methods=methods, gammas=(1.0, 1.5, 2.0),
                             n_trials=1))
-        assert len(calls) == fits
+        assert batches == [1 + fits] and not own
+
+    def test_sweep_fits_its_propensities_in_one_ascent(self, monkeypatch):
+        # four trials' arm and nested folds: 8 sets of 250 rows
+        calls = []
+        ascend = predictors._ascend
+
+        def counted(z, t, mask=None):
+            calls.append(z.shape)
+            return ascend(z, t, mask)
+
+        monkeypatch.setattr(predictors, "_ascend", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sharpened fallback
+            run_sweep(_tiny_cfg(methods=METHODS, n_train=500, n_target=20,
+                                n_trials=4))
+        assert calls == [(8, 250, 20)]
+
+    @pytest.mark.parametrize("two_arm", [False, True])
+    def test_sweep_equals_its_trials(self, two_arm, monkeypatch):
+        # a budget of two trials' designs: batches of trials 0-1, 2-3, 4
+        cfg = _tiny_cfg(methods=METHODS, n_train=100, n_target=30,
+                        n_trials=5, two_arm=two_arm)
+        monkeypatch.setattr(harness, "_ASCENT_BYTES",
+                            2 * 2 * 50 * 21 * 8 + 1)
+        calls = []
+        ascend = predictors._ascend
+        monkeypatch.setattr(predictors, "_ascend",
+                            lambda *args: calls.append(1) or ascend(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sharpened fallback
+            records, _ = run_sweep(cfg, keep_targets=True)
+            assert len(calls) == 3
+            trials = [r for i in range(cfg.n_trials)
+                      for r in run_trial(cfg, i, keep_targets=True)]
+        assert len(records) == len(trials) == 5 * 6 * 2
+        for got, want in zip(records, trials):
+            for field in fields(TrialRecord):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b or (a != a and b != b), field.name
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data")

@@ -2,7 +2,8 @@
 at most linearly in the number of targets m, and by a bounded number of
 bytes per target, so no (n, m) array is built, for one gamma or a grid of
 five; a sharpened interval's linear program builds no (n, n) array, and
-neither does a pass of the sharpened threshold's greedy probes."""
+neither does a pass of the sharpened threshold's greedy probes.  A sweep's
+peak does not grow with its trial count."""
 
 import tracemalloc
 import warnings
@@ -10,8 +11,9 @@ from unittest import mock
 
 import numpy as np
 
-from confsens import cssa
+from confsens import cssa, harness
 from confsens.cssa import cssa_interval, cssa_threshold_batch
+from confsens.harness import ExperimentConfig, run_sweep
 from confsens.ite import NestedFold, nested_ite_predict
 from confsens.msm import SensitivitySpec, weight_bounds_same_arm
 from confsens.oracle import SyntheticDGP, generate
@@ -131,3 +133,24 @@ def test_identity_balanced_interval():
         tracemalloc.stop()
     assert lower <= upper
     assert peak < 2 * 2**20
+
+
+def test_sweep_holds_one_batch():
+    # a batch of trials shares one propensity ascent, and the sweep holds
+    # one batch's training sets at a time: four batches peak as one does
+    rows = 1000  # each trial's one fold fits on n_train / 2 rows
+    per_batch = harness._ASCENT_BYTES // (rows * 21 * 8)
+    assert per_batch >= 4
+    peaks = []
+    for n_trials in (1, per_batch, 4 * per_batch):
+        cfg = ExperimentConfig(methods=("csa-m",), gammas=(1.0,),
+                               n_train=2 * rows, n_target=10,
+                               n_trials=n_trials)
+        if n_trials == 1:  # warm-up: loads what the first sweep imports
+            run_sweep(cfg)
+            continue
+        tracemalloc.start()
+        run_sweep(cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]

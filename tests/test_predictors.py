@@ -19,6 +19,7 @@ from confsens.predictors import (
     _neighbor_idx,
     drop_one_propensities,
     fit_mean,
+    fit_propensities,
     fit_propensity,
     marginal_treatment_prob,
     metric_weights,
@@ -431,10 +432,25 @@ class TestLogisticPropensity:
         (np.zeros(4), np.array([0, 1, 0, 1]), r"not \(rows, covariates\)"),
         (np.empty((0, 2)), np.empty(0), "empty training set")])
     def test_drop_one_propensities_checks_inputs(self, x, t, match):
-        # the batched fits refuse what `fit_propensity` refuses
-        for fit in (fit_propensity, drop_one_propensities):
+        # the batched fits refuse what `fit_propensity` refuses, also in a
+        # batch beside a set that fits
+        good = (np.eye(*x.shape) if x.ndim == 2 else np.eye(4, 1),
+                np.arange(len(x)) % 2)
+        for fit in (fit_propensity, drop_one_propensities,
+                    lambda x, t: fit_propensities([good[0], x],
+                                                  [good[1], t])):
             with pytest.raises(ValueError, match=match):
                 fit(x, t)
+
+    @pytest.mark.parametrize("xs, shapes", [
+        ([], r"\[\]"),
+        ([np.eye(4, 2), np.eye(6, 2)], r"\[\(4, 2\), \(6, 2\)\]"),
+        ([np.eye(4, 2), np.eye(4, 3)], r"\[\(4, 2\), \(4, 3\)\]")])
+    def test_fit_propensities_refuses_mixed_shapes(self, xs, shapes):
+        ts = [np.arange(len(x)) % 2 for x in xs]
+        with pytest.raises(ValueError, match=f"of one shape, got shapes "
+                                             f"{shapes}"):
+            fit_propensities(xs, ts)
 
     def test_drop_one_columns(self):
         # column j equals a fit without covariate j; the last, the full fit

@@ -7,9 +7,9 @@ widths in gamma, of the batch interval route against the per-target API
 one call per gamma, of the shared nested fold, one gamma or a grid at a
 time, against a fresh nested fit and of its endpoints never crossing, of
 the batched leave-one-covariate-out propensity fits against separate
-fits, of the propensity ascent against a copy of its former arithmetic,
-and of the C-parsed CSV readers against the row-by-row pass, over
-generated inputs.
+fits, of the propensity ascent against a copy of its former arithmetic
+and of a batch of fits against one fit per set, and of the C-parsed CSV
+readers against the row-by-row pass, over generated inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -72,6 +72,7 @@ from confsens.predictors import (
     NeighborSearch,
     _standardize,
     drop_one_propensities,
+    fit_propensities,
     fit_propensity,
 )
 from test_cssa import probe_one, sentinel_program
@@ -517,13 +518,13 @@ def test_infeasible_gamma_alone_falls_back_on_the_lp_route():
                                cal.treatment, arm.e_cal, arm.fold.e_cal, 1)
     assert rows[0].shape[0] == 3
     band = scores_and_band("mean", arm.mu_hat, arm.cal_x, arm.cal_y,
-                           arm.fold.x_target)
+                           arm.x_target)
     gammas = (1.0, 1.5, 2.0, 3.0)
 
     def run(gamma, constraints):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = arm_intervals(*band, arm.e_cal, arm.fold.e_target, gamma,
+            out = arm_intervals(*band, arm.e_cal, arm.e_target, gamma,
                                 0.2, 1, arm.p_t, constraints)
         return out, len(caught)
 
@@ -754,6 +755,37 @@ def test_ascent_matches_reference(seed, n, p, scale, separated, constant,
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[:, -1], LogisticPropensity(x, t).predict(x),
                                rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), sets=st.integers(1, 9),
+       n=st.integers(2, 12) | st.integers(13, 300), p=st.integers(1, 8),
+       scale=st.sampled_from([0.01, 1.0, 100.0]),
+       separated=st.booleans(), constant=st.booleans(),
+       duplicate=st.booleans())
+def test_batched_fits_equal_separate_fits(seed, sets, n, p, scale, separated,
+                                          constant, duplicate):
+    # each set drawn as in test_ascent_matches_reference, from its own seed
+    xs, ts = [], []
+    for rng in map(np.random.default_rng, range(seed, seed + sets)):
+        x = scale * rng.normal(size=(n, p))
+        if constant:
+            x[:, -1] = scale
+        if duplicate and p > 1:
+            x[:, 1] = x[:, 0]
+        t = (x[:, 0] > np.median(x[:, 0]) if separated
+             else rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-x[:, 0] / scale)))
+        t = t.astype(float)
+        t[:2] = (0.0, 1.0) if x[0, 0] <= x[1, 0] else (1.0, 0.0)
+        xs.append(x)
+        ts.append(t)
+    batch = fit_propensities(xs, ts)
+    assert len(batch) == sets
+    for x, t, got in zip(xs, ts, batch):
+        want = fit_propensity(x, t)
+        for name in ("beta_", "intercept_", "mean_", "sd_"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.predict(x), want.predict(x))
 
 
 # cells the C parser and the row-by-row pass must read alike: numbers in
