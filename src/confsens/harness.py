@@ -267,7 +267,8 @@ def run_sweep(cfg: ExperimentConfig, keep_targets=False):
     trials = iter(range(cfg.n_trials))
     for trial in trials:
         batch = [_TrialState(cfg, trial)]
-        size = _ASCENT_BYTES // batch[0].design_bytes()
+        # empty fit sets (n_train = 1) have no bytes; their folds refuse
+        size = _ASCENT_BYTES // max(batch[0].design_bytes(), 1)
         batch += [_TrialState(cfg, t)
                   for t in itertools.islice(trials, max(size, 1) - 1)]
         records.extend(_run_batch(cfg, batch, keep_targets))

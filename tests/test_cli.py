@@ -615,6 +615,8 @@ _HOSTILE_RUNS = {
                                         "2"), _CQR_PAIRS),
     "sweep-n8-cqr-nested": (_tiny_sweep(8, "csa-q,nested", "--n-trials",
                                         "2"), _CQR_PAIRS),
+    "sweep-n1": (_tiny_sweep(1, "csa-m", "--n-trials", "3"),
+                 "empty training set"),
     "sweep-n0": (_tiny_sweep(0, "csa-m", "--n-trials", "1"),
                  "n_train must be >= 1"),
     "sweep-no-targets": (["sweep", "--n-train", "40", "--n-target", "0",
