@@ -206,9 +206,9 @@ _ASCENT_BYTES = 2 ** 20
 
 def _fit_propensities(folds):
     """Set every fold's propensity from one `fit_propensities` call.  If
-    any fold's rows fail its checks, none is set: each fold then fits, and
-    refuses, on first use, so the sweep raises the error its trials raise
-    one at a time."""
+    any fold's rows fail the fit's checks, none is set: each fold then
+    fits, and refuses, on first use, so the sweep raises the error its
+    trials raise one at a time."""
     try:
         models = fit_propensities(*zip(*(fold.fit_rows for fold in folds)))
     except ValueError:
