@@ -67,8 +67,10 @@ def _cmd_fit(args):
         mu = fit_mean(ds.covariates[idx], ds.outcome[idx])
         report[f"mean_model_arm{t}"] = {"kind": "knn", "k": mu.k,
                                         "n_fit": int(idx.size)}
+    # NaN or inf is refused before the file is opened
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write(text)
     print(f"wrote fit report to {args.out}")
 
 

@@ -340,14 +340,11 @@ def shrinkage_sharpness(lower, upper, tau, alpha):
     center = (lower[bounded] + upper[bounded]) / 2.0
     half = (upper[bounded] - lower[bounded]) / 2.0
     dev = np.abs(tau[bounded] - center)
-    table = []
-    max_factor = None
-    for f in np.round(np.linspace(0.0, 0.3, 31), 4):
-        cov = float(np.mean(dev <= (1.0 - f) * half))
-        table.append((float(f), cov))
-        if cov >= 1.0 - alpha:
-            max_factor = float(f)
-    return table, max_factor, n_excluded
+    factors = np.round(np.linspace(0.0, 0.3, 31), 4)
+    cov = np.mean(dev <= (1.0 - factors[:, None]) * half, axis=1)
+    kept = factors[cov >= 1.0 - alpha].tolist()
+    return (list(zip(factors.tolist(), cov.tolist())),
+            kept[-1] if kept else None, n_excluded)
 
 
 def beta_coverage_trials(n_cal, n_trials, alpha, seed=0, shifted=False):

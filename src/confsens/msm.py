@@ -85,7 +85,7 @@ def weight_bounds_cross_arm(e_hat, gamma, t):
     package's one statement of the sensitivity model's odds; a 1-D gamma
     grid gives one row per gamma."""
     e_hat = np.asarray(e_hat, dtype=float)
-    if np.any(e_hat <= 0.0) or np.any(e_hat >= 1.0):
+    if not np.all((e_hat > 0.0) & (e_hat < 1.0)):  # NaN fails it too
         raise ValueError("propensities must be pre-clipped into (0, 1)")
     check_gamma(gamma)
     if np.ndim(gamma):  # a grid's column broadcasts to one row per gamma
@@ -110,16 +110,10 @@ def calibrate_gamma(ds):
 def gamma_summary(gamma_matrix, names):
     """Per-covariate (name, median, p90, p99) rows for reporting."""
     gamma_matrix = np.asarray(gamma_matrix, dtype=float)
-    rows = []
-    for j, name in enumerate(names):
-        col = gamma_matrix[:, j]
-        rows.append({
-            "covariate": name,
-            "median": float(np.median(col)),
-            "p90": float(np.percentile(col, 90)),
-            "p99": float(np.percentile(col, 99)),
-        })
-    return rows
+    median = np.median(gamma_matrix, axis=0)
+    p90, p99 = np.percentile(gamma_matrix, [90, 99], axis=0)
+    return [{"covariate": name, "median": float(m), "p90": float(a),
+             "p99": float(b)} for name, m, a, b in zip(names, median, p90, p99)]
 
 
 def emit_gamma_summary_csv(rows, path):

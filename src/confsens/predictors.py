@@ -282,17 +282,26 @@ CLIP = 0.01
 PENALTY = 1e-4
 STEP = 0.1
 N_ITER = 500
+_NORMAL = np.finfo(float).tiny  # the smallest standard deviation fitted
 
 
 def _standardize(train_x, train_t):
-    """Checked fit inputs (z, t, mean, sd); a constant column gives z = 0."""
+    """Checked fit inputs (z, t, mean, sd).  A constant column gives z = 0;
+    a column whose sd float64 cannot hold is refused by 0-based index."""
     x = _covariates(train_x)
     t = np.asarray(train_t, dtype=float)
+    if t.shape != x.shape[:1]:
+        raise ValueError(f"treatment of shape {t.shape} for "
+                         f"{x.shape[0]} training rows")
     if len(np.unique(t)) < 2:
         raise ValueError("both treatment values must be present")
-    mean, sd = x.mean(axis=0), x.std(axis=0)
+    with np.errstate(all="ignore"):
+        mean, sd = x.mean(axis=0), x.std(axis=0)
     const = (x == x[0]).all(axis=0)  # its rounded mean may miss the value
     mean[const], sd[const] = x[0, const], 1.0
+    for j in np.flatnonzero(~(np.isfinite(sd) & (sd >= _NORMAL))):
+        raise ValueError(f"covariate column {j} varies on a scale float64 "
+                         f"cannot standardize (standard deviation {sd[j]:g})")
     z = x - mean
     z /= sd
     return z, t, mean, sd
@@ -347,24 +356,17 @@ def _ascend(z, t, mask=None):
 
 
 class LogisticPropensity:
-    """Logistic-regression treatment model with clipped outputs; a batch
-    of one `fit_propensities`.
+    """A fitted logistic-regression treatment model with clipped outputs,
+    as `fit_propensities` returns it.
 
     Standardization statistics are stored in the fitted model so query
     features are transformed exactly as the training features were.
     Predictions are clipped to [CLIP, 1 - CLIP].
     """
 
-    def __init__(self, train_x, train_t):
-        (fit,) = _fit([_standardize(train_x, train_t)])
-        self.mean_, self.sd_, self.beta_, self.intercept_ = fit
-
-    @classmethod
-    def _of(cls, fit):
-        """The model of one (mean, sd, beta, intercept) fit."""
-        model = cls.__new__(cls)
-        model.mean_, model.sd_, model.beta_, model.intercept_ = fit
-        return model
+    def __init__(self, mean, sd, beta, intercept):
+        self.mean_, self.sd_, self.beta_, self.intercept_ = (mean, sd, beta,
+                                                             intercept)
 
     def predict(self, x):
         x = _covariates(x, self.mean_.shape[0])
@@ -372,33 +374,33 @@ class LogisticPropensity:
                          self.intercept_)
 
 
-def _fit(sets):
-    """(mean, sd, beta, intercept) of each standardized (z, t, mean, sd)
-    set, from one ascent over their stacked designs."""
+def fit_propensities(xs, ts):
+    """One `LogisticPropensity` per training set (xs[i], ts[i]), all fitted
+    in one batched ascent, each bit for bit the model of its own fit.  The
+    sets must share one (rows, covariates) shape, and each passes
+    `_standardize`'s checks.  The stacked design of B sets of shape (n, p)
+    takes 8 B n (p + 1) bytes."""
+    sets = [_standardize(x, t) for x, t in zip(xs, ts)]
     shapes = [z.shape for z, _, _, _ in sets]
     if not sets or shapes.count(shapes[0]) != len(shapes):
         raise ValueError("need one or more training sets of one shape, "
                          f"got shapes {shapes}")
     zs, ts, means, sds = zip(*sets)
     beta, intercept = _ascend(np.stack(zs), np.stack(ts))
-    return list(zip(means, sds, beta, intercept))
+    return list(map(LogisticPropensity, means, sds, beta, intercept))
 
 
-def fit_propensities(xs, ts):
-    """One `LogisticPropensity` per training set (xs[i], ts[i]), all fitted
-    in one batched ascent, each bit for bit the model of its own fit.  The
-    sets must share one (rows, covariates) shape, and each passes
-    `fit_propensity`'s checks.  The stacked design of B sets of shape
-    (n, p) takes 8 B n (p + 1) bytes."""
-    return [LogisticPropensity._of(fit)
-            for fit in _fit([_standardize(x, t) for x, t in zip(xs, ts)])]
+def fit_propensity(train_x, train_t) -> LogisticPropensity:
+    """`fit_propensities` for a batch of one."""
+    (model,) = fit_propensities([train_x], [train_t])
+    return model
 
 
 def drop_one_propensities(train_x, train_t):
     """(n, p + 1) clipped propensities at the training rows: column j of
     the fit without covariate j, the last column of the full fit.  One
     masked ascent, a batch of one, runs the p + 1 fits, with
-    `LogisticPropensity`'s checks."""
+    `_standardize`'s checks."""
     z, t, _, _ = _standardize(train_x, train_t)
     p = z.shape[1]
     (beta,), (intercept,) = _ascend(z[None], t[None], 1.0 - np.eye(p, p + 1))
@@ -416,10 +418,6 @@ def metric_weights(scale, train_x, train_y):
 def fit_mean(train_x, train_y, scale=None) -> KNNMean:
     weights = metric_weights(scale, train_x, train_y)
     return KNNMean(NeighborSearch(train_x, feature_weights=weights), train_y)
-
-
-def fit_propensity(train_x, train_t) -> LogisticPropensity:
-    return LogisticPropensity(train_x, train_t)
 
 
 def marginal_treatment_prob(treatment, t) -> float:

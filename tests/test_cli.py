@@ -267,6 +267,7 @@ _GOLDEN_COMMANDS = {
 }
 
 
+@pytest.mark.blas
 @pytest.mark.parametrize("name", list(_GOLDEN_COMMANDS))
 def test_csv_matches_golden(name, data_csv, target_csv, tmp_path):
     out = tmp_path / "out.csv"
@@ -391,6 +392,7 @@ def test_shared_flags_declared_once():
             assert len(actions) == 1, flag
 
 
+@pytest.mark.blas
 class TestCalibrate:
     def test_summary_csv(self, data_csv, tmp_path):
         out = tmp_path / "gamma.csv"
@@ -508,7 +510,9 @@ def _hostile_datasets():
             "one-unit-arm": (x, lone, y),
             "all-treated": (x, np.ones(n, dtype=int), y),
             "n8": (x[:8], np.array([0, 1] * 4), y[:8]),
-            "p1": (x[:, :1], t, y)}
+            "p1": (x[:, :1], t, y),
+            "tiny-scale": (x * [1.0, 1e-310, 1.0], t, y),
+            "huge-scale": (x * [1.0, 1e300, 1.0], t, y)}
 
 
 _HOSTILE_COMMANDS = {
@@ -525,6 +529,8 @@ _HOSTILE_COMMANDS = {
 _PAIRS = "need at least 2 training pairs"
 _CQR_PAIRS = "need at least 11 training pairs"
 _BOTH = "both treatment values must be present"
+_SCALE = ("covariate column 1 varies on a scale float64 cannot "
+          "standardize (standard deviation {})")
 _FALLBACK = ("warning: balancing constraints infeasible; falling back to "
              "the unconstrained thresholds")
 
@@ -543,6 +549,9 @@ _HOSTILE_MATRIX = {
     "p1": ("ok", "ok", "ok", "ok", "ok", "need at least 2 covariates", "ok"),
     "all-treated": (_BOTH, _BOTH, _BOTH, "too few units in arm 0", _BOTH,
                     _BOTH, _BOTH),
+    # used to exit 0 with numpy warnings and NaN, or unbounded, outputs
+    "tiny-scale": (_SCALE.format(0),) * 7,
+    "huge-scale": (_SCALE.format("inf"),) * 7,
 }
 
 

@@ -177,6 +177,7 @@ class TestSweep:
 GOLDEN = os.path.join(os.path.dirname(__file__), "data")
 
 
+@pytest.mark.blas
 class TestGoldenSweep:
     """Summaries pinned from the per-arm pipeline before it was shared
     with the command line; every method must reproduce them byte for

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from confsens.cssa import arm_intervals
 from confsens.dataset import ObservationalDataset
 from confsens.harness import ExperimentConfig
 from confsens.ite import NestedFold
@@ -21,6 +22,8 @@ from confsens.oracle import (SyntheticDGP, generate,
                              sample_counterfactual_batch, tilt_two_sided)
 from confsens.pipeline import fit_arms
 
+# CI reruns these with one BLAS thread
+pytestmark = pytest.mark.blas
 
 class TestSensitivitySpec:
     def test_validation(self):
@@ -139,6 +142,28 @@ class TestCrossArmBounds:
         e = np.array([0.3, 0.4])
         lo, hi = weight_bounds_cross_arm(e, 1.0, 1)
         assert np.allclose(lo, e / (1 - e)) and np.allclose(hi, e / (1 - e))
+
+
+@pytest.mark.parametrize("bounds", [
+    lambda e: weight_bounds_same_arm(e, 2.0, 1, 0.5),
+    lambda e: weight_bounds_cross_arm(e, 2.0, 1)],
+    ids=["same-arm", "cross-arm"])
+def test_nan_propensity_refused(bounds):
+    # NaN compares False, so `e <= 0 or e >= 1` used to let it through
+    with pytest.raises(ValueError, match="pre-clipped"):
+        bounds(np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("nan_at", ["calibration", "target"])
+def test_arm_intervals_refuse_a_nan_propensity(nan_at):
+    # a NaN calibration propensity used to give lower > upper at every
+    # target, and a NaN target propensity an unbounded interval
+    scores = np.linspace(0.1, 2.0, 20)
+    e_cal, e_target = np.full(20, 0.5), np.full(3, 0.5)
+    (e_cal if nan_at == "calibration" else e_target)[0] = np.nan
+    with pytest.raises(ValueError, match="pre-clipped"):
+        arm_intervals(scores, (np.zeros(3), np.zeros(3)), e_cal, e_target,
+                      1.5, 0.2, 1, 0.5)
 
 
 class TestMinMiscoverage:

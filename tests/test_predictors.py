@@ -26,6 +26,9 @@ from confsens.predictors import (
     relevance_weights,
 )
 
+# CI reruns these with one BLAS thread
+pytestmark = pytest.mark.blas
+
 
 class TestKNNMean:
     def test_constant_outcome(self):
@@ -290,7 +293,7 @@ class TestOneDimensionalCovariates:
     # 1-D training covariates of `fit_*` as one column
     FITS = {**{name: lambda x, y, build=build: build(NeighborSearch(x), y)
                for name, build in BUILDS.items()},
-            "LogisticPropensity": lambda x, y: LogisticPropensity(x, y > 0),
+            "LogisticPropensity": lambda x, y: fit_propensity(x, y > 0),
             "fit_mean": fit_mean,
             "fit_propensity": lambda x, y: fit_propensity(x, y > 0)}
 
@@ -430,7 +433,19 @@ class TestLogisticPropensity:
         (np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1]),
          "non-finite covariate value"),
         (np.zeros(4), np.array([0, 1, 0, 1]), r"not \(rows, covariates\)"),
-        (np.empty((0, 2)), np.empty(0), "empty training set")])
+        (np.empty((0, 2)), np.empty(0), "empty training set"),
+        # used to fail inside the ascent with numpy's broadcast error
+        (np.eye(5, 2), np.array([0, 1, 0, 1]),
+         r"treatment of shape \(4,\) for 5 training rows"),
+        (np.eye(5, 2), np.array([[0], [1], [0], [1], [0]]),
+         r"treatment of shape \(5, 1\) for 5 training rows"),
+        # float64 cannot hold these columns' standard deviations: they used
+        # to give NaN or saturated propensities behind numpy warnings
+        (np.eye(30, 2) * [1.0, 1e-310], np.arange(30) % 2,
+         r"column 1 varies on a scale float64 cannot standardize "
+         r"\(standard deviation 0\)"),
+        (np.eye(30, 2) * [1.0, 1e300], np.arange(30) % 2,
+         r"column 1 varies .* \(standard deviation inf\)")])
     def test_drop_one_propensities_checks_inputs(self, x, t, match):
         # the batched fits refuse what `fit_propensity` refuses, also in a
         # batch beside a set that fits
@@ -441,6 +456,12 @@ class TestLogisticPropensity:
                                                   [good[1], t])):
             with pytest.raises(ValueError, match=match):
                 fit(x, t)
+
+    @pytest.mark.parametrize("value", [1e-310, 1e300])
+    def test_constant_column_at_any_scale_is_inert(self, value):
+        # a constant column needs no spread that float64 can hold
+        x = np.column_stack([np.arange(6.0), np.full(6, value)])
+        assert fit_propensity(x, np.arange(6) % 2).beta_[1] == 0.0
 
     @pytest.mark.parametrize("xs, shapes", [
         ([], r"\[\]"),

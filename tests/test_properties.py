@@ -8,8 +8,10 @@ one call per gamma, of the shared nested fold, one gamma or a grid at a
 time, against a fresh nested fit and of its endpoints never crossing, of
 the batched leave-one-covariate-out propensity fits against separate
 fits, of the propensity ascent against a copy of its former arithmetic
-and of a batch of fits against one fit per set, and of the C-parsed CSV
-readers against the row-by-row pass, over generated inputs.
+and of a batch of fits against one fit per set, of the C-parsed CSV
+readers against the row-by-row pass, and of the calibration table and the
+shrinkage check against one pass per covariate or factor, over generated
+inputs.
 
 Derandomized with no example database, so every run checks the same
 examples.
@@ -52,11 +54,13 @@ from confsens.dataset import (
     ingest_covariates,
     ingest_csv,
 )
+from confsens.harness import shrinkage_sharpness
 from confsens.ite import NestedFold, nested_ite_fit, nested_ite_predict
 from confsens.msm import (
     GAMMA_MAX,
     SensitivitySpec,
     calibrate_gamma,
+    gamma_summary,
     min_miscoverage,
     weight_bounds_same_arm,
 )
@@ -68,7 +72,6 @@ from confsens.predictors import (
     PENALTY,
     STEP,
     KNNQuantile,
-    LogisticPropensity,
     NeighborSearch,
     _standardize,
     drop_one_propensities,
@@ -389,6 +392,7 @@ def _per_target(arm, method, x, gamma, alpha, score):
                          fold.cal.treatment, score=score, q_hat=q_hat)
 
 
+@pytest.mark.blas
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
        p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
@@ -410,6 +414,7 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
             _assert_same_intervals(single, lower, upper, thr)
 
 
+@pytest.mark.blas
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
        p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
@@ -461,6 +466,7 @@ def _assert_grid_rows(grid, single):
             assert got[g].tobytes() == want.tobytes()
 
 
+@pytest.mark.blas
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(160, 320),
        p=st.integers(2, 5), m=st.integers(1, 5), t=st.sampled_from([0, 1]),
@@ -726,6 +732,7 @@ def _ascend_reference(z, t, mask=None):
     return beta, intercept[()]
 
 
+@pytest.mark.blas
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2 ** 16),
        n=st.integers(2, 12) | st.integers(13, 300), p=st.integers(1, 8),
@@ -753,10 +760,11 @@ def test_ascent_matches_reference(seed, n, p, scale, separated, constant,
                                clip=True)
     got = drop_one_propensities(x, t)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(got[:, -1], LogisticPropensity(x, t).predict(x),
+    np.testing.assert_allclose(got[:, -1], fit_propensity(x, t).predict(x),
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.blas
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2 ** 16), sets=st.integers(1, 9),
        n=st.integers(2, 12) | st.integers(13, 300), p=st.integers(1, 8),
@@ -786,6 +794,81 @@ def test_batched_fits_equal_separate_fits(seed, sets, n, p, scale, separated,
         for name in ("beta_", "intercept_", "mean_", "sd_"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert np.array_equal(got.predict(x), want.predict(x))
+
+
+def _gamma_summary_by_loop(gamma_matrix, names):
+    """`gamma_summary` as one pass per covariate, as it was written before
+    the one array pass: the reference."""
+    gamma_matrix = np.asarray(gamma_matrix, dtype=float)
+    rows = []
+    for j, name in enumerate(names):
+        col = gamma_matrix[:, j]
+        rows.append({
+            "covariate": name,
+            "median": float(np.median(col)),
+            "p90": float(np.percentile(col, 90)),
+            "p99": float(np.percentile(col, 99)),
+        })
+    return rows
+
+
+def _shrinkage_by_loop(lower, upper, tau, alpha):
+    """`shrinkage_sharpness` as one pass per factor, as it was written
+    before the one broadcast comparison: the reference."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    bounded = np.isfinite(lower) & np.isfinite(upper)
+    n_excluded = int((~bounded).sum())
+    center = (lower[bounded] + upper[bounded]) / 2.0
+    half = (upper[bounded] - lower[bounded]) / 2.0
+    dev = np.abs(tau[bounded] - center)
+    table = []
+    max_factor = None
+    for f in np.round(np.linspace(0.0, 0.3, 31), 4):
+        cov = float(np.mean(dev <= (1.0 - f) * half))
+        table.append((float(f), cov))
+        if cov >= 1.0 - alpha:
+            max_factor = float(f)
+    return table, max_factor, n_excluded
+
+
+# gamma-matrix cells, free or on a coarse grid that forces ties
+_GAMMA_CELL = st.floats(1.0, 1e6) | st.sampled_from([1.0, 1.25, 2.0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(matrix=st.integers(1, 6).flatmap(
+    lambda p: st.lists(st.lists(_GAMMA_CELL, min_size=p, max_size=p),
+                       min_size=1, max_size=40)))
+@example(matrix=[[1.0, 3.5, 2.0]])
+@example(matrix=[[1.25, 1.25]] * 7 + [[2.0, 1.0]] * 3)
+def test_gamma_summary_equals_column_loop(matrix):
+    names = [f"x{j}" for j in range(len(matrix[0]))]
+    # repr tells every float apart, bit for bit
+    assert repr(gamma_summary(matrix, names)) \
+        == repr(_gamma_summary_by_loop(matrix, names))
+
+
+# interval ends: free, on a coarse grid (ties with tau and between
+# intervals) or infinite; one interval stays bounded
+_END = (st.floats(-10.0, 10.0)
+        | st.sampled_from([0.0, 0.5, 1.0, -np.inf, np.inf]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ends=st.lists(st.tuples(_END, _END, st.floats(-10.0, 10.0)
+                                | st.sampled_from([0.0, 0.5, 1.0])),
+                     max_size=40),
+       alpha=st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]))
+@example(ends=[], alpha=0.2)
+@example(ends=[(-np.inf, np.inf, 0.0)] * 3 + [(0.0, 1.0, 0.5)] * 2,
+         alpha=0.5)
+def test_shrinkage_sharpness_equals_factor_loop(ends, alpha):
+    a, b, tau = np.array([(0.0, 1.0, 0.95), *ends]).T
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    assert repr(shrinkage_sharpness(lower, upper, tau, alpha)) \
+        == repr(_shrinkage_by_loop(lower, upper, tau, alpha))
 
 
 # cells the C parser and the row-by-row pass must read alike: numbers in
