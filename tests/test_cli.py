@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from confsens import cli
 from confsens.cli import build_parser, main
 from confsens.dataset import ObservationalDataset, emit_csv
 from confsens.harness import ExperimentConfig
@@ -72,6 +73,23 @@ class TestFit:
         assert 0.2 <= report["p_treated"] <= 0.6
         assert len(report["propensity"]["coefficients"]) == 4
         assert report["mean_model_arm1"]["kind"] == "knn"
+
+    def test_non_finite_report_refused(self, data_csv, tmp_path, capsys,
+                                       monkeypatch):
+        # a NaN coefficient used to be written as `NaN`, which JSON lacks
+        fit = cli.fit_propensity
+
+        def nan_fit(x, t):
+            model = fit(x, t)
+            model.beta_ = model.beta_ * np.nan
+            return model
+
+        monkeypatch.setattr(cli, "fit_propensity", nan_fit)
+        out = tmp_path / "fit.json"
+        assert _run(["fit", "--data", str(data_csv), "--out",
+                     str(out)]) == 1
+        _assert_one_error_line(capsys, "not JSON compliant")
+        assert not out.exists()
 
 
 class TestInterval:

@@ -25,6 +25,7 @@ from confsens.pipeline import fit_arms
 # CI reruns these with one BLAS thread
 pytestmark = pytest.mark.blas
 
+
 class TestSensitivitySpec:
     def test_validation(self):
         with pytest.raises(ValueError):
