@@ -14,7 +14,7 @@ import numpy as np
 
 from confsens.ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
 from confsens.oracle import SyntheticDGP, generate
-from confsens.pipeline import fit_arms
+from confsens.pipeline import Fold
 
 dgp = SyntheticDGP(covariate_dim=6, two_arm=True)
 ds, truth = generate(dgp, 3000, seed=11)
@@ -28,8 +28,7 @@ x_query = rng.uniform(size=(5, ds.covariate_dim))
 # built at level alpha / 2.  The arms are fitted for the query points.
 # ------------------------------------------------------------------
 arm0, arm1 = (arm.intervals(gamma, alpha / 2.0, "csa")
-              for arm in fit_arms(ds, seed=0, x_target=x_query,
-                                  scale="relevance"))
+              for arm in Fold(ds, 0).arms(x_query, scale="relevance"))
 bonf = bonferroni_ite(arm1, arm0)
 
 # ------------------------------------------------------------------

@@ -16,9 +16,11 @@ from confsens.dataset import arm_indices, split
 from confsens.msm import SensitivitySpec, min_miscoverage
 from confsens.oracle import SyntheticDGP, generate
 from confsens.predictors import (
-    fit_mean,
+    KNNMean,
+    NeighborSearch,
     fit_propensity,
     marginal_treatment_prob,
+    relevance_weights,
 )
 
 # ------------------------------------------------------------------
@@ -36,12 +38,15 @@ prelim_idx, cal_idx = split(ds, seed=0)
 prelim = ds.subset(prelim_idx)
 cal = ds.subset(cal_idx)
 
-# Fit the nuisances on the preliminary fold only.
+# Fit the nuisances on the preliminary fold only.  The k-NN metric weighs
+# each covariate by its outcome correlation, so the eight noise covariates
+# barely move the neighbour lists.
 t = 1
 pre_idx = arm_indices(prelim, t)
 cal_idx = arm_indices(cal, t)
-mu_hat = fit_mean(prelim.covariates[pre_idx], prelim.outcome[pre_idx],
-                  scale="relevance")
+pre_x, pre_y = prelim.covariates[pre_idx], prelim.outcome[pre_idx]
+mu_hat = KNNMean(NeighborSearch(
+    pre_x, feature_weights=relevance_weights(pre_x, pre_y)), pre_y)
 propensity = fit_propensity(prelim.covariates, prelim.treatment)
 p_t = marginal_treatment_prob(prelim.treatment, t)
 cal_x = cal.covariates[cal_idx]

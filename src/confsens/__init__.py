@@ -44,7 +44,7 @@ from .msm import (
     weight_bounds_same_arm,
 )
 from .oracle import SyntheticDGP, generate, sample_counterfactual, tilt_two_sided
-from .pipeline import FittedArm, fit_arms
+from .pipeline import FittedArm, Fold
 from .predictors import (
     KNNMean,
     KNNQuantile,

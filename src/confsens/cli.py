@@ -32,7 +32,7 @@ from .harness import ExperimentConfig, run_sweep
 from .ite import bonferroni_ite, nested_ite_fit, nested_ite_predict
 from .msm import calibrate_gamma, emit_gamma_summary_csv, gamma_summary
 from .oracle import SyntheticDGP, emit_truth_csv, generate
-from .pipeline import fit_arms
+from .pipeline import Fold
 from .predictors import CLIP, fit_mean, fit_propensity, marginal_treatment_prob
 
 
@@ -77,7 +77,7 @@ def _cmd_fit(args):
 def _cmd_interval(args):
     ds = ingest_csv(args.data)
     x_target = ingest_covariates(args.target, ds.names)
-    arm = fit_arms(ds, args.seed, x_target)[args.t]
+    arm = Fold(ds, args.seed).arms(x_target)[args.t]
     lower, upper, threshold = arm.intervals(args.gamma, args.alpha,
                                             args.method, args.score)
     write_csv(args.out, ["lower", "upper", "threshold", "unbounded"],
@@ -97,7 +97,7 @@ def _cmd_ite(args):
         # Bonferroni: each arm at alpha / 2, then the difference interval
         half = args.alpha / 2.0
         arm0, arm1 = (arm.intervals(args.gamma, half, "csa")
-                      for arm in fit_arms(ds, args.seed, x_target))
+                      for arm in Fold(ds, args.seed).arms(x_target))
         lower, upper = bonferroni_ite(arm1, arm0)
     write_csv(args.out, ["id", "lower", "upper", "method", "gamma", "alpha"],
               ((i, lo, up, args.method, args.gamma, args.alpha)

@@ -95,9 +95,8 @@ def csa_threshold(scores, e_cal, e_target, spec: SensitivitySpec, p_t) -> Greedy
 
 
 def csa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
-                 spec: SensitivitySpec, p_t, score="mean",
-                 q_hat=None) -> PredictiveInterval:
+                 spec: SensitivitySpec, p_t) -> PredictiveInterval:
     """Worst-case predictive interval for Y(t) at one target point: the
     sharpened interval's body with no balance rows."""
-    return _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y,
+    return _target_interval(mu_hat, propensity, cal_x, cal_y,
                             propensity.predict(cal_x), x_target, spec, p_t)

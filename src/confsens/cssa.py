@@ -209,6 +209,10 @@ def _sorted_box(scores, lo_c, hi_c, alpha):
     if (scores.ndim != 1 or lo_c.ndim > 2 or hi_c.shape != lo_c.shape
             or lo_c.shape[-1:] != scores.shape):
         raise ValueError("bounds are misaligned with scores")
+    for name, bound in (("lower", lo_c), ("upper", hi_c)):
+        if not ((bound >= 0.0) & (bound < np.inf)).all():  # NaN fails too
+            raise ValueError(f"{name} weight bounds must be finite and "
+                             "non-negative")
     check_alpha(alpha)
     order = np.argsort(scores, kind="stable")
     return (order, np.append(scores[order], np.inf), lo_c[..., order],
@@ -363,20 +367,19 @@ def arm_intervals(scores, band, e_cal, e_target, gamma, alpha, t, p_t,
     return band[0] - thr, band[1] + thr, thr
 
 
-def _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y, e_cal,
-                     x_target, spec: SensitivitySpec, p_t,
+def _target_interval(mu_hat, propensity, cal_x, cal_y, e_cal, x_target,
+                     spec: SensitivitySpec, p_t,
                      constraints=None) -> PredictiveInterval:
-    """The interval for Y(t) at one target row, (p,) or (1, p), shared by
-    `csa_interval` (no rows) and `cssa_interval`: `arm_intervals` for a
-    batch of one, or (None, None, inf) when the threshold is infinite."""
+    """The mean-score interval for Y(t) at one target row, (p,) or (1, p),
+    shared by `csa_interval` (no rows) and `cssa_interval`: `arm_intervals`
+    for a batch of one, or (None, None, inf) when the threshold is infinite."""
     x_target = np.asarray(x_target, dtype=float)
     if x_target.ndim == 0 or x_target.shape[:-1] not in ((), (1,)):
         raise ValueError(f"need one target row, (p,) or (1, p); got an "
                          f"array of shape {x_target.shape}")
     x_target = x_target.reshape(1, -1)
-    model = q_hat if score == "cqr" else mu_hat
     (lower,), (upper,), (q,) = arm_intervals(
-        *scores_and_band(score, model, cal_x, cal_y, x_target), e_cal,
+        *scores_and_band("mean", mu_hat, cal_x, cal_y, x_target), e_cal,
         propensity.predict(x_target), spec.gamma, spec.alpha, spec.t, p_t,
         constraints)
     if np.isinf(q):
@@ -385,8 +388,8 @@ def _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y, e_cal,
 
 
 def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
-                  spec: SensitivitySpec, p_t, full_x, full_t, score="mean",
-                  q_hat=None, g_kind="propensity") -> PredictiveInterval:
+                  spec: SensitivitySpec, p_t, full_x, full_t,
+                  g_kind="propensity") -> PredictiveInterval:
     """Sharpened worst-case interval for Y(t) at one target point.
 
     `full_x`/`full_t` hold the calibration fold with both arms, used for
@@ -399,5 +402,5 @@ def cssa_interval(mu_hat, propensity, cal_x, cal_y, x_target,
     e_cal = propensity.predict(cal_x)
     constraints = balance_constraints(g_kind, cal_x, full_x, full_t, e_cal,
                                       propensity.predict(full_x), spec.t)
-    return _target_interval(mu_hat, q_hat, score, propensity, cal_x, cal_y,
-                            e_cal, x_target, spec, p_t, constraints)
+    return _target_interval(mu_hat, propensity, cal_x, cal_y, e_cal,
+                            x_target, spec, p_t, constraints)

@@ -260,11 +260,11 @@ def write_csv(path, header, rows):
 
 
 def split(ds: ObservationalDataset, seed: int):
-    """The preliminary and calibration halves of a seeded permutation of
-    the row indices, each sorted: floor(n / 2) rows, then the rest."""
+    """The one halving rule: a seeded permutation of the row indices cut
+    into its first floor(n / 2) entries and the rest, in permutation order."""
     perm = np.random.default_rng(seed).permutation(ds.n)
     half = ds.n // 2
-    return np.sort(perm[:half]), np.sort(perm[half:])
+    return perm[:half], perm[half:]
 
 
 def arm_indices(ds: ObservationalDataset, t: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conformal import scores_and_band
 from .csa import greedy_threshold_batch
-from .dataset import ObservationalDataset, arm_indices
+from .dataset import ObservationalDataset, arm_indices, split
 from .msm import weight_bounds_cross_arm
 from .predictors import (KNNSingleQuantile, NeighborSearch, fit_mean,
                          fit_propensity)
@@ -63,9 +63,9 @@ _ENDPOINT_LEVELS = (0.4, 0.6)
 class NestedFold:
     """The part of the nested construction that gamma does not touch.
 
-    One seeded split halves the data.  The fit half trains one propensity
-    model and, per arm t, a mean model on the first half of its arm-t
-    units; the second half gives the calibration scores.  The val
+    One seeded `dataset.split` halves the data.  The fit half trains one
+    propensity model and, per arm t, a mean model on the first half of its
+    arm-t units; the second half gives the calibration scores.  The val
     units in arm 1 - t keep their propensities and mean predictions, and
     `model` turns them into counterfactual intervals for Y(t) through the
     cross-arm weight bounds at a given gamma.  The endpoint regressions of
@@ -79,9 +79,7 @@ class NestedFold:
     """
 
     def __init__(self, ds: ObservationalDataset, seed=0):
-        perm = np.random.default_rng(seed).permutation(ds.n)
-        half = ds.n // 2
-        self._fit, self._val = ds.subset(perm[:half]), ds.subset(perm[half:])
+        self._fit, self._val = map(ds.subset, split(ds, seed))
         self.fit_rows = self._fit.covariates, self._fit.treatment
         self.val_x, self.val_y = self._val.covariates, self._val.outcome
         self.n_val = self._val.n

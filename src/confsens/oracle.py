@@ -133,16 +133,16 @@ def tilt_two_sided(gamma, mean, sigma) -> TiltSpec:
     return TiltSpec(gamma=float(gamma), q_l=float(q_l), q_r=float(q_r))
 
 
-def sample_counterfactual(tilt: TiltSpec, proposal_sampler, rng,
-                          max_proposals=1_000_000) -> float:
+def sample_counterfactual(tilt: TiltSpec, proposal_sampler, rng) -> float:
     """One draw from the tilted counterfactual law by rejection sampling.
 
     `proposal_sampler(rng, size)` draws from the observed conditional law;
-    expected proposals per accepted draw are at most gamma.
+    expected proposals per accepted draw are at most gamma, and the draw
+    fails after 1,000,000 proposals.
     """
     used = 0
     batch = 64
-    while used < max_proposals:
+    while used < 1_000_000:
         y = np.asarray(proposal_sampler(rng, batch), dtype=float)
         u = rng.uniform(size=batch)
         hit = np.flatnonzero(u < tilt.accept_prob(y))

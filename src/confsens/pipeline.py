@@ -1,13 +1,13 @@
 """One fitted pipeline per treatment arm, shared by the command line and
 the experiment harness.
 
-`fit_arms` splits the data once into a `Fold`, fits one propensity model
-and predicts it at the calibration units and the targets.  A fold's
-propensity is fit on its `fit_rows` on first use, so a caller holding many
-folds (`harness.run_sweep`) may fit them in one batch first.  Each arm
-keeps one neighbour search over its preliminary rows, which its mean
-model and the quantile model of each call's alpha ("cqr" score) share,
-the propensities and balance row of its calibration units, and its
+A `Fold` splits the data once (`dataset.split`) and fits one propensity
+model; `Fold.arms` is the one place that chooses the k-NN metric scaling.
+A fold's propensity is fit on its `fit_rows` on first use, so a caller
+holding many folds (`harness.run_sweep`) may fit them in one batch first.
+Each arm keeps one neighbour search over its preliminary rows, which its
+mean model and the quantile model of each call's alpha ("cqr" score)
+share, the propensities and balance row of its calibration units, and its
 calibration scores and band at the targets: once for the "mean" score,
 per alpha for "cqr".
 `FittedArm.intervals` then solves all targets, at one gamma or a whole
@@ -28,7 +28,7 @@ from .msm import check_alpha, check_gamma
 from .predictors import (KNNMean, KNNQuantile, NeighborSearch, fit_propensity,
                          marginal_treatment_prob, metric_weights)
 
-__all__ = ["Fold", "FittedArm", "fit_arms"]
+__all__ = ["Fold", "FittedArm"]
 
 
 class Fold:
@@ -135,10 +135,3 @@ class FittedArm:
             out = tuple(np.broadcast_to(v, np.shape(gamma) + v.shape).copy()
                         for v in out)
         return out
-
-
-def fit_arms(ds, seed, x_target, scale=None):
-    """(arm 0, arm 1) over one split of `ds` seeded by `seed`, whose
-    intervals are at the rows of `x_target`.  Models are fitted on first
-    use."""
-    return Fold(ds, seed).arms(x_target, scale)

@@ -51,25 +51,35 @@ def _covariates(x, p=None):
     return x
 
 
+def _column_scale(x, name="covariate column"):
+    """Column means and sds of a 2-D array; a constant column gets its
+    value and 1, and a column whose sd float64 cannot hold is refused."""
+    with np.errstate(all="ignore"):
+        mean, sd = x.mean(axis=0), x.std(axis=0)
+    const = (x == x[0]).all(axis=0)  # its rounded mean may miss the value
+    mean[const], sd[const] = x[0, const], 1.0
+    for j in np.flatnonzero(~(np.isfinite(sd) & (sd >= _NORMAL))):
+        raise ValueError(f"{name} {j} varies on a scale float64 "
+                         f"cannot standardize (standard deviation {sd[j]:g})")
+    return mean, sd
+
+
 def relevance_weights(train_x, train_y):
     """Per-feature metric weights from absolute outcome correlation.
 
     Scaling the k-NN metric by these weights focuses neighbor search on
     covariates that carry signal, which matters when most dimensions are
     noise.  Weights are normalized to max 1 with a floor of 1e-3 so no
-    coordinate is discarded entirely.
+    coordinate is discarded entirely; a constant outcome gives all ones.
+    Columns float64 cannot standardize are refused as `_standardize` does.
     """
     x = _covariates(train_x)
     y = np.asarray(train_y, dtype=float)
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean()
-    sx = x.std(axis=0)
-    sy = y.std()
-    denom = sx * sy
-    denom[denom == 0.0] = np.inf
-    corr = np.abs(xc.T @ yc) / (x.shape[0] * denom)
+    mean, sx = _column_scale(x)
+    (y_mean,), (sy,) = _column_scale(y[:, None], "outcome column")
+    corr = np.abs((x - mean).T @ (y - y_mean)) / (x.shape[0] * sx * sy)
     top = corr.max()
-    if top <= 0.0 or sy == 0.0:
+    if top <= 0.0:
         return np.ones(x.shape[1])
     return np.maximum(corr / top, 1e-3)
 
@@ -282,7 +292,7 @@ CLIP = 0.01
 PENALTY = 1e-4
 STEP = 0.1
 N_ITER = 500
-_NORMAL = np.finfo(float).tiny  # the smallest standard deviation fitted
+_NORMAL = np.finfo(float).tiny  # the smallest standard deviation scaled
 
 
 def _standardize(train_x, train_t):
@@ -295,13 +305,7 @@ def _standardize(train_x, train_t):
                          f"{x.shape[0]} training rows")
     if len(np.unique(t)) < 2:
         raise ValueError("both treatment values must be present")
-    with np.errstate(all="ignore"):
-        mean, sd = x.mean(axis=0), x.std(axis=0)
-    const = (x == x[0]).all(axis=0)  # its rounded mean may miss the value
-    mean[const], sd[const] = x[0, const], 1.0
-    for j in np.flatnonzero(~(np.isfinite(sd) & (sd >= _NORMAL))):
-        raise ValueError(f"covariate column {j} varies on a scale float64 "
-                         f"cannot standardize (standard deviation {sd[j]:g})")
+    mean, sd = _column_scale(x)
     z = x - mean
     z /= sd
     return z, t, mean, sd
@@ -415,9 +419,8 @@ def metric_weights(scale, train_x, train_y):
     return None if scale is None else relevance_weights(train_x, train_y)
 
 
-def fit_mean(train_x, train_y, scale=None) -> KNNMean:
-    weights = metric_weights(scale, train_x, train_y)
-    return KNNMean(NeighborSearch(train_x, feature_weights=weights), train_y)
+def fit_mean(train_x, train_y) -> KNNMean:
+    return KNNMean(NeighborSearch(train_x), train_y)
 
 
 def marginal_treatment_prob(treatment, t) -> float:

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+import tempfile
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsens import cli
 from confsens.cli import build_parser, main
@@ -617,6 +623,74 @@ def test_hostile_input_matrix(dataset, column, hostile_csvs, tmp_path,
     else:
         assert code == 1
         _assert_one_error_line(capsys, expected)
+
+
+@st.composite
+def _generated_datasets(draw):
+    """(x, t, y) with n from 6 to 80 and p from 1 to 5.  Each column is
+    uniform, tied or constant at a scale of 10^[-310, 300], or a copy of
+    column 0; the treatment is random, separated on column 0, or leaves
+    an arm two units; the outcome has a signal, ties or one value; every
+    zero is -0.0."""
+    n, p = draw(st.integers(6, 80)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.empty((n, p))
+    for j in range(p):
+        kind = draw(st.sampled_from(["uniform", "ties", "constant", "copy"]))
+        x[:, j] = x[:, 0] if kind == "copy" and j else {
+            "uniform": rng.uniform(-1.0, 1.0, n),
+            "ties": rng.integers(-1, 2, n).astype(float),
+            "constant": np.full(n, rng.uniform(-1.0, 1.0)),
+            "copy": rng.uniform(-1.0, 1.0, n),
+        }[kind] * 10.0 ** draw(st.integers(-310, 300))
+    split = x[:, 0] > np.median(x[:, 0])
+    two = np.isin(np.arange(n), rng.choice(n, 2, replace=False))
+    t = {"random": rng.integers(0, 2, n), "separated": split,
+         "two-treated": two, "two-control": ~two,
+         }[draw(st.sampled_from(["random", "separated", "two-treated",
+                                 "two-control"]))].astype(int)
+    y = {"signal": split + rng.normal(size=n),
+         "ties": rng.integers(-1, 2, n).astype(float),
+         "constant": np.full(n, 2.5),
+         }[draw(st.sampled_from(["signal", "ties", "constant"]))]
+    x[x == 0.0], y[y == 0.0] = -0.0, -0.0
+    return x, t, y
+
+
+def _run_quietly(args):
+    """(exit code, stderr lines) of one `main` run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue().splitlines()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(_generated_datasets())
+def test_generated_inputs_work_or_fail_by_name(data):
+    # every command of the hostile matrix on a generated dataset, which is
+    # also the target file: one `error:` line and exit 1, or exit 0 with
+    # no NaN cell, ordered and flagged rows and no warning but the CSSA
+    # fallback's
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "data.csv")
+        emit_csv(ObservationalDataset(*data), path)
+        for column, args in _HOSTILE_COMMANDS.items():
+            out = os.path.join(root, column)
+            target = ([] if args[0] in ("calibrate", "fit")
+                      else ["--target", path])
+            code, err = _run_quietly([*args, "--data", path, *target,
+                                      "--out", out])
+            if code == 1:
+                assert len(err) == 1 and err[0].startswith("error:"), \
+                    (column, err)
+                continue
+            assert code == 0 and set(err) <= {_FALLBACK}, (column, err)
+            with open(out, encoding="utf-8") as fh:
+                assert not re.search(r"\bnan\b", fh.read(), re.I), column
+            if args[0] in ("interval", "ite"):
+                _check_output(args[0], out)
 
 
 def _tiny_sweep(n_train, methods, *flags):

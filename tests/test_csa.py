@@ -16,7 +16,8 @@ from confsens.csa import (
     greedy_max_quantile,
     greedy_threshold_batch,
 )
-from confsens.cssa import cssa_threshold, cssa_threshold_batch
+from confsens.cssa import (arm_intervals, cssa_threshold,
+                           cssa_threshold_batch)
 from confsens.msm import (
     SensitivitySpec,
     min_miscoverage,
@@ -234,6 +235,29 @@ class TestEntryPointRefusals:
     def test_valid_instance_answers(self, entry):
         assert np.isfinite(ENTRY_POINTS[entry](0.4, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("batch", [
+        lambda lo, hi, h: greedy_threshold_batch(_SCORES, lo, hi, h, 0.2),
+        lambda lo, hi, h: cssa_threshold_batch(_SCORES, lo, hi, None, 0.2, h),
+    ], ids=["greedy_threshold_batch", "cssa_threshold_batch"])
+    def test_weight_bounds_finite_and_non_negative(self, batch, side, bad):
+        # one bad entry in one bound, of one gamma or of a gamma grid
+        for gammas in (2.0, [1.5, 2.0]):
+            bounds = weight_bounds_same_arm(_E_CAL, gammas, 1, 0.4)
+            bounds[side == "upper"][..., 2] = bad
+            with pytest.raises(ValueError, match=f"{side} weight bounds must "
+                               "be finite and non-negative"):
+                batch(*bounds, np.ones(np.shape(gammas) + (1,)))
+
+    @pytest.mark.parametrize("p_t", [np.nan, np.inf, -1.0])
+    def test_csa_threshold_weight_bounds_checked(self, p_t):
+        # the arm fraction scales both bounds
+        spec = SensitivitySpec(gamma=2.0, alpha=0.2, t=1)
+        with pytest.raises(ValueError, match="weight bounds must be finite "
+                           "and non-negative"):
+            csa_threshold(_SCORES, _E_CAL, 0.5, spec, p_t)
+
 
 def _fitted_instance(seed=0, n=200):
     rng = np.random.default_rng(seed)
@@ -275,21 +299,28 @@ class TestInterval:
     def test_band_widened_by_threshold(self, score):
         # the score's band at the target widened by the threshold, bit for
         # bit; (None, None, inf) when alpha is below alpha* (at alpha*
-        # the sentinel's mass ties the level and the quantile stays finite)
+        # the sentinel's mass ties the level and the quantile stays finite).
+        # The mean score goes through `csa_interval`, the CQR score
+        # through `arm_intervals`, the assembly `FittedArm.intervals` uses.
         mu, prop, cal_x, cal_y = _fitted_instance(seed=3)
         q_hat = KNNQuantile(NeighborSearch(cal_x[:20]), cal_y[:20], (0.1, 0.9))
         cal_x, cal_y = cal_x[20:], cal_y[20:]
         x0 = np.array([0.5, 0.5, 0.5])
-        _, (band_lo, band_hi) = scores_and_band(
+        scores, (band_lo, band_hi) = scores_and_band(
             score, q_hat if score == "cqr" else mu, cal_x, cal_y, x0[None, :])
 
         def interval(alpha):
-            spec = SensitivitySpec(gamma=2.0, alpha=alpha, t=1)
-            return csa_interval(mu, prop, cal_x, cal_y, x0, spec, 0.4,
-                                score=score, q_hat=q_hat)
+            if score == "mean":
+                spec = SensitivitySpec(gamma=2.0, alpha=alpha, t=1)
+                return csa_interval(mu, prop, cal_x, cal_y, x0, spec, 0.4)
+            (lower,), (upper,), (q,) = arm_intervals(
+                scores, (band_lo, band_hi), prop.predict(cal_x),
+                prop.predict(x0[None, :]), 2.0, alpha, 1, 0.4)
+            return (None, None, q) if np.isinf(q) else (lower, upper, q)
 
         res = interval(0.2)
-        assert res._fields == ("lower", "upper", "threshold")
+        if score == "mean":
+            assert res._fields == ("lower", "upper", "threshold")
         lower, upper, threshold = res
         assert np.isfinite(threshold)
         assert lower == band_lo[0] - threshold
@@ -300,11 +331,9 @@ class TestInterval:
             assert interval(alpha) == (None, None, np.inf)
 
     def test_cqr_score_requires_quantile_model(self):
-        mu, prop, cal_x, cal_y = _fitted_instance(seed=2)
-        spec = SensitivitySpec(gamma=2.0, alpha=0.2, t=1)
+        _, _, cal_x, cal_y = _fitted_instance(seed=2)
         with pytest.raises(ValueError, match="quantile"):
-            csa_interval(mu, prop, cal_x, cal_y, cal_x[0], spec, 0.4,
-                         score="cqr")
+            scores_and_band("cqr", None, cal_x, cal_y, cal_x[:1])
 
 
 class TestUnionCheck:

@@ -270,9 +270,10 @@ class TestSplit:
         b = split(ds, seed=7)
         for s1, s2 in zip(a, b):
             assert np.array_equal(s1, s2)
-        all_idx = np.concatenate(a)
-        assert sorted(all_idx) == list(range(100))
-        assert all(np.all(np.diff(s) > 0) for s in a)
+        # the halves are the seeded permutation, cut, in its order
+        perm = np.random.default_rng(7).permutation(100)
+        assert np.array_equal(np.concatenate(a), perm)
+        assert sorted(perm) == list(range(100))
 
     def test_sizes_floor_rule(self):
         prelim, cal = split(make_ds(n=11), seed=0)

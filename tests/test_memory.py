@@ -17,7 +17,7 @@ from confsens.harness import ExperimentConfig, run_sweep
 from confsens.ite import NestedFold, nested_ite_predict
 from confsens.msm import SensitivitySpec, weight_bounds_same_arm
 from confsens.oracle import SyntheticDGP, generate
-from confsens.pipeline import fit_arms
+from confsens.pipeline import Fold
 from confsens.predictors import fit_mean, fit_propensity
 
 DGP = SyntheticDGP(covariate_dim=20)
@@ -50,7 +50,7 @@ def test_fitted_arm_intervals():
     ds = generate(DGP, 2000, seed=0)[0]
 
     def run(x):
-        arm = fit_arms(ds, 0, x)[1]
+        arm = Fold(ds, 0).arms(x)[1]
         for method, score in (("nuc", "mean"), ("csa", "mean"),
                               ("cssa", "mean"), ("csa", "cqr")):
             arm.intervals(2.0, 0.1, method, score)
@@ -63,7 +63,7 @@ def test_fitted_arm_gamma_grid():
     ds = generate(DGP, 2000, seed=0)[0]
 
     def run(x):
-        arm = fit_arms(ds, 0, x)[1]
+        arm = Fold(ds, 0).arms(x)[1]
         for method in ("nuc", "csa", "cssa"):
             arm.intervals(GAMMAS, 0.1, method)
 

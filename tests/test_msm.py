@@ -20,7 +20,7 @@ from confsens.msm import (
 )
 from confsens.oracle import (SyntheticDGP, generate,
                              sample_counterfactual_batch, tilt_two_sided)
-from confsens.pipeline import fit_arms
+from confsens.pipeline import Fold
 
 # CI reruns these with one BLAS thread
 pytestmark = pytest.mark.blas
@@ -72,7 +72,7 @@ _REFUSED = {
 def gamma_entry_points():
     """Every public call that takes gamma, as a function of gamma alone."""
     ds, _ = generate(SyntheticDGP(covariate_dim=3), 200, seed=0)
-    arm = fit_arms(ds, 0, ds.covariates[:5])[1]
+    arm = Fold(ds, 0).arms(ds.covariates[:5])[1]
     fold = NestedFold(ds, 0)
     e = np.array([0.3, 0.6])
     return {

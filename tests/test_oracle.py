@@ -192,8 +192,7 @@ class TestRejectionSampling:
         tilt = TiltSpec(gamma=1e8, q_l=-1.0, q_r=1.0)
         rng = np.random.default_rng(11)
         with pytest.raises(RuntimeError):
-            sample_counterfactual(tilt, lambda r, k: np.zeros(k), rng,
-                                  max_proposals=256)
+            sample_counterfactual(tilt, lambda r, k: np.zeros(k), rng)
 
     @pytest.mark.parametrize("gamma", [50.0, 1e6])
     def test_draws_past_the_round_budget_follow_the_tilt(self, gamma):

@@ -2,12 +2,12 @@ import pytest
 
 from confsens import harness, pipeline
 from confsens.oracle import SyntheticDGP, generate
-from confsens.pipeline import fit_arms
+from confsens.pipeline import Fold
 
 
 def test_intervals_refuse_unknown_method():
     ds, _ = generate(SyntheticDGP(covariate_dim=2), 60, seed=0)
-    arm = fit_arms(ds, 0, ds.covariates[:3])[1]
+    arm = Fold(ds, 0).arms(ds.covariates[:3])[1]
     with pytest.raises(ValueError, match="unknown method 'oracle'"):
         arm.intervals(2.0, 0.2, "oracle")
 

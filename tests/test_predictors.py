@@ -166,8 +166,9 @@ class TestNeighborSearch:
         q = rng.normal(size=(9, 2))
         first = model.predict(q)
         q[0] = 50.0  # a changed query set is searched again
-        assert np.array_equal(model.predict(q),
-                              fit_mean(x, y, scale="relevance").predict(q))
+        fresh = KNNMean(NeighborSearch(
+            x, feature_weights=relevance_weights(x, y)), y)
+        assert np.array_equal(model.predict(q), fresh.predict(q))
         assert not np.array_equal(model.predict(q), first)
 
     @pytest.mark.parametrize("methods, searches", [
@@ -221,7 +222,8 @@ class TestNeighborSearch:
 class TestNonFiniteCovariates:
     FITS = {
         "mean": lambda x, y: fit_mean(x, y),
-        "mean-relevance": lambda x, y: fit_mean(x, y, scale="relevance"),
+        "mean-relevance": lambda x, y: KNNMean(
+            NeighborSearch(x, feature_weights=relevance_weights(x, y)), y),
         "quantile": lambda x, y: KNNQuantile(NeighborSearch(x), y,
                                              (0.1, 0.9)),
         "quantile-relevance": lambda x, y: KNNQuantile(
@@ -517,6 +519,36 @@ class TestRelevanceWeights:
         x = np.random.default_rng(7).uniform(size=(50, 3))
         assert np.allclose(relevance_weights(x, np.zeros(50)), 1.0)
 
+    def test_constant_column_gets_the_floor(self):
+        rng = np.random.default_rng(7)
+        x = np.column_stack([rng.uniform(size=50), np.full(50, 0.1)])
+        w = relevance_weights(x, x[:, 0] + 0.1 * rng.normal(size=50))
+        assert w.tolist() == [1.0, 1e-3]
+
+    @pytest.mark.parametrize("factor", [1e-310, 1e300])
+    def test_unscalable_column_refused(self, factor):
+        # the weights used to read [1.0, 0.001] silently, against
+        # [0.17, 1.0] at unit scale
+        rng = np.random.default_rng(9)
+        x = rng.uniform(size=(30, 2))
+        y = x[:, 1] + 0.1 * rng.normal(size=30)
+        x[:, 1] *= factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariate column 1 varies "
+                               "on a scale float64 cannot standardize"):
+                relevance_weights(x, y)
+
+    @pytest.mark.parametrize("factor", [1e-310, 1e300])
+    def test_unscalable_outcome_refused(self, factor):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(size=(30, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outcome column 0 varies "
+                               "on a scale float64 cannot standardize"):
+                relevance_weights(x, factor * rng.normal(size=30))
+
     def test_scaled_knn_beats_plain_on_sparse_signal(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(size=(600, 12))
@@ -525,7 +557,8 @@ class TestRelevanceWeights:
         xq = rng.uniform(size=(300, 12))
         fq = np.sin(6.0 * xq[:, 0]) + xq[:, 1] ** 2
         plain = fit_mean(x, y).predict(xq)
-        scaled = fit_mean(x, y, scale="relevance").predict(xq)
+        scaled = KNNMean(NeighborSearch(
+            x, feature_weights=relevance_weights(x, y)), y).predict(xq)
         assert np.mean((scaled - fq) ** 2) < np.mean((plain - fq) ** 2)
 
 

@@ -65,7 +65,7 @@ from confsens.msm import (
     weight_bounds_same_arm,
 )
 from confsens.oracle import SyntheticDGP, generate
-from confsens.pipeline import fit_arms
+from confsens.pipeline import Fold
 from confsens.predictors import (
     CLIP,
     N_ITER,
@@ -378,18 +378,17 @@ def test_probe_pass_equals_scalar_probe(probe):
             assert tuple(got[:, r]) == want
 
 
-def _per_target(arm, method, x, gamma, alpha, score):
+def _per_target(arm, method, x, gamma, alpha):
     """One target's interval through the public per-target functions."""
     fold = arm.fold
     # the unconfounded baseline is CSA at gamma = 1
     spec = SensitivitySpec(gamma=1.0 if method == "nuc" else gamma,
                            alpha=alpha, t=arm.t)
     common = (arm.mu_hat, fold.propensity, arm.cal_x, arm.cal_y, x)
-    q_hat = arm.q_hat(alpha) if score == "cqr" else None
     if method in ("nuc", "csa"):
-        return csa_interval(*common, spec, arm.p_t, score=score, q_hat=q_hat)
+        return csa_interval(*common, spec, arm.p_t)
     return cssa_interval(*common, spec, arm.p_t, fold.cal.covariates,
-                         fold.cal.treatment, score=score, q_hat=q_hat)
+                         fold.cal.treatment)
 
 
 @pytest.mark.blas
@@ -402,16 +401,14 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed, x_target)[t]
+    arm = Fold(ds, seed).arms(x_target)[t]
     for method in ("nuc", "csa", "cssa"):
-        for score in ("mean", "cqr"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # infeasible rows fall back
-                lower, upper, thr = arm.intervals(gamma, alpha, method,
-                                                  score)
-                single = [_per_target(arm, method, x, gamma, alpha, score)
-                          for x in x_target]
-            _assert_same_intervals(single, lower, upper, thr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # infeasible rows fall back
+            lower, upper, thr = arm.intervals(gamma, alpha, method)
+            single = [_per_target(arm, method, x, gamma, alpha)
+                      for x in x_target]
+        _assert_same_intervals(single, lower, upper, thr)
 
 
 @pytest.mark.blas
@@ -424,21 +421,21 @@ def test_batch_intervals_equal_per_target_api(seed, n, p, m, t, gamma,
 def test_cqr_intervals_follow_the_calls_alpha(seed, n, p, m, t, gamma,
                                               alphas):
     # one arm serves both alphas, twice over so the second round reads its
-    # caches; each round equals the per-target API with a quantile model
-    # fitted at that alpha's levels
+    # caches; each round equals one-target `arm_intervals` calls over the
+    # CQR scores of a quantile model fitted at that alpha's levels
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed, x_target)[t]
+    arm = Fold(ds, seed).arms(x_target)[t]
     for alpha in alphas + alphas:
         q_hat = KNNQuantile(NeighborSearch(arm.pre_x), arm.pre_y,
                             (alpha / 2.0, 1.0 - alpha / 2.0))
-        spec = SensitivitySpec(gamma=gamma, alpha=alpha, t=t)
-        single = [csa_interval(arm.mu_hat, arm.fold.propensity, arm.cal_x,
-                               arm.cal_y, x, spec, arm.p_t, score="cqr",
-                               q_hat=q_hat) for x in x_target]
-        _assert_same_intervals(single, *arm.intervals(gamma, alpha, "csa",
-                                                      "cqr"))
+        single = np.concatenate([arm_intervals(
+            *scores_and_band("cqr", q_hat, arm.cal_x, arm.cal_y, x[None]),
+            arm.e_cal, arm.fold.propensity.predict(x[None]), gamma, alpha,
+            t, arm.p_t) for x in x_target], axis=1)
+        got = arm.intervals(gamma, alpha, "csa", "cqr")
+        assert all(np.array_equal(a, b) for a, b in zip(got, single))
 
 
 def _grid_and_per_gamma(arm, gammas, alpha, method, score):
@@ -478,7 +475,7 @@ def test_gamma_grid_equals_one_call_per_gamma(seed, n, p, m, t, gammas,
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed, x_target)[t]
+    arm = Fold(ds, seed).arms(x_target)[t]
     for method in ("nuc", "csa", "cssa"):
         for score in ("mean", "cqr"):
             grid, n_warned, single, counts = _grid_and_per_gamma(
@@ -495,7 +492,7 @@ def test_infeasible_gamma_alone_falls_back():
     x = rng.uniform(size=(300, 3))
     t = (x[:, 0] + 0.05 * rng.normal(size=300) > 0.5).astype(int)
     ds = ObservationalDataset(x, t, x[:, 1] + rng.normal(size=300))
-    arm = fit_arms(ds, 2, x[:7])[1]
+    arm = Fold(ds, 2).arms(x[:7])[1]
     gammas = (1.0, 1.5, 2.0, 3.0, 4.0)
     for score in ("mean", "cqr"):
         grid, n_warned, single, counts = _grid_and_per_gamma(
@@ -518,7 +515,7 @@ def test_infeasible_gamma_alone_falls_back_on_the_lp_route():
     x = rng.uniform(size=(300, 3))
     t = (x[:, 0] + 0.05 * rng.normal(size=300) > 0.5).astype(int)
     ds = ObservationalDataset(x, t, x[:, 1] + rng.normal(size=300))
-    arm = fit_arms(ds, 2, x[:7])[1]
+    arm = Fold(ds, 2).arms(x[:7])[1]
     cal = arm.fold.cal
     rows = balance_constraints("identity", arm.cal_x, cal.covariates,
                                cal.treatment, arm.e_cal, arm.fold.e_cal, 1)
@@ -568,7 +565,7 @@ def test_interval_widths_grow_with_gamma(seed, n, p, m, t, alpha):
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed, x_target)[t]
+    arm = Fold(ds, seed).arms(x_target)[t]
     for score in ("mean", "cqr"):
         nuc = [arm.intervals(g, alpha, "nuc", score) for g in GAMMAS]
         assert all(a.tobytes() == b.tobytes()
@@ -604,7 +601,7 @@ def test_any_gamma_is_solved_or_named(seed, n, p, m, t, log_gamma):
     dgp = SyntheticDGP(covariate_dim=p)
     ds, _ = generate(dgp, n, seed=seed)
     x_target = generate(dgp, m, seed=seed + 1)[0].covariates
-    arm = fit_arms(ds, seed, x_target)[t]
+    arm = Fold(ds, seed).arms(x_target)[t]
     for score in ("mean", "cqr"):
         out = {}
         for method in ("nuc", "csa", "cssa"):

@@ -42,15 +42,25 @@ def test_only_dataset_imports_csv():
     assert found == ["dataset.py"], f"csv imported in {found}"
 
 
+def _files_calling(name):
+    """The source files that call a function or method named `name`."""
+    return sorted({path.name for path in SOURCES
+                   for node in ast.walk(ast.parse(
+                       path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id",
+                               getattr(node.func, "attr", None)) == name})
+
+
+def test_only_dataset_calls_permutation():
+    # the data is halved by one rule, `dataset.split`
+    found = _files_calling("permutation")
+    assert found == ["dataset.py"], f"permutation called in {found}"
+
+
 def test_only_cssa_builds_intervals():
     # one target's interval is assembled in one place
-    found = sorted({path.name for path in SOURCES
-                    for node in ast.walk(ast.parse(
-                        path.read_text(encoding="utf-8")))
-                    if isinstance(node, ast.Call)
-                    and getattr(node.func, "id",
-                                getattr(node.func, "attr", None))
-                    == "PredictiveInterval"})
+    found = _files_calling("PredictiveInterval")
     assert found == ["cssa.py"], f"PredictiveInterval built in {found}"
 
 
