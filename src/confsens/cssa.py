@@ -257,9 +257,10 @@ def cssa_threshold_batch(scores, lo_c, hi_c, constraints, alpha, hi_target):
     (`_probe`), so every (gamma, target) pair bisects [1, flip] in
     lockstep, and each round probes its distinct (gamma, position) pairs
     once, in passes of at most `_PASS_ROWS` rows.  Raises ValueError on an
-    empty calibration set, misaligned bounds or rows, non-finite row
-    entries or an alpha outside (0, 1), and RuntimeError when a gamma's
-    probed tail - level * total, which cannot grow with j, does.
+    empty calibration set, misaligned bounds or rows, non-finite or
+    negative weight bounds, non-finite row entries or an alpha outside
+    (0, 1), and RuntimeError when a gamma's probed tail - level * total,
+    which cannot grow with j, does.
 
     A gamma whose weight box is a point (gamma = 1), or any gamma when
     there are no constraints, gets the greedy thresholds; so does a gamma
